@@ -18,6 +18,7 @@ from typing import Callable
 from .errors import (
     DimensionError,
     NotAchievableError,
+    ShapeParityError,
     TraceNormalizationError,
     ZeroSpectralNormError,
 )
@@ -185,7 +186,7 @@ def _first_feasible(shape_family: Callable[[int], ShapeSpec], start: int,
     for n in range(start, min(start + scan, limit + 1)):
         try:
             _validate_shape(shape_family(n), n)
-        except Exception:
+        except (ShapeParityError, DimensionError):
             continue
         return n
     return None
@@ -197,7 +198,7 @@ def _last_feasible(shape_family: Callable[[int], ShapeSpec], limit: int,
     for n in range(limit, max(limit - scan, 0), -1):
         try:
             _validate_shape(shape_family(n), n)
-        except Exception:
+        except (ShapeParityError, DimensionError):
             continue
         return n
     return None

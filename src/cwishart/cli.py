@@ -2,8 +2,8 @@
 
 Commands: sample, bound, verify, netcert, sweep.  Parameters come from a JSON
 config file (with a "command" field); command-line flags win over the file.
-All randomness flows from the single seed; WISHART_THREADS caps the worker
-count and affects speed only, never results.
+All randomness flows from the single seed; WISHART_THREADS sets how many
+threads run Monte Carlo trial blocks and affects speed only, never results.
 
 Exit codes: 0 success with all checks holding, 1 at least one check failing,
 2 config/usage error, 3 resource/cap error.
@@ -23,9 +23,11 @@ from .errors import EnumerationCapError, NotAchievableError, WishartError
 from .linalg import (
     SpdMatrix,
     canonical_dumps,
+    check_int,
     dumps_matrix,
     load_matrix,
     matrix_from_dict,
+    mix_seed,
 )
 from .model import (
     WishartModel,
@@ -33,6 +35,8 @@ from .model import (
     load_model,
     model_from_dict,
     normalized_diagonal_family,
+    sample_decoupled,
+    sample_wishart,
     skew_block_family,
 )
 from .netcert import certify_norm_bound
@@ -126,11 +130,11 @@ def _load_model_from(cfg: dict) -> WishartModel:
 
 
 def _seed(cfg: dict) -> int:
-    return int(cfg.get("seed", 0))
+    return check_int(cfg.get("seed", 0), "seed")
 
 
 def _trials(cfg: dict, default: int) -> int:
-    return int(cfg.get("trials", default))
+    return check_int(cfg.get("trials", default), "trials")
 
 
 def _convention(cfg: dict) -> KappaConvention:
@@ -145,7 +149,7 @@ def _family(cfg: dict):
     if variant == "skew_block":
         return skew_block_family
     if variant == "diagonal":
-        return normalized_diagonal_family(int(fam.get("seed", _seed(cfg))))
+        return normalized_diagonal_family(check_int(fam.get("seed", _seed(cfg)), "family seed"))
     raise ConfigError(
         f"unknown family variant {variant!r}; valid: identity, skew_block, diagonal"
     )
@@ -173,14 +177,10 @@ def _print(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: dict) -> int:
-    from .model import sample_decoupled, sample_wishart
-
     model = _load_model_from(cfg)
     trials = _trials(cfg, 1)
     seed = _seed(cfg)
     out = _out_dir(cfg)
-    from .linalg import mix_seed
-
     for i in range(trials):
         trial_seed = mix_seed(seed, i)
         with open(out / f"W.{i:03d}.json", "w", encoding="utf-8") as fh:
@@ -289,7 +289,7 @@ def cmd_sweep(cfg: dict) -> int:
         n_grid = cfg.get("n_grid")
         if not n_grid:
             raise ConfigError("scaling sweep needs a nonempty \"n_grid\"")
-        p = int(cfg.get("p", 0))
+        p = check_int(cfg.get("p", 0), "p")
         if p < 1:
             raise ConfigError("scaling sweep needs a positive \"p\"")
         theta = (
@@ -308,7 +308,7 @@ def cmd_sweep(cfg: dict) -> int:
         if not p_grid or tolerance is None:
             raise ConfigError("complexity sweep needs \"p_grid\" and \"tolerance\"")
         table = empirical_sample_complexity(
-            [int(p) for p in p_grid], float(tolerance), _family(cfg),
+            [check_int(p, "p_grid entry") for p in p_grid], float(tolerance), _family(cfg),
             identity_theta_rule, _trials(cfg, _NORM_TRIALS), seed, workers,
         )
         rows = []

@@ -18,6 +18,7 @@ from .errors import DimensionError, InvalidMatrixError, NotPositiveDefiniteError
 __all__ = [
     "SpdMatrix",
     "as_matrix",
+    "check_int",
     "spectral_norm",
     "frobenius_norm",
     "spd_sqrt",
@@ -38,12 +39,6 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 SPD_EIG_TOL = 1e-10
 
-# Spectral norm switches from a full symmetric eigensolve of the Gram matrix
-# to power iteration once the smaller matrix dimension exceeds this.
-_EIGH_DIM_CAP = 64
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10_000
-
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -59,6 +54,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_int(value, name: str) -> int:
+    """Return ``value`` as an int, naming ``name`` when it is not integral.
+
+    Integral floats such as 2.0 are accepted; bools, strings and numbers such
+    as 2.7 raise instead of being truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entries, sqrt(Tr(A A^T))."""
     arr = as_matrix(a)
@@ -66,41 +74,12 @@ def frobenius_norm(a) -> float:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value of a rectangular matrix.
+    """Largest singular value of a rectangular matrix, from a LAPACK SVD.
 
-    Uses a symmetric eigensolve of the smaller Gram matrix when
-    min(rows, cols) <= 64 and power iteration on A^T A beyond that
-    (relative tolerance 1e-12, iteration cap 10000).
+    Exact to rounding for every size and every gap between the top singular
+    values; stacks of matrices use ``np.linalg.norm(a, 2, axis=(-2, -1))``.
     """
-    arr = as_matrix(a)
-    rows, cols = arr.shape
-    if min(rows, cols) <= _EIGH_DIM_CAP:
-        gram = arr @ arr.T if rows <= cols else arr.T @ arr
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        return math.sqrt(max(top, 0.0))
-    return _power_spectral_norm(arr)
-
-
-def _power_spectral_norm(arr: np.ndarray) -> float:
-    # Iterate v <- A^T A v on the smaller side; deterministic seeded start.
-    work = arr if arr.shape[0] >= arr.shape[1] else arr.T
-    dim = work.shape[1]
-    v = generator(0x5EED_CA11).standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = work @ v
-        v_next = work.T @ w
-        norm_next = float(np.linalg.norm(v_next))
-        if norm_next == 0.0:
-            return 0.0
-        lam_next = float(w @ w)
-        v = v_next / norm_next
-        if abs(lam_next - lam) <= _POWER_TOL * lam_next:
-            lam = lam_next
-            break
-        lam = lam_next
-    return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(as_matrix(a), 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +198,7 @@ def matrix_to_dict(a) -> dict:
 def matrix_from_dict(d: dict) -> np.ndarray:
     """Parse the {"rows", "cols", "entries"} matrix object."""
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = check_int(d["rows"], "rows"), check_int(d["cols"], "cols")
         entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
 from .linalg import (
     SpdMatrix,
     as_matrix,
+    check_int,
     check_seed,
     frobenius_norm,
     matrix_from_dict,
@@ -181,7 +183,10 @@ def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
 
 
 def apply_shape(y: np.ndarray, spec: ShapeSpec, n: int) -> np.ndarray:
-    """Compute Y @ B without materializing B for the structured variants."""
+    """Compute Y @ B over the last axis of ``y`` (one draw or a stack of draws).
+
+    The structured variants never materialize B.
+    """
     _validate_shape(spec, n)
     if spec.variant == "identity":
         return y
@@ -189,7 +194,7 @@ def apply_shape(y: np.ndarray, spec: ShapeSpec, n: int) -> np.ndarray:
         return y * np.asarray(spec.entries, dtype=np.float64)
     if spec.variant == "skew_block":
         half = n // 2
-        return np.hstack((-y[:, half:], y[:, :half]))
+        return np.concatenate((-y[..., half:], y[..., :half]), axis=-1)
     return y @ spec.matrix
 
 
@@ -211,24 +216,31 @@ class WishartModel:
             )
         _validate_shape(self.shape, self.n)
 
+    @cached_property
     def theta_sqrt(self) -> np.ndarray:
+        """theta^{1/2}, computed once per model (read-only)."""
         return spd_sqrt(self.theta).array
 
 
-def _whitened_sample(model: WishartModel, y: np.ndarray, root: np.ndarray) -> np.ndarray:
-    yb = apply_shape(y, model.shape, model.n)
-    return root @ (yb @ y.T) @ root / model.n
+def _whitened_sample(
+    model: WishartModel, y_left: np.ndarray, y_right: np.ndarray, root: np.ndarray
+) -> np.ndarray:
+    """(1/n) root Y_left B Y_right^T root over the last two axes, root = theta^{1/2}.
+
+    Serves one p x n draw and a (k, p, n) stack of draws alike.
+    """
+    yb = apply_shape(y_left, model.shape, model.n)
+    return root @ (yb @ y_right.swapaxes(-1, -2)) @ root / model.n
 
 
-def sample_wishart(model: WishartModel, seed: int, _root: np.ndarray | None = None) -> np.ndarray:
+def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
     check_seed(seed)
-    root = model.theta_sqrt() if _root is None else _root
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_COUPLED_Y))
-    return _whitened_sample(model, y, root)
+    return _whitened_sample(model, y, y, model.theta_sqrt)
 
 
-def sample_decoupled(model: WishartModel, seed: int, _root: np.ndarray | None = None) -> np.ndarray:
+def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W' = (1/n) theta^{1/2} Y' B Y^T theta^{1/2} with independent Y, Y'.
 
     Y and Y' come from substreams disjoint from each other and from the
@@ -236,13 +248,11 @@ def sample_decoupled(model: WishartModel, seed: int, _root: np.ndarray | None = 
     mutually independent.
     """
     check_seed(seed)
-    root = model.theta_sqrt() if _root is None else _root
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_Y))
     y_prime = sample_standard_gaussian_matrix(
         model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_YPRIME)
     )
-    yb = apply_shape(y_prime, model.shape, model.n)
-    return root @ (yb @ y.T) @ root / model.n
+    return _whitened_sample(model, y_prime, y, model.theta_sqrt)
 
 
 def expected_wishart(model: WishartModel) -> np.ndarray:
@@ -282,7 +292,9 @@ class WishartSequenceSpec:
             raise DimensionError(
                 f"scale matrix is {self.theta.p} x {self.theta.p} but p = {self.p}"
             )
-        index_set = tuple(int(n) for n in self.index_set)
+        index_set = tuple(
+            check_int(n, "index_set entry") for n in self.index_set
+        )
         if not index_set:
             raise ValueError("index_set must be nonempty")
         if any(n < 1 for n in index_set) or list(index_set) != sorted(set(index_set)):
@@ -372,7 +384,7 @@ def model_to_dict(model: WishartModel) -> dict:
 
 def model_from_dict(d: dict) -> WishartModel:
     try:
-        p, n = int(d["p"]), int(d["n"])
+        p, n = check_int(d["p"], "p"), check_int(d["n"], "n")
         theta = SpdMatrix(matrix_from_dict(d["theta"]))
         shape = shape_from_dict(d["shape"])
     except KeyError as exc:

@@ -1,22 +1,25 @@
 """Monte Carlo verification of every probabilistic claim about the models.
 
 Determinism contract: every check is a pure function of its inputs including
-the master seed.  Trial i uses the substream seed mix_seed(master_seed, i),
-trials never share state, and reductions run in trial-index order, so reports
+the master seed.  Trials run in fixed blocks of BLOCK_TRIALS; block b draws
+every Gaussian it needs from generator(mix_seed(master_seed, b)), computes its
+trials as one vectorized kernel, and the per-trial results are concatenated
+in block order before any reduction.  Block boundaries do not depend on the
+worker count, which only sets how many threads run blocks at once, so reports
 are bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import (
+    SEARCH_CAP,
     BoundReport,
     KappaConvention,
     _first_feasible,
@@ -28,19 +31,19 @@ from .linalg import (
     SpdMatrix,
     as_matrix,
     canonical_dumps,
+    check_int,
     check_seed,
+    generator,
     mix_seed,
-    sample_standard_gaussian_matrix,
     spd_sqrt,
     spectral_norm,
 )
 from .model import (
     ShapeSpec,
     WishartModel,
+    _whitened_sample,
     build_shape,
     expected_wishart,
-    sample_decoupled,
-    sample_wishart,
     shape_frobenius_norm,
     shape_spectral_norm,
 )
@@ -76,26 +79,35 @@ __all__ = [
 INEQUALITY_MARGIN = 3.0
 EQUALITY_MARGIN = 4.0
 
-SEARCH_CAP = 2**20
+# Trials per block: the unit of random streams and of vectorized work.  Fixed,
+# so that results never depend on it being tuned; it also caps peak memory.
+BLOCK_TRIALS = 1024
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int | None = 1) -> list:
-    """Map preserving input order; workers > 1 uses a process pool.
+def _run_blocks(
+    kernel: Callable[[np.random.Generator, int], np.ndarray],
+    trials: int,
+    master_seed: int,
+    workers: int | None = 1,
+) -> np.ndarray:
+    """Per-trial results of ``kernel(rng, k)`` over all blocks, in block order.
 
-    Results are independent of the worker count because every item is
-    self-contained and ``ProcessPoolExecutor.map`` returns in input order.
+    Block b holds k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) trials and
+    draws from generator(mix_seed(master_seed, b)); the kernel returns an
+    array whose first axis has length k.  workers > 1 runs blocks on a thread
+    pool (numpy releases the GIL in its RNG and BLAS calls); kernels must only
+    read shared inputs.
     """
-    items = list(items)
-    if workers is None or workers <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
-
-
-def _trial_seeds(master_seed: int, trials: int) -> list[int]:
     master_seed = check_seed(master_seed)
-    return [mix_seed(master_seed, i) for i in range(trials)]
+    sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+
+    def block(b: int) -> np.ndarray:
+        return kernel(generator(mix_seed(master_seed, b)), sizes[b])
+
+    if workers is None or workers <= 1 or len(sizes) < 2:
+        return np.concatenate([block(b) for b in range(len(sizes))])
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return np.concatenate(list(ex.map(block, range(len(sizes)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,24 +152,23 @@ class DeviationStats:
 # Mean deviation and the expectation formula
 # ---------------------------------------------------------------------------
 
-def _deviation_trial(payload, seed: int) -> float:
-    model, root, w0 = payload
-    return spectral_norm(sample_wishart(model, seed, _root=root) - w0)
+def _wishart_draws(
+    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
+) -> np.ndarray:
+    """k coupled draws W, a (k, p, p) stack, from one (k, p, n) Gaussian stack."""
+    y = rng.standard_normal((k, model.p, model.n))
+    return _whitened_sample(model, y, y, root)
 
 
 def estimate_mean_deviation(cfg: TrialConfig, workers: int | None = 1) -> DeviationStats:
-    """Monte Carlo statistics of ||W - E(W)|| over per-trial substreams."""
+    """Monte Carlo statistics of ||W - E(W)|| over blocks of trials."""
     model = cfg.model
-    payload = (model, model.theta_sqrt(), expected_wishart(model))
-    samples = _map_ordered(
-        partial(_deviation_trial, payload), _trial_seeds(cfg.master_seed, cfg.trials), workers
+    root, w0 = model.theta_sqrt, expected_wishart(model)
+    samples = _run_blocks(
+        lambda rng, k: np.linalg.norm(_wishart_draws(model, root, rng, k) - w0, 2, axis=(-2, -1)),
+        cfg.trials, cfg.master_seed, workers,
     )
-    return DeviationStats.from_samples(np.asarray(samples))
-
-
-def _wishart_trial(payload, seed: int) -> np.ndarray:
-    model, root = payload
-    return sample_wishart(model, seed, _root=root)
+    return DeviationStats.from_samples(samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +199,10 @@ class ExpectationReport:
 def check_expectation(cfg: TrialConfig, workers: int | None = 1) -> ExpectationReport:
     """Verify E(W) = (Tr B / n) theta entrywise within 4 standard errors."""
     model = cfg.model
-    payload = (model, model.theta_sqrt())
-    draws = _map_ordered(
-        partial(_wishart_trial, payload), _trial_seeds(cfg.master_seed, cfg.trials), workers
+    root = model.theta_sqrt
+    stack = _run_blocks(
+        lambda rng, k: _wishart_draws(model, root, rng, k), cfg.trials, cfg.master_seed, workers
     )
-    stack = np.stack(draws)
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     expected = expected_wishart(model)
@@ -239,13 +249,6 @@ def check_bound_dominance(
 # Decoupling checks
 # ---------------------------------------------------------------------------
 
-def _decoupling_trial(payload, seed: int) -> tuple[float, float]:
-    model, root, w0 = payload
-    lhs = spectral_norm(sample_wishart(model, seed, _root=root) - w0)
-    rhs = spectral_norm(sample_decoupled(model, seed, _root=root))
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class WishartDecouplingReport:
     """Stats of ||W - E(W)|| against twice the decoupled ||W'||."""
@@ -261,25 +264,20 @@ class WishartDecouplingReport:
 def check_wishart_decoupling(cfg: TrialConfig, workers: int | None = 1) -> WishartDecouplingReport:
     """Check mean||W - E(W)|| <= 2 mean||W'|| + 3 (se_lhs + 2 se_rhs)."""
     model = cfg.model
-    payload = (model, model.theta_sqrt(), expected_wishart(model))
-    pairs = _map_ordered(
-        partial(_decoupling_trial, payload), _trial_seeds(cfg.master_seed, cfg.trials), workers
-    )
-    arr = np.asarray(pairs)
+    root, w0 = model.theta_sqrt, expected_wishart(model)
+
+    def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        # Coupled Y, then the decoupled pair (Y, Y'), all from the block's stream.
+        y, y_dec, y_prime = rng.standard_normal((3, k, model.p, model.n))
+        lhs = np.linalg.norm(_whitened_sample(model, y, y, root) - w0, 2, axis=(-2, -1))
+        rhs = np.linalg.norm(_whitened_sample(model, y_prime, y_dec, root), 2, axis=(-2, -1))
+        return np.stack((lhs, rhs), axis=1)
+
+    arr = _run_blocks(kernel, cfg.trials, cfg.master_seed, workers)
     lhs = DeviationStats.from_samples(arr[:, 0])
     rhs = DeviationStats.from_samples(arr[:, 1])
     holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
     return WishartDecouplingReport(lhs, rhs, holds)
-
-
-def _chaos_trial(payload, seed: int) -> tuple[float, float]:
-    stack, root, traces, p = payload
-    z = root @ sample_standard_gaussian_matrix(p, 1, mix_seed(seed, 0))[:, 0]
-    z_prime = root @ sample_standard_gaussian_matrix(p, 1, mix_seed(seed, 1))[:, 0]
-    bz = stack @ z
-    lhs = float(np.max(np.abs(bz @ z - traces)))
-    rhs = float(np.max(np.abs(bz @ z_prime)))
-    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -317,11 +315,17 @@ def check_chaos_decoupling(
         raise ValueError(f"need at least 2 trials, got {trials}")
     stack = np.stack(mats)
     traces = np.einsum("kij,ji->k", stack, theta.array)
-    payload = (stack, spd_sqrt(theta).array, traces, p)
-    pairs = _map_ordered(
-        partial(_chaos_trial, payload), _trial_seeds(seed, trials), workers
-    )
-    arr = np.asarray(pairs)
+    root = spd_sqrt(theta).array
+
+    def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        # Rows z and z' of N(0, theta): standard rows times the symmetric root.
+        z, z_prime = rng.standard_normal((2, k, p)) @ root
+        bz = np.einsum("mij,tj->tmi", stack, z)
+        lhs = np.abs(np.einsum("tmi,ti->tm", bz, z) - traces).max(axis=1)
+        rhs = np.abs(np.einsum("tmi,ti->tm", bz, z_prime)).max(axis=1)
+        return np.stack((lhs, rhs), axis=1)
+
+    arr = _run_blocks(kernel, trials, seed, workers)
     lhs = DeviationStats.from_samples(arr[:, 0])
     rhs = DeviationStats.from_samples(arr[:, 1])
     holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
@@ -331,12 +335,6 @@ def check_chaos_decoupling(
 # ---------------------------------------------------------------------------
 # Linear forms and the conditional standard deviation
 # ---------------------------------------------------------------------------
-
-def _linear_form_trial(payload, seed: int) -> float:
-    root, a, p = payload
-    z = root @ sample_standard_gaussian_matrix(p, 1, seed)[:, 0]
-    return float(a @ z)
-
 
 @dataclass(frozen=True)
 class LinearFormReport:
@@ -381,15 +379,20 @@ def check_linear_form_std(
     root = spd_sqrt(theta).array
     target = float(np.linalg.norm(root @ a))
     norm_ok = target <= spectral_norm(root) * float(np.linalg.norm(a)) + 1e-12
-    samples = np.asarray(
-        _map_ordered(partial(_linear_form_trial, (root, a, theta.p)),
-                     _trial_seeds(seed, trials), workers)
+    samples = _run_blocks(
+        lambda rng, k: (rng.standard_normal((k, theta.p)) @ root) @ a, trials, seed, workers
     )
     sample_std = float(samples.std(ddof=1))
     # Gaussian-sample stderr of the standard deviation itself.
     std_stderr = sample_std / math.sqrt(2.0 * (trials - 1))
     holds = abs(sample_std - target) <= 5.0 * std_stderr
     return LinearFormReport(sample_std, std_stderr, target, trials, norm_ok, holds)
+
+
+def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(sqrt(p)/n) ||B X^T d|| for one p x n draw or each of a (..., p, n) stack."""
+    p, n = x.shape[-2:]
+    return math.sqrt(p) / n * np.linalg.norm((d @ x) @ b.T, axis=-1)
 
 
 def conditional_std(b, x, direction) -> float:
@@ -408,18 +411,12 @@ def conditional_std(b, x, direction) -> float:
         raise DimensionError(f"direction has length {d.size} but the sample matrix has p = {p}")
     if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(d)!r}")
-    return float(math.sqrt(p) / n * np.linalg.norm(b @ (x.T @ d)))
+    return float(_conditional_stds(b, x, d))
 
 
 # ---------------------------------------------------------------------------
 # Concentration of the conditional standard deviation
 # ---------------------------------------------------------------------------
-
-def _sigma_trial(payload, seed: int) -> float:
-    b, d, p, n = payload
-    x = sample_standard_gaussian_matrix(p, n, seed)
-    return float(math.sqrt(p) / n * np.linalg.norm(b @ (x.T @ d)))
-
 
 @dataclass(frozen=True)
 class ConcentrationCheck:
@@ -500,8 +497,9 @@ def check_concentration(
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
 
-    samples = np.asarray(
-        _map_ordered(partial(_sigma_trial, (b, d, p, n)), _trial_seeds(seed, trials), workers)
+    samples = _run_blocks(
+        lambda rng, k: _conditional_stds(b, rng.standard_normal((k, p, n)), d),
+        trials, seed, workers,
     )
     empirical, theoretical, stderrs, asserted = [], [], [], []
     floor = 10.0 / trials
@@ -544,17 +542,6 @@ def check_concentration(
     )
 
 
-def _lipschitz_trial(payload, seed: int) -> int:
-    b, d, p, n, lipschitz = payload
-    x1 = sample_standard_gaussian_matrix(p, n, mix_seed(seed, 0))
-    x2 = sample_standard_gaussian_matrix(p, n, mix_seed(seed, 1))
-    lhs = abs(
-        float(np.linalg.norm(b @ (x1.T @ d))) - float(np.linalg.norm(b @ (x2.T @ d)))
-    ) * math.sqrt(p) / n
-    rhs = lipschitz * float(np.linalg.norm(x1 - x2))
-    return int(lhs > rhs)
-
-
 def count_lipschitz_violations(
     model: WishartModel,
     direction,
@@ -568,9 +555,15 @@ def count_lipschitz_violations(
         raise DimensionError(f"direction has length {d.size} but p = {model.p}")
     b = build_shape(model.shape, model.n)
     lipschitz = math.sqrt(model.p) * shape_spectral_norm(model.shape, model.n) / model.n
-    payload = (b, d, model.p, model.n, lipschitz)
-    flags = _map_ordered(partial(_lipschitz_trial, payload), _trial_seeds(seed, pairs), workers)
-    return int(sum(flags))
+    if pairs < 1:
+        return 0
+
+    def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        x1, x2 = rng.standard_normal((2, k, model.p, model.n))
+        lhs = np.abs(_conditional_stds(b, x1, d) - _conditional_stds(b, x2, d))
+        return lhs > lipschitz * np.linalg.norm(x1 - x2, axis=(-2, -1))
+
+    return int(_run_blocks(kernel, pairs, seed, workers).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +621,7 @@ def sweep_scaling(
     Each grid point runs under the substream seed mix_seed(seed, n), so the
     table is reproducible row by row.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [check_int(n, "n_grid entry") for n in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n grid must be increasing with at least 3 points, got {n_grid}")
     rows = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cwishart as cw
+from cwishart import bounds
 from cwishart.bounds import BoundInputs, KappaConvention
 from cwishart.errors import (
     NotAchievableError,
@@ -216,3 +217,14 @@ class TestInvertBound:
         n = cw.invert_bound_for_n(2, 1.0, tol, cw.identity_family)
         assert cw.deviation_bound(identity_model(2, n)).bound_value <= tol
         assert cw.deviation_bound(identity_model(2, n - 1)).bound_value > tol
+
+    def test_family_bugs_propagate(self):
+        # Only infeasible-n errors mean "skip this n"; any other error is a bug
+        # in the family and must surface, not become "no feasible n".
+        def broken(n):
+            raise TypeError("broken family")
+
+        with pytest.raises(TypeError, match="broken family"):
+            cw.invert_bound_for_n(2, 1.0, 1.0, broken)
+        with pytest.raises(TypeError, match="broken family"):
+            bounds._last_feasible(broken, 16)

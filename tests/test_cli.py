@@ -300,3 +300,54 @@ class TestUsage:
             assert cli.main(["--config", config]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def _with(d, path, value):
+    """Copy of the nested dict ``d`` with the key path ``path`` set to ``value``."""
+    d = json.loads(json.dumps(d))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return d
+
+
+DOMINANCE = {"command": "verify", "check": "dominance",
+             "model": identity_model_dict(2, 8), "trials": 20, "seed": 1}
+SCALING = {"command": "sweep", "sweep": "scaling", "p": 2, "n_grid": [8, 16, 32],
+           "family": {"variant": "diagonal", "seed": 3}, "trials": 20, "seed": 1}
+COMPLEXITY = {"command": "sweep", "sweep": "complexity", "p_grid": [2],
+              "tolerance": 1e6, "trials": 20, "seed": 1}
+
+
+class TestIntegerFields:
+    """Non-integral numbers and bools exit 2 naming the field, never truncate."""
+
+    @pytest.mark.parametrize(
+        "base,path,value,field",
+        [
+            (DOMINANCE, ("model", "p"), 2.7, "p"),
+            (DOMINANCE, ("model", "n"), 8.5, "n"),
+            (DOMINANCE, ("model", "theta", "rows"), 2.5, "rows"),
+            (DOMINANCE, ("model", "theta", "cols"), True, "cols"),
+            (DOMINANCE, ("seed",), 1.5, "seed"),
+            (DOMINANCE, ("trials",), 20.9, "trials"),
+            (SCALING, ("p",), 2.7, "p"),
+            (SCALING, ("n_grid",), [8, 16.5, 32], "n_grid"),
+            (SCALING, ("family", "seed"), True, "family seed"),
+            (COMPLEXITY, ("p_grid",), [2.5], "p_grid"),
+        ],
+        ids=["model-p", "model-n", "rows", "cols", "seed", "trials",
+             "sweep-p", "n_grid", "family-seed", "p_grid"],
+    )
+    def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
+        cfg = _with(base, path, value)
+        cfg["out"] = str(tmp_path / "out")
+        assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "must be an integer" in err
+
+    def test_valid_configs_run(self, tmp_path):
+        for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY)):
+            cfg = dict(base, out=str(tmp_path / f"out{i}"))
+            assert cli.main(["--config", write_config(tmp_path, f"c{i}.json", cfg)]) == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cwishart as cw
 from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
+    check_int,
     check_seed,
     dumps_matrix,
     mix_seed,
@@ -37,10 +38,17 @@ class TestSpectralNorm:
             oracle = max(oracle, float(np.linalg.norm(x @ a.T, axis=1).max()))
         assert oracle <= result <= oracle * (1 + 1e-3)
 
-    def test_power_iteration_path_matches_svd(self):
-        # min dimension > 64 exercises the power-iteration branch.
-        a = cw.generator(11).standard_normal((80, 90))
-        assert cw.spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-9)
+    def test_near_degenerate_matches_svd(self):
+        # 200 x 200 with s1 - s2 = 1e-6: an iterative solver stalls long
+        # before converging here, an SVD does not.
+        rng = cw.generator(11)
+        u, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        v, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        s = np.concatenate(([1.0, 1.0 - 1e-6], rng.uniform(0.05, 0.5, 198)))
+        a = (u * s) @ v.T
+        exact = np.linalg.svd(a, compute_uv=False)[0]
+        assert cw.spectral_norm(a) == pytest.approx(exact, rel=1e-12)
+        assert cw.spectral_norm(a) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidMatrixError):
@@ -144,6 +152,14 @@ class TestGaussianSampler:
         with pytest.raises(TypeError):
             check_seed(True)
         assert check_seed(2**64 - 1) == 2**64 - 1
+
+    def test_check_int_rejects_non_integral(self):
+        assert check_int(3, "p") == 3
+        assert check_int(np.int64(3), "p") == 3
+        assert check_int(2.0, "p") == 2
+        for bad in (2.7, True, "3", None, float("inf")):
+            with pytest.raises(ValueError, match="p must be an integer"):
+                check_int(bad, "p")
 
 
 class TestSeedMixing:

@@ -229,6 +229,12 @@ class TestSequenceSpec:
                 2, cw.SpdMatrix.identity(2), (2, 4), cw.skew_block_family
             )
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(ValueError, match="index_set entry must be an integer"):
+            cw.WishartSequenceSpec(
+                2, cw.SpdMatrix.identity(2), (2, 4.5), cw.identity_family
+            )
+
     def test_non_unit_beta_flagged(self):
         def doubled(n):
             return cw.ShapeSpec.diagonal([2.0] * n)

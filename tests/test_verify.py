@@ -5,8 +5,9 @@ import pytest
 
 import cwishart as cw
 from cwishart.errors import DimensionError, NotAchievableError
-from cwishart.linalg import canonical_dumps
+from cwishart.linalg import canonical_dumps, mix_seed
 from cwishart.verify import (
+    BLOCK_TRIALS,
     TrialConfig,
     check_expectation,
     emit_report,
@@ -68,6 +69,24 @@ class TestEstimateMeanDeviation:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             TrialConfig(model(2, 4), 1, 0)
+
+    def test_stream_contract_of_first_block(self):
+        # One block: every Gaussian comes from one (k, p, n) draw of the
+        # generator for mix_seed(seed, 0), trial t using the slice [t].
+        theta = cw.SpdMatrix.diagonal([2.0, 0.5])
+        shape = cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 2.0, 0.0])
+        p, n, k, seed = 2, 5, BLOCK_TRIALS, 4242
+        stats = cw.estimate_mean_deviation(TrialConfig(model(p, n, shape, theta), k, seed))
+        y = cw.generator(mix_seed(seed, 0)).standard_normal((k, p, n))
+        root = np.diag(np.sqrt([2.0, 0.5]))
+        b = np.diag([1.5, 0.5, 1.0, 2.0, 0.0])
+        w = root @ (y @ b @ y.transpose(0, 2, 1)) @ root / n
+        w0 = np.trace(b) / n * np.diag([2.0, 0.5])
+        dev = np.linalg.svd(w - w0, compute_uv=False)[:, 0]
+        assert stats.trials == k
+        assert stats.mean == pytest.approx(dev.mean(), rel=1e-12)
+        assert stats.max == pytest.approx(dev.max(), rel=1e-12)
+        assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
 
 
 class TestBoundDominance:
@@ -302,6 +321,27 @@ class TestReports:
         report = check_expectation(TrialConfig(model(2, 6), 2000, 103))
         assert report.holds
         assert canonical_dumps(report.to_dict())  # serializable
+
+    @pytest.mark.parametrize("trials", [BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3])
+    def test_block_boundaries_do_not_depend_on_workers(self, trials):
+        # A partial last block (1 and 3 trials) with 1, 2 and 3 threads.
+        m = model(3, 8, shape=cw.ShapeSpec.skew_block(),
+                  theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
+        outputs = set()
+        for workers in (1, 2, 3):
+            reports = [
+                cw.check_wishart_decoupling(TrialConfig(m, trials, 113), workers).to_dict(),
+                cw.check_chaos_decoupling(
+                    mats, cw.SpdMatrix.identity(3), trials, 127, workers
+                ).to_dict(),
+                cw.check_linear_form_std(
+                    cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, workers
+                ).to_dict(),
+            ]
+            assert reports[0]["lhs"]["trials"] == trials
+            outputs.add(canonical_dumps(reports))
+        assert len(outputs) == 1
 
     def test_worker_counts_do_not_change_reports(self):
         m = model(3, 8)
