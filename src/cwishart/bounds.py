@@ -22,7 +22,7 @@ from .errors import (
     TraceNormalizationError,
     ZeroSpectralNormError,
 )
-from .linalg import spectral_norm
+from .linalg import Report, spectral_norm
 from .model import (
     ShapeSpec,
     WishartModel,
@@ -100,35 +100,23 @@ def _formula(inputs: BoundInputs, log_fac: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(BoundInputs, Report):
     """Evaluated bound together with everything needed to recompute it."""
 
-    inputs: BoundInputs
     convention: KappaConvention
     log_factor: int
     bound_value: float
 
     def recompute(self) -> float:
-        return _formula(self.inputs, self.log_factor)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.inputs.p,
-            "n": self.inputs.n,
-            "sigma": self.inputs.sigma,
-            "kappa": self.inputs.kappa,
-            "convention": self.convention.value,
-            "log_factor": self.log_factor,
-            "theta_norm": self.inputs.theta_norm,
-            "bound_value": self.bound_value,
-        }
+        return _formula(self, self.log_factor)
 
 
 def _report(p: int, n: int, sigma: float, kappa: float, theta_norm: float,
             convention: KappaConvention) -> BoundReport:
     inputs = BoundInputs(p=p, n=n, sigma=sigma, kappa=kappa, theta_norm=theta_norm)
     log_fac = log_factor(p)
-    return BoundReport(inputs, convention, log_fac, _formula(inputs, log_fac))
+    return BoundReport(**vars(inputs), convention=convention, log_factor=log_fac,
+                       bound_value=_formula(inputs, log_fac))
 
 
 def deviation_bound(

@@ -16,13 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import KappaConvention, deviation_bound
 from .errors import EnumerationCapError, NotAchievableError, WishartError
 from .linalg import (
     SpdMatrix,
     canonical_dumps,
+    check_floats,
     check_int,
     dumps_matrix,
     load_matrix,
@@ -41,6 +40,7 @@ from .model import (
 )
 from .netcert import certify_norm_bound
 from .verify import (
+    SweepRow,
     TrialConfig,
     check_bound_dominance,
     check_chaos_decoupling,
@@ -64,6 +64,10 @@ _SCALAR_TRIALS = 100_000
 
 class ConfigError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
+
+
+# Everything main maps to exit code 2; anything else is a bug and propagates.
+USAGE_ERRORS = (ConfigError, WishartError, ValueError, OSError)
 
 
 def _workers() -> int:
@@ -90,8 +94,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--convention", choices=[c.value for c in KappaConvention],
                         help="kappa convention for bounds")
-    parser.add_argument("--format", dest="fmt", choices=["json", "csv"],
-                        help="output format where applicable")
     return parser
 
 
@@ -107,10 +109,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must contain a JSON object")
-    for key in ("command", "seed", "trials", "out", "convention", "fmt"):
-        value = getattr(args, key if key != "fmt" else "fmt")
+    for key in ("command", "seed", "trials", "out", "convention"):
+        value = getattr(args, key)
         if value is not None:
-            cfg[key if key != "fmt" else "format"] = value
+            cfg[key] = value
     if not cfg.get("command"):
         raise ConfigError("no command given (positional argument or \"command\" in config)")
     if cfg["command"] not in COMMANDS:
@@ -123,7 +125,7 @@ def _load_model_from(cfg: dict) -> WishartModel:
         return model_from_dict(cfg["model"])
     if "model_path" in cfg:
         path = cfg["model_path"]
-        if not os.path.exists(path):
+        if not isinstance(path, str) or not os.path.exists(path):
             raise ConfigError(f"model file not found: {path}")
         return load_model(path)
     raise ConfigError("config needs a \"model\" object or a \"model_path\"")
@@ -141,8 +143,17 @@ def _convention(cfg: dict) -> KappaConvention:
     return KappaConvention(cfg.get("convention", KappaConvention.FROBENIUS.value))
 
 
+def _list(cfg: dict, key: str) -> list:
+    value = cfg.get(key)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"\"{key}\" must be a nonempty list, got {value!r:.80}")
+    return value
+
+
 def _family(cfg: dict):
     fam = cfg.get("family", {"variant": "identity"})
+    if not isinstance(fam, dict):
+        raise ConfigError(f"\"family\" must be an object, got {fam!r:.80}")
     variant = fam.get("variant")
     if variant == "identity":
         return identity_family
@@ -163,13 +174,19 @@ def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out")
     if out is None:
         raise ConfigError("this command needs an output directory (--out)")
+    if not isinstance(out, str):
+        raise ConfigError(f"\"out\" must be a directory path, got {out!r:.80}")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text + "\n")
+def _emit(cfg: dict, filename: str, lines: list[str]) -> None:
+    """Print ``lines`` and, when the config names an output directory, write them there."""
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
+    if cfg.get("out"):
+        (_out_dir(cfg) / filename).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +211,7 @@ def cmd_sample(cfg: dict) -> int:
 def cmd_bound(cfg: dict) -> int:
     model = _load_model_from(cfg)
     report = deviation_bound(model, _convention(cfg))
-    _print(canonical_dumps(report.to_dict()))
-    if cfg.get("out"):
-        out = _out_dir(cfg)
-        (out / "bound.json").write_text(canonical_dumps(report.to_dict()) + "\n")
+    _emit(cfg, "bound.json", [canonical_dumps(report.to_dict())])
     return 0
 
 
@@ -206,77 +220,52 @@ def _run_check(cfg: dict, workers: int) -> dict:
     if check not in CHECKS:
         raise ConfigError(f"unknown check {check!r}; valid: {', '.join(CHECKS)}")
     seed = _seed(cfg)
-    if check == "expectation":
+    if check in ("expectation", "dominance", "decoupling"):
         trial_cfg = TrialConfig(_load_model_from(cfg), _trials(cfg, _NORM_TRIALS), seed)
-        return check_expectation(trial_cfg, workers).to_dict()
-    if check == "dominance":
-        trial_cfg = TrialConfig(_load_model_from(cfg), _trials(cfg, _NORM_TRIALS), seed)
-        return check_bound_dominance(trial_cfg, _convention(cfg), workers).to_dict()
-    if check == "decoupling":
-        trial_cfg = TrialConfig(_load_model_from(cfg), _trials(cfg, _NORM_TRIALS), seed)
+        if check == "expectation":
+            return check_expectation(trial_cfg, workers).to_dict()
+        if check == "dominance":
+            return check_bound_dominance(trial_cfg, _convention(cfg), workers).to_dict()
         return check_wishart_decoupling(trial_cfg, workers).to_dict()
+    if check == "concentration":
+        return check_concentration(
+            _load_model_from(cfg), check_floats(cfg.get("direction"), "direction"),
+            check_floats(cfg.get("t_grid"), "t_grid"), _trials(cfg, _SCALAR_TRIALS), seed,
+            workers,
+        ).to_dict()
+    if "theta" not in cfg:
+        raise ConfigError(f"{check} check needs \"theta\"")
+    theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
     if check == "chaos":
-        if "matrices" not in cfg or "theta" not in cfg:
-            raise ConfigError("chaos check needs \"matrices\" and \"theta\"")
-        matrices = [matrix_from_dict(m) for m in cfg["matrices"]]
-        theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
+        matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
         return check_chaos_decoupling(
             matrices, theta, _trials(cfg, _SCALAR_TRIALS), seed, workers
         ).to_dict()
-    if check == "stddev":
-        if "theta" not in cfg or "a" not in cfg:
-            raise ConfigError("stddev check needs \"theta\" and \"a\"")
-        theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
-        return check_linear_form_std(
-            theta, np.asarray(cfg["a"], dtype=float), _trials(cfg, _SCALAR_TRIALS), seed, workers
-        ).to_dict()
-    # concentration
-    if "direction" not in cfg or "t_grid" not in cfg:
-        raise ConfigError("concentration check needs \"direction\" and \"t_grid\"")
-    model = _load_model_from(cfg)
-    return check_concentration(
-        model, np.asarray(cfg["direction"], dtype=float), cfg["t_grid"],
-        _trials(cfg, _SCALAR_TRIALS), seed, workers,
+    return check_linear_form_std(
+        theta, check_floats(cfg.get("a"), "a"), _trials(cfg, _SCALAR_TRIALS), seed, workers
     ).to_dict()
 
 
 def cmd_verify(cfg: dict) -> int:
     payload = _run_check(cfg, _workers())
-    report = emit_report(cfg.get("check"), _digest_config(cfg), _seed(cfg), payload)
-    _print(canonical_dumps(report))
-    if cfg.get("out"):
-        out = _out_dir(cfg)
-        (out / f"verify_{cfg['check']}.json").write_text(canonical_dumps(report) + "\n")
+    report = emit_report(cfg["check"], _digest_config(cfg), _seed(cfg), payload)
+    _emit(cfg, f"verify_{cfg['check']}.json", [canonical_dumps(report)])
     return 0 if payload.get("holds", True) else 1
 
 
 def cmd_netcert(cfg: dict) -> int:
-    inputs = cfg.get("inputs")
-    if not inputs:
-        raise ConfigError("netcert needs \"inputs\": a list of matrix file paths")
-    lines = []
-    all_hold = True
-    for path in inputs:
-        if not os.path.exists(path):
-            raise ConfigError(f"matrix file not found: {path}")
-        cert = certify_norm_bound(load_matrix(path), matrix_id=os.path.basename(path))
-        all_hold = all_hold and cert.holds
-        lines.append(canonical_dumps(cert.to_dict()))
-    for line in lines:
-        _print(line)
-    if cfg.get("out"):
-        out = _out_dir(cfg)
-        (out / "certificates.jsonl").write_text("\n".join(lines) + "\n")
-    return 0 if all_hold else 1
+    certs = []
+    for path in _list(cfg, "inputs"):
+        if not isinstance(path, str) or not os.path.exists(path):
+            raise ConfigError(f"matrix file not found: {path!r:.80}")
+        certs.append(certify_norm_bound(load_matrix(path), matrix_id=os.path.basename(path)))
+    _emit(cfg, "certificates.jsonl", [canonical_dumps(c.to_dict()) for c in certs])
+    return 0 if all(c.holds for c in certs) else 1
 
 
-def _csv_text(rows: list[dict]) -> str:
-    header = "p,n,mean,stderr,bound,ratio"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['p']},{r['n']},{r['mean']!r},{r['stderr']!r},{r['bound']!r},{r['ratio']!r}"
-        )
+def _csv_text(rows: list[SweepRow]) -> str:
+    lines = ["p,n,mean,stderr,bound,ratio"]
+    lines += [f"{r.p},{r.n},{r.mean!r},{r.stderr!r},{r.bound!r},{r.ratio!r}" for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -286,9 +275,7 @@ def cmd_sweep(cfg: dict) -> int:
     seed = _seed(cfg)
     out = _out_dir(cfg)
     if kind == "scaling":
-        n_grid = cfg.get("n_grid")
-        if not n_grid:
-            raise ConfigError("scaling sweep needs a nonempty \"n_grid\"")
+        n_grid = _list(cfg, "n_grid")
         p = check_int(cfg.get("p", 0), "p")
         if p < 1:
             raise ConfigError("scaling sweep needs a positive \"p\"")
@@ -300,16 +287,15 @@ def cmd_sweep(cfg: dict) -> int:
         sweep = sweep_scaling(
             p, n_grid, _family(cfg), theta, _trials(cfg, _NORM_TRIALS), seed, workers
         )
-        rows = [r.to_dict() for r in sweep.rows]
+        rows = list(sweep.rows)
         summary = {"sweep": "scaling", "slope": sweep.slope, "degenerate": sweep.degenerate}
     elif kind == "complexity":
-        p_grid = cfg.get("p_grid")
         tolerance = cfg.get("tolerance")
-        if not p_grid or tolerance is None:
-            raise ConfigError("complexity sweep needs \"p_grid\" and \"tolerance\"")
+        if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool):
+            raise ConfigError(f"\"tolerance\" must be a number, got {tolerance!r:.80}")
         table = empirical_sample_complexity(
-            [check_int(p, "p_grid entry") for p in p_grid], float(tolerance), _family(cfg),
-            identity_theta_rule, _trials(cfg, _NORM_TRIALS), seed, workers,
+            [check_int(p, "p_grid entry") for p in _list(cfg, "p_grid")], float(tolerance),
+            _family(cfg), identity_theta_rule, _trials(cfg, _NORM_TRIALS), seed, workers,
         )
         rows = []
         for row in table.rows:
@@ -317,26 +303,16 @@ def cmd_sweep(cfg: dict) -> int:
                 row.p, row.empirical_n, identity_theta_rule(row.p), _family(cfg)(row.empirical_n)
             )
             bound = deviation_bound(model).bound_value
-            rows.append(
-                {
-                    "p": row.p,
-                    "n": row.empirical_n,
-                    "mean": row.stats.mean,
-                    "stderr": row.stats.stderr,
-                    "bound": bound,
-                    "ratio": row.stats.mean / bound if bound > 0 else 0.0,
-                }
-            )
+            ratio = row.stats.mean / bound if bound > 0 else 0.0
+            rows.append(SweepRow(**vars(row.stats), p=row.p, n=row.empirical_n, bound=bound,
+                                 ratio=ratio))
         summary = {"sweep": "complexity", "table": table.to_dict()}
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")
 
     (out / "sweep.csv").write_text(_csv_text(rows))
-    summary_text = canonical_dumps(
-        emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary)
-    )
-    (out / "summary.json").write_text(summary_text + "\n")
-    _print(summary_text)
+    _emit(cfg, "summary.json",
+          [canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))])
     return 0
 
 
@@ -357,7 +333,7 @@ def main(argv=None) -> int:
     except (EnumerationCapError, NotAchievableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, WishartError, ValueError, KeyError, OSError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

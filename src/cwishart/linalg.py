@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, InvalidMatrixError, NotPositiveDefiniteError
 
 __all__ = [
+    "Report",
     "SpdMatrix",
     "as_matrix",
     "check_int",
+    "check_floats",
     "spectral_norm",
     "frobenius_norm",
     "spd_sqrt",
@@ -65,6 +68,17 @@ def check_int(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_floats(value, name: str) -> np.ndarray:
+    """Return ``value``, a list of numbers, as a 1-D float64 array, naming ``name`` otherwise."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}") from exc
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}")
+    return arr
 
 
 def frobenius_norm(a) -> float:
@@ -199,13 +213,12 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     """Parse the {"rows", "cols", "entries"} matrix object."""
     try:
         rows, cols = check_int(d["rows"], "rows"), check_int(d["cols"], "cols")
-        entries = d["entries"]
-    except (KeyError, TypeError) as exc:
+        arr = check_floats(d["entries"], "entries")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidMatrixError(f"matrix dimensions must be positive, got {rows} x {cols}")
-    arr = np.asarray(entries, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != rows * cols:
+    if arr.size != rows * cols:
         raise InvalidMatrixError(
             f"entries length {arr.size} does not equal rows*cols = {rows * cols}"
         )
@@ -231,6 +244,29 @@ def save_matrix(path, a) -> None:
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return matrix_from_dict(json.load(fh))
+
+
+def _jsonable(value):
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value.ravel(order="C")]
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of every report dataclass: its JSON object is exactly its fields.
+
+    Nested dataclasses become objects, enums their values, arrays flat
+    row-major lists of floats, and tuples or lists JSON lists.
+    """
+
+    def to_dict(self) -> dict:
+        return _jsonable(self)
 
 
 def canonical_dumps(obj) -> str:

@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     SpdMatrix,
     as_matrix,
+    check_floats,
     check_int,
     check_seed,
     frobenius_norm,
@@ -361,11 +362,13 @@ def shape_to_dict(spec: ShapeSpec) -> dict:
 
 
 def shape_from_dict(d: dict) -> ShapeSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"shape must be an object, got {d!r:.80}")
     variant = d.get("variant")
     if variant == "identity":
         return ShapeSpec.identity()
     if variant == "diagonal":
-        return ShapeSpec.diagonal(d["entries"])
+        return ShapeSpec.diagonal(check_floats(d["entries"], "diagonal entries"))
     if variant == "skew_block":
         return ShapeSpec.skew_block()
     if variant == "custom":
@@ -383,6 +386,8 @@ def model_to_dict(model: WishartModel) -> dict:
 
 
 def model_from_dict(d: dict) -> WishartModel:
+    if not isinstance(d, dict):
+        raise ValueError(f"model must be an object, got {d!r:.80}")
     try:
         p, n = check_int(d["p"], "p"), check_int(d["n"], "n")
         theta = SpdMatrix(matrix_from_dict(d["theta"]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import log_factor
 from .errors import DimensionError, EnumerationCapError, InvalidNetError
-from .linalg import as_matrix, spectral_norm
+from .linalg import Report, as_matrix, spectral_norm
 
 __all__ = [
     "RegularVector",
@@ -158,7 +158,7 @@ def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
 
 
 @dataclass(frozen=True)
-class NetCertificate:
+class NetCertificate(Report):
     """Outcome of certifying ||A|| against its regular-vector maximum."""
 
     p: int
@@ -167,16 +167,6 @@ class NetCertificate:
     reg_max: float
     factor: int
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "matrix_id": self.matrix_id,
-            "exact_norm": self.exact_norm,
-            "reg_max": self.reg_max,
-            "factor": self.factor,
-            "holds": self.holds,
-        }
 
 
 def certify_norm_bound(a, matrix_id: str | None = None) -> NetCertificate:

@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .errors import DimensionError, NotAchievableError
 from .linalg import (
+    Report,
     SpdMatrix,
     as_matrix,
     canonical_dumps,
@@ -54,8 +55,7 @@ __all__ = [
     "ConcentrationCheck",
     "ExpectationReport",
     "DominanceReport",
-    "WishartDecouplingReport",
-    "ChaosDecouplingReport",
+    "DecouplingReport",
     "LinearFormReport",
     "ScalingSweep",
     "ComplexityTable",
@@ -125,7 +125,7 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class DeviationStats:
+class DeviationStats(Report):
     """Summary of one scalar Monte Carlo sample: mean, stderr, max, count."""
 
     mean: float
@@ -143,9 +143,6 @@ class DeviationStats:
             max=float(samples.max()),
             trials=n,
         )
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "max": self.max, "trials": self.trials}
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +169,17 @@ def estimate_mean_deviation(cfg: TrialConfig, workers: int | None = 1) -> Deviat
 
 
 @dataclass(frozen=True, eq=False)
-class ExpectationReport:
+class ExpectationReport(Report):
     """Entrywise comparison of the Monte Carlo mean against (Tr B / n) theta."""
 
+    trials: int
+    margin: float
+    max_abs_deviation: float
+    max_stderr: float
     mean_matrix: np.ndarray
     expected_matrix: np.ndarray
     stderr_matrix: np.ndarray
-    trials: int
-    margin: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        dev = np.abs(self.mean_matrix - self.expected_matrix)
-        return {
-            "trials": self.trials,
-            "margin": self.margin,
-            "max_abs_deviation": float(dev.max()),
-            "max_stderr": float(self.stderr_matrix.max()),
-            "mean_matrix": [float(v) for v in self.mean_matrix.ravel()],
-            "expected_matrix": [float(v) for v in self.expected_matrix.ravel()],
-            "stderr_matrix": [float(v) for v in self.stderr_matrix.ravel()],
-            "holds": self.holds,
-        }
 
 
 def check_expectation(cfg: TrialConfig, workers: int | None = 1) -> ExpectationReport:
@@ -206,8 +192,17 @@ def check_expectation(cfg: TrialConfig, workers: int | None = 1) -> ExpectationR
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     expected = expected_wishart(model)
-    holds = bool(np.all(np.abs(mean - expected) <= EQUALITY_MARGIN * stderr))
-    return ExpectationReport(mean, expected, stderr, cfg.trials, EQUALITY_MARGIN, holds)
+    dev = np.abs(mean - expected)
+    return ExpectationReport(
+        trials=cfg.trials,
+        margin=EQUALITY_MARGIN,
+        max_abs_deviation=float(dev.max()),
+        max_stderr=float(stderr.max()),
+        mean_matrix=mean,
+        expected_matrix=expected,
+        stderr_matrix=stderr,
+        holds=bool(np.all(dev <= EQUALITY_MARGIN * stderr)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +210,13 @@ def check_expectation(cfg: TrialConfig, workers: int | None = 1) -> ExpectationR
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(Report):
     """Empirical mean deviation against the closed-form bound."""
 
     empirical: DeviationStats
     bound: BoundReport
     ratio: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical": self.empirical.to_dict(),
-            "bound": self.bound.to_dict(),
-            "ratio": self.ratio,
-            "holds": self.holds,
-        }
 
 
 def check_bound_dominance(
@@ -250,18 +237,27 @@ def check_bound_dominance(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WishartDecouplingReport:
-    """Stats of ||W - E(W)|| against twice the decoupled ||W'||."""
+class DecouplingReport(Report):
+    """A coupled deviation (lhs) against twice its decoupled counterpart (rhs)."""
 
     lhs: DeviationStats
     rhs: DeviationStats
     holds: bool
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs.to_dict(), "rhs": self.rhs.to_dict(), "holds": self.holds}
+    @classmethod
+    def from_pairs(cls, pairs) -> "DecouplingReport":
+        """Report on per-trial (lhs, rhs) rows.
+
+        Holds when mean lhs <= 2 mean rhs + 3 (se_lhs + 2 se_rhs).
+        """
+        pairs = np.asarray(pairs, dtype=np.float64)
+        lhs = DeviationStats.from_samples(pairs[:, 0])
+        rhs = DeviationStats.from_samples(pairs[:, 1])
+        holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
+        return cls(lhs, rhs, holds)
 
 
-def check_wishart_decoupling(cfg: TrialConfig, workers: int | None = 1) -> WishartDecouplingReport:
+def check_wishart_decoupling(cfg: TrialConfig, workers: int | None = 1) -> DecouplingReport:
     """Check mean||W - E(W)|| <= 2 mean||W'|| + 3 (se_lhs + 2 se_rhs)."""
     model = cfg.model
     root, w0 = model.theta_sqrt, expected_wishart(model)
@@ -273,23 +269,7 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int | None = 1) -> Wisha
         rhs = np.linalg.norm(_whitened_sample(model, y_prime, y_dec, root), 2, axis=(-2, -1))
         return np.stack((lhs, rhs), axis=1)
 
-    arr = _run_blocks(kernel, cfg.trials, cfg.master_seed, workers)
-    lhs = DeviationStats.from_samples(arr[:, 0])
-    rhs = DeviationStats.from_samples(arr[:, 1])
-    holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
-    return WishartDecouplingReport(lhs, rhs, holds)
-
-
-@dataclass(frozen=True)
-class ChaosDecouplingReport:
-    """Centered coupled chaos supremum against twice the decoupled one."""
-
-    lhs: DeviationStats
-    rhs: DeviationStats
-    holds: bool
-
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs.to_dict(), "rhs": self.rhs.to_dict(), "holds": self.holds}
+    return DecouplingReport.from_pairs(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
 
 
 def check_chaos_decoupling(
@@ -298,7 +278,7 @@ def check_chaos_decoupling(
     trials: int,
     seed: int,
     workers: int | None = 1,
-) -> ChaosDecouplingReport:
+) -> DecouplingReport:
     """Check E sup|(BZ, Z) - E(BZ, Z)| <= 2 E sup|(BZ, Z')| over a matrix list.
 
     The supremum over the finite list is computed exactly per draw, and
@@ -325,11 +305,7 @@ def check_chaos_decoupling(
         rhs = np.abs(np.einsum("tmi,ti->tm", bz, z_prime)).max(axis=1)
         return np.stack((lhs, rhs), axis=1)
 
-    arr = _run_blocks(kernel, trials, seed, workers)
-    lhs = DeviationStats.from_samples(arr[:, 0])
-    rhs = DeviationStats.from_samples(arr[:, 1])
-    holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
-    return ChaosDecouplingReport(lhs, rhs, holds)
+    return DecouplingReport.from_pairs(_run_blocks(kernel, trials, seed, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +313,7 @@ def check_chaos_decoupling(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearFormReport:
+class LinearFormReport(Report):
     """Sample standard deviation of (a, Z) against ||theta^{1/2} a||."""
 
     sample_std: float
@@ -346,16 +322,6 @@ class LinearFormReport:
     trials: int
     norm_inequality_ok: bool
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_std": self.sample_std,
-            "std_stderr": self.std_stderr,
-            "target": self.target,
-            "trials": self.trials,
-            "norm_inequality_ok": self.norm_inequality_ok,
-            "holds": self.holds,
-        }
 
 
 def check_linear_form_std(
@@ -419,7 +385,7 @@ def conditional_std(b, x, direction) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConcentrationCheck:
+class ConcentrationCheck(Report):
     """Tail comparison for the conditional standard deviation under theta = I.
 
     theoretical_tails[i] = 0.5 * exp(-t_i^2 / (2 * lipschitz^2)) is
@@ -441,24 +407,6 @@ class ConcentrationCheck:
     mean_stderr: float
     mean_ok: bool
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": list(self.direction),
-            "t_grid": list(self.t_grid),
-            "lipschitz": self.lipschitz,
-            "mean_bound": self.mean_bound,
-            "empirical_tails": list(self.empirical_tails),
-            "theoretical_tails": list(self.theoretical_tails),
-            "tail_stderr": list(self.tail_stderr),
-            "asserted": list(self.asserted),
-            "u_floor": self.u_floor,
-            "trials": self.trials,
-            "mean_value": self.mean_value,
-            "mean_stderr": self.mean_stderr,
-            "mean_ok": self.mean_ok,
-            "holds": self.holds,
-        }
 
 
 def check_concentration(
@@ -571,40 +519,22 @@ def count_lipschitz_violations(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(DeviationStats):
+    """One grid point of a sweep: its deviation stats, the bound, and their ratio."""
+
     p: int
     n: int
-    stats: DeviationStats
-    bound_value: float
+    bound: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "mean": self.stats.mean,
-            "stderr": self.stats.stderr,
-            "max": self.stats.max,
-            "trials": self.stats.trials,
-            "bound": self.bound_value,
-            "ratio": self.ratio,
-        }
 
 
 @dataclass(frozen=True)
-class ScalingSweep:
+class ScalingSweep(Report):
     """Mean deviation across an n grid plus the log-log slope."""
 
     rows: tuple[SweepRow, ...]
     slope: float | None
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "slope": self.slope,
-            "degenerate": self.degenerate,
-        }
 
 
 def sweep_scaling(
@@ -632,8 +562,8 @@ def sweep_scaling(
         )
         bound = deviation_bound(model).bound_value
         ratio = stats.mean / bound if bound > 0 else 0.0
-        rows.append(SweepRow(p, n, stats, bound, ratio))
-    means = np.array([r.stats.mean for r in rows])
+        rows.append(SweepRow(**vars(stats), p=p, n=n, bound=bound, ratio=ratio))
+    means = np.array([r.mean for r in rows])
     if np.any(means <= 0.0):
         return ScalingSweep(tuple(rows), None, True)
     slope = float(np.polyfit(np.log(n_grid), np.log(means), 1)[0])
@@ -641,29 +571,17 @@ def sweep_scaling(
 
 
 @dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(Report):
     p: int
     empirical_n: int
     theoretical_n: int
     stats: DeviationStats
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "empirical_n": self.empirical_n,
-            "theoretical_n": self.theoretical_n,
-            "mean": self.stats.mean,
-            "stderr": self.stats.stderr,
-        }
-
 
 @dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(Report):
     rows: tuple[ComplexityRow, ...]
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {"tolerance": self.tolerance, "rows": [r.to_dict() for r in self.rows]}
 
 
 def identity_theta_rule(p: int) -> SpdMatrix:

@@ -40,7 +40,7 @@ class TestDeviationBound:
         for conv in KappaConvention:
             report = cw.deviation_bound(m, conv)
             assert report.bound_value == pytest.approx(expected, rel=1e-12)
-            assert report.inputs.sigma == 1.0 and report.inputs.kappa == 1.0
+            assert report.sigma == 1.0 and report.kappa == 1.0
 
     def test_doubling_n_with_fixed_norms_halves(self):
         # diag(2, 0) at n=2 and diag(2, 0, 0, 0) at n=4 share sigma and kappa.
@@ -50,15 +50,15 @@ class TestDeviationBound:
                              cw.ShapeSpec.diagonal([2.0, 0.0, 0.0, 0.0]))
         b2 = cw.deviation_bound(m2)
         b4 = cw.deviation_bound(m4)
-        assert b2.inputs.sigma == b4.inputs.sigma
-        assert b2.inputs.kappa == b4.inputs.kappa
+        assert b2.sigma == b4.sigma
+        assert b2.kappa == b4.kappa
         assert b4.bound_value == pytest.approx(b2.bound_value / 2.0, rel=1e-15)
 
     def test_identity_shape_formula(self):
         # p=4, n=16, B=I_16, theta=I: 24 * 9 * 2 * (4 + sqrt(16 pi)) / 16.
         report = cw.deviation_bound(identity_model(4, 16))
-        assert report.inputs.kappa == pytest.approx(4.0)
-        assert report.inputs.sigma == 1.0
+        assert report.kappa == pytest.approx(4.0)
+        assert report.sigma == 1.0
         assert report.bound_value == pytest.approx(
             27.0 * (4.0 + math.sqrt(16.0 * math.pi)), rel=1e-12
         )
@@ -67,7 +67,7 @@ class TestDeviationBound:
         m = identity_model(3, 9)
         frob = cw.deviation_bound(m, KappaConvention.FROBENIUS)
         ratio = cw.deviation_bound(m, KappaConvention.RATIO)
-        assert frob.inputs.kappa == ratio.inputs.kappa == 3.0
+        assert frob.kappa == ratio.kappa == 3.0
         assert frob.bound_value == ratio.bound_value
 
     def test_conventions_differ_in_general(self):
@@ -75,8 +75,8 @@ class TestDeviationBound:
                             cw.ShapeSpec.diagonal([2.0, 0.0, 0.0, 2.0]))
         frob = cw.deviation_bound(m, KappaConvention.FROBENIUS)
         ratio = cw.deviation_bound(m, KappaConvention.RATIO)
-        assert frob.inputs.kappa == pytest.approx(math.sqrt(8.0))
-        assert ratio.inputs.kappa == pytest.approx(math.sqrt(2.0))
+        assert frob.kappa == pytest.approx(math.sqrt(8.0))
+        assert ratio.kappa == pytest.approx(math.sqrt(2.0))
         assert frob.bound_value > ratio.bound_value
 
     def test_zero_shape_ratio_divides_by_zero(self):
@@ -102,8 +102,8 @@ class TestDeviationBound:
 
         def value(**kw):
             inputs = BoundInputs(**{**base.__dict__, **kw})
-            report = cw.BoundReport(inputs, KappaConvention.FROBENIUS,
-                                    cw.log_factor(inputs.p), 0.0)
+            report = cw.BoundReport(**inputs.__dict__, convention=KappaConvention.FROBENIUS,
+                                    log_factor=cw.log_factor(inputs.p), bound_value=0.0)
             return report.recompute()
 
         assert value(n=20) < value()
@@ -121,8 +121,8 @@ class TestSequenceBound:
     def test_uniform_constants(self):
         report = cw.sequence_bound(self.seq(), 4)
         # Identity family over {2, 4}: kappa = max(sqrt 2, 2), sigma = 1.
-        assert report.inputs.kappa == 2.0
-        assert report.inputs.sigma == 1.0
+        assert report.kappa == 2.0
+        assert report.sigma == 1.0
 
     def test_singleton_equals_single_bound(self):
         seq = self.seq(index_set=(6,))

@@ -318,6 +318,9 @@ SCALING = {"command": "sweep", "sweep": "scaling", "p": 2, "n_grid": [8, 16, 32]
            "family": {"variant": "diagonal", "seed": 3}, "trials": 20, "seed": 1}
 COMPLEXITY = {"command": "sweep", "sweep": "complexity", "p_grid": [2],
               "tolerance": 1e6, "trials": 20, "seed": 1}
+CONCENTRATION = {"command": "verify", "check": "concentration",
+                 "model": identity_model_dict(3, 16), "direction": [1.0, 0.0, 0.0],
+                 "t_grid": [0.0, 0.05], "trials": 20, "seed": 1}
 
 
 class TestIntegerFields:
@@ -348,6 +351,32 @@ class TestIntegerFields:
         assert field in err and "must be an integer" in err
 
     def test_valid_configs_run(self, tmp_path):
-        for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY)):
+        for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY, CONCENTRATION)):
             cfg = dict(base, out=str(tmp_path / f"out{i}"))
             assert cli.main(["--config", write_config(tmp_path, f"c{i}.json", cfg)]) == 0
+
+
+class TestMalformedConfig:
+    """A field of the wrong JSON type exits 2 naming the field, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "base,path,value,field",
+        [
+            (SCALING, ("family",), "identity", "family"),
+            (SCALING, ("n_grid",), 16, "n_grid"),
+            (DOMINANCE, ("model", "shape"), "identity", "shape"),
+            (CONCENTRATION, ("t_grid",), 0.5, "t_grid"),
+        ],
+        ids=["family-string", "n_grid-number", "shape-string", "t_grid-number"],
+    )
+    def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
+        cfg = _with(base, path, value)
+        cfg["out"] = str(tmp_path / "out")
+        assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_format_option_is_gone(self, tmp_path):
+        config = write_config(tmp_path, "c.json", {"model": identity_model_dict(1, 2)})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--config", config, "--format", "json"])
+        assert exc.value.code == 2

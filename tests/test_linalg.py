@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 import cwishart as cw
 from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
+    Report,
+    check_floats,
     check_int,
     check_seed,
     dumps_matrix,
@@ -206,3 +210,31 @@ class TestMatrixJson:
         path = tmp_path / "m.json"
         cw.save_matrix(path, a)
         assert np.array_equal(cw.load_matrix(path), a)
+
+
+class TestReport:
+    def test_fields_become_the_json_object(self):
+        class Color(Enum):
+            RED = "red"
+
+        @dataclass(frozen=True)
+        class Inner(Report):
+            x: float
+
+        @dataclass(frozen=True, eq=False)
+        class Outer(Report):
+            inner: Inner
+            color: Color
+            grid: np.ndarray
+            items: tuple
+
+        d = Outer(Inner(1.5), Color.RED, np.array([[1, 2], [3, 4]]), (True, (2, None))).to_dict()
+        assert d == {"inner": {"x": 1.5}, "color": "red", "grid": [1.0, 2.0, 3.0, 4.0],
+                     "items": [True, [2, None]]}
+        assert all(type(v) is float for v in d["grid"])
+
+    def test_check_floats_names_the_field(self):
+        assert check_floats([1, 2.5], "t").tolist() == [1.0, 2.5]
+        for bad in (0.5, "ab", None, [[1.0]], [{}]):
+            with pytest.raises(ValueError, match="t must be a list of numbers"):
+                check_floats(bad, "t")

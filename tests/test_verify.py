@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import cwishart as cw
+from cwishart import verify
 from cwishart.errors import DimensionError, NotAchievableError
 from cwishart.linalg import canonical_dumps, mix_seed
 from cwishart.verify import (
     BLOCK_TRIALS,
+    EQUALITY_MARGIN,
+    DecouplingReport,
     TrialConfig,
     check_expectation,
     emit_report,
@@ -350,3 +354,49 @@ class TestReports:
             rep = cw.check_wishart_decoupling(TrialConfig(m, 300, 107), workers=workers)
             reports.append(canonical_dumps(rep.to_dict()))
         assert reports[0] == reports[1]
+
+
+class TestNegativeControls:
+    """Each check returns holds: false when its claim is false by a known amount."""
+
+    def test_decoupling_rejects_lhs_three_times_rhs(self):
+        rhs = 1.0 + 0.1 * cw.generator(137).standard_normal(1000)
+        assert DecouplingReport.from_pairs(np.column_stack((1.5 * rhs, rhs))).holds
+        assert not DecouplingReport.from_pairs(np.column_stack((3.0 * rhs, rhs))).holds
+
+    def test_expectation_rejects_five_percent_error(self, monkeypatch):
+        cfg = TrialConfig(model(2, 8), 8000, 139)
+        assert check_expectation(cfg).holds
+        exact = verify.expected_wishart
+        monkeypatch.setattr(verify, "expected_wishart", lambda m: 1.05 * exact(m))
+        report = check_expectation(cfg)
+        assert 0.05 > EQUALITY_MARGIN * report.max_stderr
+        assert not report.holds
+
+    def test_dominance_rejects_bound_below_empirical_mean(self, monkeypatch):
+        cfg = TrialConfig(model(2, 8), 2000, 149)
+        honest = cw.check_bound_dominance(cfg)
+        assert honest.holds
+        exact = verify.deviation_bound
+        monkeypatch.setattr(
+            verify, "deviation_bound",
+            lambda m, conv: dataclasses.replace(
+                exact(m, conv), bound_value=honest.empirical.mean / 2
+            ),
+        )
+        report = cw.check_bound_dominance(cfg)
+        assert report.empirical == honest.empirical
+        assert not report.holds
+
+    def test_concentration_rejects_shrunk_lipschitz_constant(self, monkeypatch):
+        # Identity B, p=3, n=16: at t = L/2 the empirical tail is about 0.21;
+        # with L shrunk fourfold the claimed tail is 0.5 exp(-2) = 0.068.
+        m, lipschitz = model(3, 16), math.sqrt(3) / 16
+        args = (m, [1, 0, 0], [0.5 * lipschitz], 2 * 10**4, 151)
+        assert cw.check_concentration(*args).holds
+        exact = verify.shape_spectral_norm
+        monkeypatch.setattr(verify, "shape_spectral_norm", lambda spec, n: 0.25 * exact(spec, n))
+        report = cw.check_concentration(*args)
+        assert report.lipschitz == pytest.approx(0.25 * lipschitz)
+        assert report.asserted == (True,)
+        assert not report.holds
