@@ -18,7 +18,6 @@ from .errors import (
     DimensionError,
     EnumerationCapError,
     InvalidMatrixError,
-    InvalidNetError,
     NotAchievableError,
     NotPositiveDefiniteError,
     ShapeParityError,
@@ -58,13 +57,10 @@ from .model import (
 from .netcert import (
     NetCertificate,
     RegularVector,
-    angular_net,
     certify_norm_bound,
-    delta_net_check,
     enumerate_regular,
     max_bilinear_over_regular,
     max_regular_response,
-    net_covering_radius_2d,
     regular_count,
 )
 from .verify import (

@@ -42,10 +42,6 @@ class EnumerationCapError(WishartError):
         super().__init__(f"{message} ({self.count} vectors would be enumerated)")
 
 
-class InvalidNetError(WishartError):
-    """A sphere-net member is not a unit vector."""
-
-
 class NotAchievableError(WishartError):
     """A doubling search exceeded its cap; carries the value reached at the cap."""
 

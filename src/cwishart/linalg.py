@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
@@ -71,14 +72,20 @@ def check_int(value, name: str) -> int:
 
 
 def check_floats(value, name: str) -> np.ndarray:
-    """Return ``value``, a list of numbers, as a 1-D float64 array, naming ``name`` otherwise."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}") from exc
-    if arr.ndim != 1:
+    """Return ``value``, a list of real numbers, as a 1-D float64 array, naming ``name`` otherwise.
+
+    Strings, bools and every other non-number are rejected, not coerced.
+    """
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    # Checked per distinct element type, so a long list costs one pass in C.
+    if not isinstance(items, (list, tuple)) or not all(
+        issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, items))
+    ):
         raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}")
-    return arr
+    try:
+        return np.array(items, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds a number too large for a float") from exc
 
 
 def frobenius_norm(a) -> float:

@@ -8,6 +8,7 @@ Gaussian Y, so that one seed fixes the draw for every theta.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,6 +126,10 @@ class ShapeSpec:
 def _validate_shape(spec: ShapeSpec, n: int) -> None:
     if n < 1:
         raise DimensionError(f"shape dimension must be positive, got {n}")
+    if n > sys.float_info.max:
+        raise DimensionError(
+            f"n must be at most {sys.float_info.max:.6g}, got a {len(str(n))}-digit n"
+        )
     if spec.variant == "skew_block" and n % 2 != 0:
         raise ShapeParityError(f"skew-block shape requires even n, got {n}")
     if spec.variant == "diagonal" and len(spec.entries) != n:

@@ -4,6 +4,12 @@ A regular vector of sparsity s has s coordinates equal to +-1/sqrt(s) and the
 rest zero; there are C(p, s) * 2^s of them per level and 3^p - 1 in total.
 The spectral norm of any p x p matrix is certified against the maximum of the
 bilinear form over regular vector pairs, inflated by 12 * ceil(ln 2p)^2.
+
+That maximum is exact but takes only part of the enumeration: the best
+response y to A x depends only on |A x|, so x and -x are one case and only
+the x whose first support sign is +1 are enumerated; and since (u, y) <= ||u||
+for a unit y, a response u whose norm is below the running maximum (less a
+1e-9 relative margin for rounding) cannot carry it and is never sorted.
 """
 from __future__ import annotations
 
@@ -11,12 +17,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .bounds import log_factor
-from .errors import DimensionError, EnumerationCapError, InvalidNetError
+from .errors import DimensionError, EnumerationCapError
 from .linalg import Report, as_matrix, spectral_norm
 
 __all__ = [
@@ -27,9 +33,6 @@ __all__ = [
     "max_regular_response",
     "max_bilinear_over_regular",
     "certify_norm_bound",
-    "delta_net_check",
-    "angular_net",
-    "net_covering_radius_2d",
 ]
 
 LEVEL_ENUM_CAP = 16     # single-level enumeration
@@ -115,31 +118,36 @@ def _batch_response_max(u: np.ndarray) -> float:
     p = u.shape[1]
     mags = np.sort(np.abs(u), axis=1)[:, ::-1]
     prefix = np.cumsum(mags, axis=1)
-    return float((prefix / np.sqrt(np.arange(1, p + 1))).max())
+    return float((prefix / np.sqrt(np.arange(1, p + 1))).max(initial=-math.inf))
 
 
-def _level_batches(p: int, s: int) -> Iterator[np.ndarray]:
-    # Build regular vectors of one level in memory-bounded batches.
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=s))) / math.sqrt(s)
-    per_combo = signs.shape[0]
-    combos_per_batch = max(1, _BATCH_ROWS // per_combo)
+def _level_batches(arr: np.ndarray, s: int) -> Iterator[np.ndarray]:
+    # Responses A x of the sparsity-s regular x whose first support sign is +1,
+    # in memory-bounded batches; x itself is never built.
+    p = arr.shape[0]
+    signs = np.array(list(itertools.product((1.0,), *[(1.0, -1.0)] * (s - 1)))) / math.sqrt(s)
+    combos_per_batch = max(1, _BATCH_ROWS // len(signs))
     combos = itertools.combinations(range(p), s)
-    while True:
-        chunk = list(itertools.islice(combos, combos_per_batch))
-        if not chunk:
-            return
-        rows = len(chunk) * per_combo
-        x = np.zeros((rows, p))
-        cols = np.repeat(np.asarray(chunk, dtype=np.intp), per_combo, axis=0)
-        x[np.arange(rows)[:, None], cols] = np.tile(signs, (len(chunk), 1))
-        yield x
+    while chunk := list(itertools.islice(combos, combos_per_batch)):
+        yield (signs @ arr.T[np.asarray(chunk, dtype=np.intp)]).reshape(-1, p)
 
 
 def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
     """Maximum of (A x, y) over all pairs of regular vectors x, y.
 
-    The outer loop is exhaustive over the 3^p - 1 regular x; the inner
-    maximization over y is the closed form of :func:`max_regular_response`.
+    The outer loop is exhaustive over the regular x; the inner maximization
+    over y is the closed form of :func:`max_regular_response`, which depends
+    only on |A x|.  Two savings keep the result exact:
+
+    * x and -x give the same value, so only the (3^p - 1) / 2 vectors whose
+      first support sign is +1 are enumerated.
+    * For a unit y, (u, y) <= ||u||, so a response u can beat the running
+      maximum ``best`` only if ||u||^2 > best^2.  Each batch seeds ``best``
+      with its row of largest norm and sorts only the rows above
+      best^2 * (1 - 1e-9).  The margin is far above the relative rounding
+      of ||u||^2 and of the closed form (about p ulps), so no pruned row can
+      carry the maximum, and the result is the same, bit for bit, as that
+      of the full enumeration.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -150,10 +158,19 @@ def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
             f"bilinear maximization supports p <= {cap}, got p={p}",
             count=3**p - 1,
         )
+    # ||u||^2 is formed from u times a power of two (an exact rescaling) when
+    # the entries of A are so large or small that it could overflow or underflow.
+    peak = float(np.abs(arr).max())
+    scale = 1.0 if 2.0**-300 <= peak <= 2.0**300 else math.ldexp(1.0, -math.frexp(peak)[1])
     best = -math.inf
     for s in range(1, p + 1):
-        for x_batch in _level_batches(p, s):
-            best = max(best, _batch_response_max(x_batch @ arr.T))
+        for u in _level_batches(arr, s):
+            v = u if scale == 1.0 else scale * u
+            sq = np.einsum("ij,ij->i", v, v)
+            top = int(np.argmax(sq))
+            best = max(best, _batch_response_max(u[top:top + 1]))
+            keep = sq > (scale * best) ** 2 * (1.0 - 1e-9)
+            best = max(best, _batch_response_max(u[keep]))
     return best
 
 
@@ -188,59 +205,3 @@ def certify_norm_bound(a, matrix_id: str | None = None) -> NetCertificate:
         factor=factor,
         holds=exact <= factor * reg_max + CERT_SLACK,
     )
-
-
-# ---------------------------------------------------------------------------
-# Delta nets on the sphere
-# ---------------------------------------------------------------------------
-
-def delta_net_check(a, delta: float, net: Sequence) -> bool:
-    """Check ||A|| <= (1 - delta)^-2 * max over net pairs of (Ax, y).
-
-    Every net member must be a unit vector within 1e-9.  Coverage of the
-    sphere at radius delta is the caller's assertion; it can be verified
-    exhaustively only for p = 2 via :func:`net_covering_radius_2d`, so for
-    p >= 3 the check is conditional on that assertion.
-    """
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"matrix must be square, got {arr.shape}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    pts = np.asarray(net, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != arr.shape[0]:
-        raise DimensionError(
-            f"net must be a list of vectors of length {arr.shape[0]}, got shape {pts.shape}"
-        )
-    norms = np.linalg.norm(pts, axis=1)
-    bad = np.abs(norms - 1.0) > 1e-9
-    if np.any(bad):
-        raise InvalidNetError(
-            f"net member {int(np.argmax(bad))} has norm {norms[bad][0]!r}, not 1"
-        )
-    pair_max = float((pts @ arr @ pts.T).max())
-    return spectral_norm(arr) <= pair_max / (1.0 - delta) ** 2 + CERT_SLACK
-
-
-def angular_net(m: int) -> np.ndarray:
-    """Uniform m-point angular grid on the unit circle."""
-    if m < 1:
-        raise ValueError(f"net size must be positive, got {m}")
-    angles = 2.0 * np.pi * np.arange(m) / m
-    return np.column_stack((np.cos(angles), np.sin(angles)))
-
-
-def net_covering_radius_2d(net) -> float:
-    """Exact covering radius of a finite subset of the unit circle.
-
-    The farthest sphere point sits mid-way across the largest angular gap g,
-    at chord distance 2 sin(g / 4) from its nearest neighbor.
-    """
-    pts = np.asarray(net, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DimensionError(f"expected points on the unit circle, got shape {pts.shape}")
-    angles = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
-    gaps = np.diff(angles)
-    wrap = angles[0] + 2.0 * np.pi - angles[-1]
-    largest = float(max(gaps.max(initial=0.0), wrap))
-    return 2.0 * math.sin(largest / 4.0)

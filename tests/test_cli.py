@@ -318,6 +318,7 @@ SCALING = {"command": "sweep", "sweep": "scaling", "p": 2, "n_grid": [8, 16, 32]
            "family": {"variant": "diagonal", "seed": 3}, "trials": 20, "seed": 1}
 COMPLEXITY = {"command": "sweep", "sweep": "complexity", "p_grid": [2],
               "tolerance": 1e6, "trials": 20, "seed": 1}
+BOUND = {"command": "bound", "model": identity_model_dict(2, 2)}
 CONCENTRATION = {"command": "verify", "check": "concentration",
                  "model": identity_model_dict(3, 16), "direction": [1.0, 0.0, 0.0],
                  "t_grid": [0.0, 0.05], "trials": 20, "seed": 1}
@@ -366,8 +367,16 @@ class TestMalformedConfig:
             (SCALING, ("n_grid",), 16, "n_grid"),
             (DOMINANCE, ("model", "shape"), "identity", "shape"),
             (CONCENTRATION, ("t_grid",), 0.5, "t_grid"),
+            (BOUND, ("model", "n"), 10**310, "n must be at most"),
+            (BOUND, ("model", "theta", "entries"), ["1.5", True, True, "2"], "entries"),
+            (BOUND, ("model", "shape"), {"variant": "diagonal", "entries": ["1", "1"]},
+             "diagonal entries"),
+            (BOUND, ("model", "shape"), {"variant": "diagonal", "entries": [10**400, 1]},
+             "diagonal entries"),
         ],
-        ids=["family-string", "n_grid-number", "shape-string", "t_grid-number"],
+        ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
+             "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
+             "diagonal-beyond-float"],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
         cfg = _with(base, path, value)

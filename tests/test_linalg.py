@@ -238,3 +238,13 @@ class TestReport:
         for bad in (0.5, "ab", None, [[1.0]], [{}]):
             with pytest.raises(ValueError, match="t must be a list of numbers"):
                 check_floats(bad, "t")
+
+    def test_check_floats_rejects_non_numbers(self):
+        # Strings and bools are rejected, not coerced; numpy reals are numbers.
+        assert check_floats(np.array([1.5, 2.0]), "t").tolist() == [1.5, 2.0]
+        assert check_floats([np.float64(1.5), np.int64(2)], "t").tolist() == [1.5, 2.0]
+        for bad in (["1.5"], [True, 2.0], [1.0, False], np.array([True]), [1j], [None]):
+            with pytest.raises(ValueError, match="t must be a list of numbers"):
+                check_floats(bad, "t")
+        with pytest.raises(ValueError, match="t holds a number too large"):
+            check_floats([10**400], "t")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwishart as cw
-from cwishart.errors import DimensionError, EnumerationCapError, InvalidNetError
+from cwishart import netcert
+from cwishart.errors import DimensionError, EnumerationCapError
 
 
 def regular_matrix(p):
@@ -15,6 +16,21 @@ def regular_matrix(p):
     for s in range(1, p + 1):
         rows.extend(v.to_array() for v in cw.enumerate_regular(p, s))
     return np.stack(rows)
+
+
+def structured_matrices(p, rng):
+    """Inputs that stress the pruning: orthogonal (every ||A x|| = 1, so nothing
+    is pruned), rank-1, all-ones (ties), zero, +-I and a small integer matrix."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return [q, np.outer(rng.standard_normal(p), rng.standard_normal(p)), np.ones((p, p)),
+            np.zeros((p, p)), np.eye(p), -np.eye(p),
+            rng.integers(-2, 3, size=(p, p)).astype(np.float64)]
+
+
+def unpruned_max(a):
+    """Closed-form maximum over every enumerated response, with nothing pruned."""
+    return max(netcert._batch_response_max(u)
+               for s in range(1, a.shape[0] + 1) for u in netcert._level_batches(a, s))
 
 
 class TestEnumeration:
@@ -102,13 +118,69 @@ class TestMaxBilinear:
         assert cw.max_bilinear_over_regular(a) == pytest.approx(brute, abs=1e-12)
 
     def test_matches_pair_enumeration(self):
-        rng = cw.generator(909)
-        for p in (2, 3, 4):
+        # Brute force over all pairs, and bit for bit the maximum with nothing
+        # pruned: a pruning rule that drops the maximizing row fails here.  The
+        # Gaussians scaled by 1/64 have maxima below 1, where ||u||^2 < ||u||.
+        rng, structured = cw.generator(909), cw.generator(919)
+        for p in range(2, 8):
             mat = regular_matrix(p)
-            for _ in range(20):
-                a = rng.standard_normal((p, p))
+            gaussians = [rng.standard_normal((p, p)) for _ in range(20)]
+            small = [g / 64 for g in gaussians]
+            for a in gaussians + small + structured_matrices(p, structured):
                 brute = float((mat @ a @ mat.T).max())
-                assert abs(cw.max_bilinear_over_regular(a) - brute) <= 1e-12
+                value = cw.max_bilinear_over_regular(a)
+                assert abs(value - brute) <= 1e-12
+                assert value == unpruned_max(a)
+
+    def test_best_carries_across_batches(self, monkeypatch):
+        # 64-row batches split p = 7 into dozens, so pruning uses a running
+        # maximum from earlier batches.
+        monkeypatch.setattr(netcert, "_BATCH_ROWS", 64)
+        rng = cw.generator(920)
+        mat = regular_matrix(7)
+        batches = sum(1 for s in range(1, 8) for _ in netcert._level_batches(np.eye(7), s))
+        assert batches > 20
+        for a in [rng.standard_normal((7, 7)) for _ in range(10)] + structured_matrices(7, rng):
+            value = cw.max_bilinear_over_regular(a)
+            assert abs(value - float((mat @ a @ mat.T).max())) <= 1e-12
+            assert value == unpruned_max(a)
+
+    def test_one_response_per_sign_pair(self):
+        # The rows of a level are A x for the x whose first support sign is +1,
+        # in the order of enumerate_regular: half of the level, one of each +-x.
+        rng = cw.generator(921)
+        for p in (1, 4, 6):
+            a = rng.standard_normal((p, p))
+            for s in range(1, p + 1):
+                rows = np.concatenate(list(netcert._level_batches(a, s)))
+                xs = [v.to_array() for v in cw.enumerate_regular(p, s) if v.signs[0] == 1]
+                assert rows.shape == (cw.regular_count(p, s) // 2, p)
+                np.testing.assert_allclose(rows, np.stack(xs) @ a.T, rtol=0, atol=1e-14)
+
+    def test_margin_covers_rounding(self):
+        # The closed form of the flat response (t, t, t) rounds above its own
+        # computed norm.  Column 0 has the larger norm, seeds the batch, and
+        # is one ulp below column 1's value: without the margin, or with it
+        # the wrong way, column 1 (the maximum) would be pruned.
+        t = 0.6571445789601502
+        u = np.array([[0.0, t, t, t]])
+        value = netcert._batch_response_max(u)
+        a = np.zeros((4, 4))
+        a[:, 0] = (np.nextafter(value, 0.0), 1e-4, 0.0, 0.0)
+        a[:, 1] = u
+        assert float(np.einsum("ij,ij->i", u, u)[0]) <= a[0, 0] ** 2
+        assert float(a[:, 0] @ a[:, 0]) > float(u[0] @ u[0])
+        assert cw.max_bilinear_over_regular(a) == value == unpruned_max(a)
+
+    def test_tiny_and_huge_scales(self):
+        # Pruning compares ||A x||^2, which would underflow at 1e-300 and
+        # overflow at 1e300 without rescaling.
+        rng = cw.generator(922)
+        for scale in (1e-300, 1e300):
+            a = scale * rng.standard_normal((5, 5))
+            assert cw.max_bilinear_over_regular(a) == unpruned_max(a)
+            assert cw.max_bilinear_over_regular(a) == pytest.approx(
+                scale * cw.max_bilinear_over_regular(a / scale), rel=1e-12)
 
     def test_never_exceeds_spectral_norm(self):
         rng = cw.generator(910)
@@ -159,6 +231,18 @@ class TestCertifyNormBound:
             assert cert.reg_max <= cert.exact_norm + 1e-12
             assert cert.exact_norm <= cert.factor * cert.reg_max + 1e-9
 
+    def test_negative_control_factor_below_ratio(self, monkeypatch):
+        # With the factor shrunk to half of ||A|| / reg_max the claim is false.
+        a = cw.generator(923).standard_normal((5, 5))
+        cert = cw.certify_norm_bound(a)
+        ratio = cert.exact_norm / cert.reg_max
+        assert cert.holds and ratio > 1.0
+        monkeypatch.setattr(netcert, "log_factor", lambda p: ratio / 24)
+        shrunk = cw.certify_norm_bound(a)
+        assert shrunk.factor == pytest.approx(ratio / 2)
+        assert (shrunk.exact_norm, shrunk.reg_max) == (cert.exact_norm, cert.reg_max)
+        assert not shrunk.holds
+
     def test_matrix_id_stable(self):
         a = cw.generator(913).standard_normal((3, 3))
         assert cw.certify_norm_bound(a).matrix_id == cw.certify_norm_bound(a).matrix_id
@@ -168,61 +252,3 @@ class TestCertifyNormBound:
         d = cw.certify_norm_bound(np.eye(3)).to_dict()
         assert set(d) == {"p", "matrix_id", "exact_norm", "reg_max", "factor", "holds"}
 
-
-class TestDeltaNet:
-    def test_rotation_with_angular_grid(self):
-        theta = math.radians(30.0)
-        a = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        net = cw.angular_net(100)
-        assert cw.net_covering_radius_2d(net) <= 0.1
-        assert cw.delta_net_check(a, 0.1, net)
-
-    def test_zero_matrix(self):
-        assert cw.delta_net_check(np.zeros((2, 2)), 0.5, cw.angular_net(8))
-
-    def test_fine_grid_approaches_exact_norm(self):
-        a = cw.generator(914).standard_normal((2, 2))
-        net = cw.angular_net(4000)
-        pair_max = float((net @ a @ net.T).max())
-        norm = cw.spectral_norm(a)
-        assert pair_max >= norm * (1.0 - 1e-4)
-        assert pair_max <= norm + 1e-12
-        assert cw.delta_net_check(a, 0.01, net)
-
-    def test_invalid_net_member(self):
-        net = [[1.0, 0.0], [0.0, 2.0]]
-        with pytest.raises(InvalidNetError):
-            cw.delta_net_check(np.eye(2), 0.1, net)
-
-    def test_delta_range_validated(self):
-        net = cw.angular_net(10)
-        for delta in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                cw.delta_net_check(np.eye(2), delta, net)
-
-    def test_covering_radius_analytic(self):
-        for m in (4, 100, 357):
-            expected = 2.0 * math.sin(math.pi / (2.0 * m))
-            assert cw.net_covering_radius_2d(cw.angular_net(m)) == pytest.approx(
-                expected, rel=1e-9
-            )
-
-    def test_covering_radius_matches_dense_probe(self):
-        # Brute-force verification of the angular coverage argument.
-        rng = cw.generator(915)
-        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=37))
-        net = np.column_stack((np.cos(angles), np.sin(angles)))
-        probes = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
-        pts = np.column_stack((np.cos(probes), np.sin(probes)))
-        dists = np.sqrt(
-            np.maximum(
-                ((pts[:, None, :] - net[None, :, :]) ** 2).sum(axis=2), 0.0
-            )
-        ).min(axis=1)
-        probe_max = float(dists.max())
-        radius = cw.net_covering_radius_2d(net)
-        # The probe maximum is the true radius discretized at ~6e-5 angle.
-        assert probe_max <= radius + 1e-12
-        assert radius == pytest.approx(probe_max, abs=1e-4)
