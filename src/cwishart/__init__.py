@@ -43,7 +43,6 @@ from .model import (
     WishartModel,
     WishartSequenceSpec,
     build_shape,
-    check_trace_normalization,
     expected_wishart,
     identity_family,
     load_model,
@@ -73,7 +72,6 @@ from .verify import (
     check_expectation,
     check_linear_form_std,
     check_wishart_decoupling,
-    conditional_std,
     count_lipschitz_violations,
     emit_report,
     empirical_sample_complexity,

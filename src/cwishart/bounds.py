@@ -19,7 +19,6 @@ from .errors import (
     DimensionError,
     NotAchievableError,
     ShapeParityError,
-    TraceNormalizationError,
     ZeroSpectralNormError,
 )
 from .linalg import Report, spectral_norm
@@ -30,7 +29,6 @@ from .model import (
     _validate_shape,
     shape_frobenius_norm,
     shape_spectral_norm,
-    shape_trace,
 )
 
 __all__ = [
@@ -141,17 +139,10 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
     """Evaluate the bound at n using constants uniform over the whole sequence.
 
     kappa and sigma are the maxima of the per-index Frobenius and spectral
-    norms; the index set must satisfy the trace normalization Tr(B_m) = m.
+    norms; the spec has already checked the trace normalization Tr(B_m) = m.
     """
     if n not in seq.index_set:
         raise ValueError(f"n = {n} is not in the index set {seq.index_set}")
-    for m in seq.index_set:
-        scaled = shape_trace(seq.shape_family(m), m) / m
-        if abs(scaled - 1.0) > 1e-12:
-            raise TraceNormalizationError(
-                f"trace normalization Tr(B) = n violated at n = {m}: "
-                f"scaled trace is {scaled!r}, not 1"
-            )
     sigma = max(shape_spectral_norm(seq.shape_family(m), m) for m in seq.index_set)
     kappa = max(shape_frobenius_norm(seq.shape_family(m), m) for m in seq.index_set)
     return _report(
@@ -162,28 +153,16 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
 def _bound_at(p: int, theta_norm: float, shape_family: Callable[[int], ShapeSpec],
               n: int) -> float:
     spec = shape_family(n)
-    sigma = shape_spectral_norm(spec, n)
-    frob = shape_frobenius_norm(spec, n)
-    inputs = BoundInputs(p=p, n=n, sigma=sigma, kappa=frob, theta_norm=theta_norm)
-    return _formula(inputs, log_factor(p))
+    return _report(p, n, shape_spectral_norm(spec, n), shape_frobenius_norm(spec, n),
+                   theta_norm, KappaConvention.FROBENIUS).bound_value
 
 
-def _first_feasible(shape_family: Callable[[int], ShapeSpec], start: int,
-                    limit: int, scan: int = 64) -> int | None:
-    """Smallest n in [start, limit] the family is defined for, scanning at most ``scan``."""
-    for n in range(start, min(start + scan, limit + 1)):
-        try:
-            _validate_shape(shape_family(n), n)
-        except (ShapeParityError, DimensionError):
-            continue
-        return n
-    return None
+def _first_feasible(shape_family: Callable[[int], ShapeSpec], ns: range) -> int | None:
+    """First n of ``ns`` (ascending or descending) the family is defined for.
 
-
-def _last_feasible(shape_family: Callable[[int], ShapeSpec], limit: int,
-                   scan: int = 64) -> int | None:
-    """Largest feasible n <= limit, scanning downward at most ``scan`` steps."""
-    for n in range(limit, max(limit - scan, 0), -1):
+    Only the first 64 members of ``ns`` are tried.
+    """
+    for n in ns[:64]:
         try:
             _validate_shape(shape_family(n), n)
         except (ShapeParityError, DimensionError):
@@ -207,7 +186,7 @@ def invert_bound_for_n(
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    start = _first_feasible(shape_family, 1, cap)
+    start = _first_feasible(shape_family, range(1, cap + 1))
     if start is None:
         raise ValueError("shape family has no feasible n below the cap")
     if _bound_at(p, theta_norm, shape_family, start) <= tolerance:
@@ -219,12 +198,12 @@ def invert_bound_for_n(
     while hi is None:
         n *= 2
         if n > cap:
-            probe = _last_feasible(shape_family, cap)
+            probe = _first_feasible(shape_family, range(cap, 0, -1))
             raise NotAchievableError(
                 f"bound stays above tolerance {tolerance!r} up to the cap {cap}",
                 at_cap=_bound_at(p, theta_norm, shape_family, lo if probe is None else probe),
             )
-        m = _first_feasible(shape_family, n, cap)
+        m = _first_feasible(shape_family, range(n, cap + 1))
         if m is None:
             continue
         if _bound_at(p, theta_norm, shape_family, m) <= tolerance:
@@ -236,7 +215,7 @@ def invert_bound_for_n(
     # Invariant: bound(hi) <= tolerance, and lo < hi was evaluated above it.
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        m = _first_feasible(shape_family, mid, hi - 1)
+        m = _first_feasible(shape_family, range(mid, hi))
         if m is None:
             break
         if _bound_at(p, theta_norm, shape_family, m) <= tolerance:

@@ -297,15 +297,7 @@ def cmd_sweep(cfg: dict) -> int:
             [check_int(p, "p_grid entry") for p in _list(cfg, "p_grid")], float(tolerance),
             _family(cfg), identity_theta_rule, _trials(cfg, _NORM_TRIALS), seed, workers,
         )
-        rows = []
-        for row in table.rows:
-            model = WishartModel(
-                row.p, row.empirical_n, identity_theta_rule(row.p), _family(cfg)(row.empirical_n)
-            )
-            bound = deviation_bound(model).bound_value
-            ratio = row.stats.mean / bound if bound > 0 else 0.0
-            rows.append(SweepRow(**vars(row.stats), p=row.p, n=row.empirical_n, bound=bound,
-                                 ratio=ratio))
+        rows = [row.stats for row in table.rows]
         summary = {"sweep": "complexity", "table": table.to_dict()}
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")

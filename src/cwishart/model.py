@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -49,7 +48,6 @@ __all__ = [
     "sample_wishart",
     "sample_decoupled",
     "expected_wishart",
-    "check_trace_normalization",
     "identity_family",
     "skew_block_family",
     "normalized_diagonal_family",
@@ -266,30 +264,19 @@ def expected_wishart(model: WishartModel) -> np.ndarray:
     return (shape_trace(model.shape, model.n) / model.n) * model.theta.array
 
 
-def check_trace_normalization(b, n: int) -> tuple[float, bool]:
-    """Return (Tr(B)/n, |Tr(B)/n - 1| <= 1e-12) for an n x n matrix B."""
-    arr = as_matrix(b, "shape matrix")
-    if arr.shape != (n, n):
-        raise DimensionError(f"shape matrix is {arr.shape} but n = {n}")
-    scaled = float(np.trace(arr)) / n
-    return scaled, abs(scaled - 1.0) <= TRACE_NORMALIZATION_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class WishartSequenceSpec:
-    """A family of shape matrices over an ordered index set with common scaled trace.
+    """A family of shape matrices over an ordered index set, normalized by Tr(B_n) = n.
 
-    ``shape_family`` maps each n in ``index_set`` to its ShapeSpec.  The
-    scaled traces Tr(B_n)/n must all equal ``beta``; beta defaults to 1 (the
-    normalized convention) and non-unit values are accepted but flagged with
-    a warning.
+    ``shape_family`` maps each n in ``index_set`` to its ShapeSpec.  Every
+    scaled trace Tr(B_n)/n must equal 1 within TRACE_NORMALIZATION_TOL; it is
+    checked here, at construction, so code holding a spec can rely on it.
     """
 
     p: int
     theta: SpdMatrix
     index_set: tuple[int, ...]
     shape_family: Callable[[int], ShapeSpec]
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.p < 1:
@@ -308,21 +295,11 @@ class WishartSequenceSpec:
         object.__setattr__(self, "index_set", index_set)
         for n in index_set:
             scaled = shape_trace(self.shape_family(n), n) / n
-            if abs(scaled - self.beta) > TRACE_NORMALIZATION_TOL:
+            if abs(scaled - 1.0) > TRACE_NORMALIZATION_TOL:
                 raise TraceNormalizationError(
-                    f"scaled trace Tr(B_{n})/{n} = {scaled!r} differs from beta = {self.beta!r}"
+                    f"trace normalization Tr(B) = n violated at n = {n}: "
+                    f"scaled trace is {scaled!r}, not 1"
                 )
-        if abs(self.beta - 1.0) > TRACE_NORMALIZATION_TOL:
-            warnings.warn(
-                f"sequence uses non-unit scaled trace beta = {self.beta!r}; "
-                "the normalized convention is beta = 1",
-                stacklevel=2,
-            )
-
-    def model_at(self, n: int) -> WishartModel:
-        if n not in self.index_set:
-            raise ValueError(f"n = {n} is not in the index set {self.index_set}")
-        return WishartModel(self.p, n, self.theta, self.shape_family(n))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ __all__ = [
     "check_wishart_decoupling",
     "check_chaos_decoupling",
     "check_linear_form_std",
-    "conditional_std",
     "check_concentration",
     "count_lipschitz_violations",
     "sweep_scaling",
@@ -361,23 +360,14 @@ def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray
     return math.sqrt(p) / n * np.linalg.norm((d @ x) @ b.T, axis=-1)
 
 
-def conditional_std(b, x, direction) -> float:
-    """Scaled norm (sqrt(p)/n) * ||B X^T x|| of the conditioned bilinear form.
-
-    ``b`` is the n x n shape matrix, ``x`` the p x n Gaussian draw, and
-    ``direction`` a unit p-vector.
-    """
-    b = as_matrix(b, "shape matrix")
-    x = as_matrix(x, "sample matrix")
+def _unit_direction(direction, p: int) -> np.ndarray:
+    """``direction`` as a float vector, checked to have length p and unit norm."""
     d = np.asarray(direction, dtype=np.float64).ravel()
-    p, n = x.shape
-    if b.shape != (n, n):
-        raise DimensionError(f"shape matrix is {b.shape} but the sample matrix has n = {n}")
     if d.size != p:
-        raise DimensionError(f"direction has length {d.size} but the sample matrix has p = {p}")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        raise DimensionError(f"direction has length {d.size} but p = {p}")
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:  # also rejects a NaN norm
         raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(d)!r}")
-    return float(_conditional_stds(b, x, d))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +419,10 @@ def check_concentration(
             "concentration check requires theta = I; whiten the model first "
             "(conjugate by theta^{-1/2}) and rerun"
         )
-    d = np.asarray(direction, dtype=np.float64).ravel()
-    if d.size != model.p:
-        raise DimensionError(f"direction has length {d.size} but p = {model.p}")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(d)!r}")
+    d = _unit_direction(direction, model.p)
     t_grid = tuple(float(t) for t in t_grid)
-    if any(t < 0 for t in t_grid):
-        raise ValueError(f"t grid must be nonnegative, got {t_grid}")
+    if not all(math.isfinite(t) and t >= 0 for t in t_grid):
+        raise ValueError(f"t_grid must be finite and nonnegative, got {t_grid}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
@@ -498,9 +484,7 @@ def count_lipschitz_violations(
     workers: int | None = 1,
 ) -> int:
     """Count pairs violating |s(X1) - s(X2)| <= (sqrt(p) ||B|| / n) ||X1 - X2||_F."""
-    d = np.asarray(direction, dtype=np.float64).ravel()
-    if d.size != model.p:
-        raise DimensionError(f"direction has length {d.size} but p = {model.p}")
+    d = _unit_direction(direction, model.p)
     b = build_shape(model.shape, model.n)
     lipschitz = math.sqrt(model.p) * shape_spectral_norm(model.shape, model.n) / model.n
     if pairs < 1:
@@ -526,6 +510,12 @@ class SweepRow(DeviationStats):
     n: int
     bound: float
     ratio: float
+
+
+def _sweep_row(model: WishartModel, stats: DeviationStats) -> SweepRow:
+    bound = deviation_bound(model).bound_value
+    return SweepRow(**vars(stats), p=model.p, n=model.n, bound=bound,
+                    ratio=stats.mean / bound if bound > 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -560,9 +550,7 @@ def sweep_scaling(
         stats = estimate_mean_deviation(
             TrialConfig(model, trials, mix_seed(seed, n)), workers
         )
-        bound = deviation_bound(model).bound_value
-        ratio = stats.mean / bound if bound > 0 else 0.0
-        rows.append(SweepRow(**vars(stats), p=p, n=n, bound=bound, ratio=ratio))
+        rows.append(_sweep_row(model, stats))
     means = np.array([r.mean for r in rows])
     if np.any(means <= 0.0):
         return ScalingSweep(tuple(rows), None, True)
@@ -572,10 +560,12 @@ def sweep_scaling(
 
 @dataclass(frozen=True)
 class ComplexityRow(Report):
+    """One p: the accepted n with its sweep row, next to the bound's required n."""
+
     p: int
     empirical_n: int
     theoretical_n: int
-    stats: DeviationStats
+    stats: SweepRow
 
 
 @dataclass(frozen=True)
@@ -600,39 +590,36 @@ def empirical_sample_complexity(
 ) -> ComplexityTable:
     """Doubling search for the smallest n with empirical mean + 2 stderr <= tolerance.
 
-    Reports the accepted n per p next to the theoretical requirement from
-    inverting the closed-form bound; the theoretical value dominates whenever
-    the bound itself does.
+    Reports the accepted n per p, with its sweep row, next to the theoretical
+    requirement from inverting the closed-form bound; the theoretical value
+    dominates whenever the bound itself does.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     rows = []
     for p in p_grid:
         theta = theta_rule(p)
-        n = _first_feasible(shape_family, 1, cap)
+        n = _first_feasible(shape_family, range(1, cap + 1))
         if n is None:
             raise ValueError("shape family has no feasible n below the cap")
-        accepted = None
-        while accepted is None:
+        while True:
             model = WishartModel(p, n, theta, shape_family(n))
             stats = estimate_mean_deviation(
                 TrialConfig(model, trials, mix_seed(mix_seed(seed, p), n)), workers
             )
             if stats.mean + 2.0 * stats.stderr <= tolerance:
-                accepted = (n, stats)
                 break
-            nxt = _first_feasible(shape_family, 2 * n, cap)
-            if nxt is None or nxt > cap:
+            n = _first_feasible(shape_family, range(2 * n, cap + 1))
+            if n is None:
                 raise NotAchievableError(
                     f"empirical deviation stays above tolerance {tolerance!r} "
                     f"up to the cap {cap} at p = {p}",
                     at_cap=stats.mean,
                 )
-            n = nxt
         theoretical = invert_bound_for_n(
             p, spectral_norm(theta.array), tolerance, shape_family, cap
         )
-        rows.append(ComplexityRow(p, accepted[0], theoretical, accepted[1]))
+        rows.append(ComplexityRow(p, n, theoretical, _sweep_row(model, stats)))
     return ComplexityTable(tuple(rows), float(tolerance))
 
 

@@ -136,12 +136,11 @@ class TestSequenceBound:
             assert cw.sequence_bound(seq, n).bound_value >= per_n.bound_value
 
     def test_skew_family_violates_normalization(self):
-        with pytest.warns(UserWarning, match="non-unit"):
-            seq = cw.WishartSequenceSpec(
-                2, cw.SpdMatrix.identity(2), (2, 4), cw.skew_block_family, beta=0.0
-            )
+        # The spec rejects the family when it is built, before any bound.
         with pytest.raises(TraceNormalizationError):
-            cw.sequence_bound(seq, 4)
+            cw.WishartSequenceSpec(
+                2, cw.SpdMatrix.identity(2), (2, 4), cw.skew_block_family
+            )
 
     def test_n_outside_index_set(self):
         with pytest.raises(ValueError):
@@ -227,4 +226,4 @@ class TestInvertBound:
         with pytest.raises(TypeError, match="broken family"):
             cw.invert_bound_for_n(2, 1.0, 1.0, broken)
         with pytest.raises(TypeError, match="broken family"):
-            bounds._last_feasible(broken, 16)
+            bounds._first_feasible(broken, range(16, 0, -1))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -367,6 +368,9 @@ class TestMalformedConfig:
             (SCALING, ("n_grid",), 16, "n_grid"),
             (DOMINANCE, ("model", "shape"), "identity", "shape"),
             (CONCENTRATION, ("t_grid",), 0.5, "t_grid"),
+            (CONCENTRATION, ("t_grid",), [0.1, math.inf], "t_grid"),
+            (CONCENTRATION, ("t_grid",), [0.1, math.nan], "t_grid"),
+            (CONCENTRATION, ("direction",), [math.nan, 0.0, 0.0], "direction"),
             (BOUND, ("model", "n"), 10**310, "n must be at most"),
             (BOUND, ("model", "theta", "entries"), ["1.5", True, True, "2"], "entries"),
             (BOUND, ("model", "shape"), {"variant": "diagonal", "entries": ["1", "1"]},
@@ -375,6 +379,7 @@ class TestMalformedConfig:
              "diagonal entries"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
+             "t_grid-infinite", "t_grid-nan", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
              "diagonal-beyond-float"],
     )

@@ -199,20 +199,32 @@ class TestExpectedWishart:
         assert np.all(np.abs(mean - expected) <= 4 * stderr)
 
 
+def sequence(index_set, family):
+    return cw.WishartSequenceSpec(2, cw.SpdMatrix.identity(2), index_set, family)
+
+
 class TestTraceNormalization:
+    """The sequence spec accepts a family exactly when every Tr(B_n) = n."""
+
     def test_identity(self):
-        assert cw.check_trace_normalization(np.eye(5), 5) == (1.0, True)
+        seq = sequence((5,), lambda n: cw.ShapeSpec.custom(np.eye(n)))
+        assert seq.index_set == (5,)
 
     def test_skew_block(self):
-        b = cw.build_shape(cw.ShapeSpec.skew_block(), 4)
-        assert cw.check_trace_normalization(b, 4) == (0.0, False)
+        # Identity at n = 2 but skew-block, of trace 0, at n = 4.
+        def family(n):
+            return cw.ShapeSpec.identity() if n == 2 else cw.ShapeSpec.skew_block()
+
+        with pytest.raises(TraceNormalizationError, match="n = 4: scaled trace is 0.0"):
+            sequence((2, 4), family)
 
     def test_partial_diagonal(self):
-        assert cw.check_trace_normalization(np.diag([2.0, 0.0]), 2) == (1.0, True)
+        seq = sequence((2,), lambda n: cw.ShapeSpec.custom(np.diag([2.0, 0.0])))
+        assert seq.index_set == (2,)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            cw.check_trace_normalization(np.zeros((2, 3)), 2)
+            sequence((2,), lambda n: cw.ShapeSpec.custom(np.eye(3)))
 
 
 class TestSequenceSpec:
@@ -221,7 +233,7 @@ class TestSequenceSpec:
             2, cw.SpdMatrix.identity(2), (2, 4, 8), cw.identity_family
         )
         assert seq.index_set == (2, 4, 8)
-        assert seq.model_at(4).n == 4
+        assert cw.sequence_bound(seq, 4).n == 4
 
     def test_trace_mismatch_rejected(self):
         with pytest.raises(TraceNormalizationError):
@@ -233,15 +245,6 @@ class TestSequenceSpec:
         with pytest.raises(ValueError, match="index_set entry must be an integer"):
             cw.WishartSequenceSpec(
                 2, cw.SpdMatrix.identity(2), (2, 4.5), cw.identity_family
-            )
-
-    def test_non_unit_beta_flagged(self):
-        def doubled(n):
-            return cw.ShapeSpec.diagonal([2.0] * n)
-
-        with pytest.warns(UserWarning, match="non-unit"):
-            cw.WishartSequenceSpec(
-                2, cw.SpdMatrix.identity(2), (2, 4), doubled, beta=2.0
             )
 
     def test_normalized_diagonal_family(self):

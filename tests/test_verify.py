@@ -191,12 +191,13 @@ class TestLinearFormStd:
 class TestConditionalStd:
     def test_zero_shape(self):
         x = cw.sample_standard_gaussian_matrix(2, 4, 1)
-        assert cw.conditional_std(np.zeros((4, 4)), x, [1.0, 0.0]) == 0.0
+        assert verify._conditional_stds(np.zeros((4, 4)), x, np.array([1.0, 0.0])) == 0.0
 
     def test_identity_shape_row_norm(self):
         x = cw.sample_standard_gaussian_matrix(3, 8, 2)
         expected = math.sqrt(3) / 8 * float(np.linalg.norm(x[0]))
-        assert cw.conditional_std(np.eye(8), x, [1.0, 0.0, 0.0]) == pytest.approx(expected)
+        d = np.array([1.0, 0.0, 0.0])
+        assert verify._conditional_stds(np.eye(8), x, d) == pytest.approx(expected)
 
     def test_double_sum_definition(self):
         # sigma^2 = p/n^2 * sum_l [sum_m sum_j b_lm x_j X_jm]^2
@@ -213,12 +214,17 @@ class TestConditionalStd:
             )
             total += inner**2
         oracle = math.sqrt(p) / n * math.sqrt(total)
-        assert cw.conditional_std(b, x, d) == pytest.approx(oracle, rel=1e-12)
+        assert verify._conditional_stds(b, x, d) == pytest.approx(oracle, rel=1e-12)
 
     def test_unit_vector_required(self):
-        x = cw.sample_standard_gaussian_matrix(2, 3, 3)
-        with pytest.raises(ValueError):
-            cw.conditional_std(np.eye(3), x, [1.0, 1.0])
+        # The Lipschitz claim is stated for unit d only: [3, 0, 0] on this
+        # model, seed and pair count would otherwise count one "violation".
+        m = model(3, 16)
+        for direction in ([1.0, 1.0, 0.0], [3.0, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                cw.check_concentration(m, direction, [0.0], 10, 0)
+            with pytest.raises(ValueError, match="unit vector"):
+                cw.count_lipschitz_violations(m, direction, 1000, 67)
 
 
 class TestConcentration:
@@ -399,4 +405,16 @@ class TestNegativeControls:
         report = cw.check_concentration(*args)
         assert report.lipschitz == pytest.approx(0.25 * lipschitz)
         assert report.asserted == (True,)
+        assert not report.holds
+
+    def test_linear_form_rejects_five_percent_error(self, monkeypatch):
+        # At 10^5 trials a 5% error in the standard deviation is about 22 of
+        # its standard errors, far past the margin of 5.
+        args = (cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], 10**5, 157)
+        assert cw.check_linear_form_std(*args).holds
+        run = verify._run_blocks
+        monkeypatch.setattr(verify, "_run_blocks", lambda *a: 1.05 * run(*a))
+        report = cw.check_linear_form_std(*args)
+        assert report.target == pytest.approx(math.sqrt(5.0))
+        assert abs(report.sample_std - report.target) > 20 * report.std_stderr
         assert not report.holds
