@@ -11,6 +11,8 @@ convention.  Both conventions are exposed; reports label which one was used.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -21,7 +23,7 @@ from .errors import (
     ShapeParityError,
     ZeroSpectralNormError,
 )
-from .linalg import Report, spectral_norm
+from .linalg import Report
 from .model import (
     ShapeSpec,
     WishartModel,
@@ -125,14 +127,8 @@ def deviation_bound(
     convention = KappaConvention(convention)
     sigma = shape_spectral_norm(model.shape, model.n)
     frob = shape_frobenius_norm(model.shape, model.n)
-    return _report(
-        model.p,
-        model.n,
-        sigma,
-        convention.kappa(frob, sigma),
-        spectral_norm(model.theta.array),
-        convention,
-    )
+    return _report(model.p, model.n, sigma, convention.kappa(frob, sigma), model.theta._norm,
+                   convention)
 
 
 def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
@@ -145,9 +141,7 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
         raise ValueError(f"n = {n} is not in the index set {seq.index_set}")
     sigma = max(shape_spectral_norm(seq.shape_family(m), m) for m in seq.index_set)
     kappa = max(shape_frobenius_norm(seq.shape_family(m), m) for m in seq.index_set)
-    return _report(
-        seq.p, n, sigma, kappa, spectral_norm(seq.theta.array), KappaConvention.FROBENIUS
-    )
+    return _report(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
 
 
 def _bound_at(p: int, theta_norm: float, shape_family: Callable[[int], ShapeSpec],
@@ -171,6 +165,15 @@ def _first_feasible(shape_family: Callable[[int], ShapeSpec], ns: range) -> int 
     return None
 
 
+def _check_tolerance(tolerance) -> float:
+    """``tolerance`` as a float, checked to be a finite, positive real number (not a bool)."""
+    # Comparing with the largest float also rejects NaN and ints too large for a float.
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not abs(tolerance) <= sys.float_info.max or tolerance <= 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tolerance!r:.80}")
+    return float(tolerance)
+
+
 def invert_bound_for_n(
     p: int,
     theta_norm: float,
@@ -184,8 +187,7 @@ def invert_bound_for_n(
     ties break toward the smaller n.  Raises when the bound still exceeds the
     tolerance at the cap.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    tolerance = _check_tolerance(tolerance)
     start = _first_feasible(shape_family, range(1, cap + 1))
     if start is None:
         raise ValueError("shape family has no feasible n below the cap")

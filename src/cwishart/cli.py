@@ -21,7 +21,6 @@ from .errors import EnumerationCapError, NotAchievableError, WishartError
 from .linalg import (
     SpdMatrix,
     canonical_dumps,
-    check_floats,
     check_int,
     dumps_matrix,
     load_matrix,
@@ -228,22 +227,15 @@ def _run_check(cfg: dict, workers: int) -> dict:
             return check_bound_dominance(trial_cfg, _convention(cfg), workers).to_dict()
         return check_wishart_decoupling(trial_cfg, workers).to_dict()
     if check == "concentration":
-        return check_concentration(
-            _load_model_from(cfg), check_floats(cfg.get("direction"), "direction"),
-            check_floats(cfg.get("t_grid"), "t_grid"), _trials(cfg, _SCALAR_TRIALS), seed,
-            workers,
-        ).to_dict()
+        return check_concentration(_load_model_from(cfg), cfg.get("direction"), cfg.get("t_grid"),
+                                   _trials(cfg, _SCALAR_TRIALS), seed, workers).to_dict()
     if "theta" not in cfg:
         raise ConfigError(f"{check} check needs \"theta\"")
-    theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
+    theta, trials = SpdMatrix(matrix_from_dict(cfg["theta"])), _trials(cfg, _SCALAR_TRIALS)
     if check == "chaos":
         matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
-        return check_chaos_decoupling(
-            matrices, theta, _trials(cfg, _SCALAR_TRIALS), seed, workers
-        ).to_dict()
-    return check_linear_form_std(
-        theta, check_floats(cfg.get("a"), "a"), _trials(cfg, _SCALAR_TRIALS), seed, workers
-    ).to_dict()
+        return check_chaos_decoupling(matrices, theta, trials, seed, workers).to_dict()
+    return check_linear_form_std(theta, cfg.get("a"), trials, seed, workers).to_dict()
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -279,23 +271,16 @@ def cmd_sweep(cfg: dict) -> int:
         p = check_int(cfg.get("p", 0), "p")
         if p < 1:
             raise ConfigError("scaling sweep needs a positive \"p\"")
-        theta = (
-            SpdMatrix(matrix_from_dict(cfg["theta"]))
-            if "theta" in cfg
-            else SpdMatrix.identity(p)
-        )
-        sweep = sweep_scaling(
-            p, n_grid, _family(cfg), theta, _trials(cfg, _NORM_TRIALS), seed, workers
-        )
+        theta = (SpdMatrix(matrix_from_dict(cfg["theta"])) if "theta" in cfg
+                 else SpdMatrix.identity(p))
+        sweep = sweep_scaling(p, n_grid, _family(cfg), theta, _trials(cfg, _NORM_TRIALS), seed,
+                              workers)
         rows = list(sweep.rows)
         summary = {"sweep": "scaling", "slope": sweep.slope, "degenerate": sweep.degenerate}
     elif kind == "complexity":
-        tolerance = cfg.get("tolerance")
-        if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool):
-            raise ConfigError(f"\"tolerance\" must be a number, got {tolerance!r:.80}")
         table = empirical_sample_complexity(
-            [check_int(p, "p_grid entry") for p in _list(cfg, "p_grid")], float(tolerance),
-            _family(cfg), identity_theta_rule, _trials(cfg, _NORM_TRIALS), seed, workers,
+            _list(cfg, "p_grid"), cfg.get("tolerance"), _family(cfg), identity_theta_rule,
+            _trials(cfg, _NORM_TRIALS), seed, workers,
         )
         rows = [row.stats for row in table.rows]
         summary = {"sweep": "complexity", "table": table.to_dict()}

@@ -8,10 +8,10 @@ module is safe to use from concurrent workers without synchronization.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +72,10 @@ def check_int(value, name: str) -> int:
 
 
 def check_floats(value, name: str) -> np.ndarray:
-    """Return ``value``, a list of real numbers, as a 1-D float64 array, naming ``name`` otherwise.
+    """Return ``value``, a list of finite real numbers, as a 1-D float64 array.
 
-    Strings, bools and every other non-number are rejected, not coerced.
+    The one rule for number lists: strings, bools and every other non-number
+    are rejected, not coerced, and so are inf and NaN; errors name ``name``.
     """
     items = value.tolist() if isinstance(value, np.ndarray) else value
     # Checked per distinct element type, so a long list costs one pass in C.
@@ -83,9 +84,12 @@ def check_floats(value, name: str) -> np.ndarray:
     ):
         raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}")
     try:
-        return np.array(items, dtype=np.float64)
+        arr = np.array(items, dtype=np.float64)
     except OverflowError as exc:
         raise ValueError(f"{name} holds a number too large for a float") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must hold finite numbers, got {value!r:.80}")
+    return arr
 
 
 def frobenius_norm(a) -> float:
@@ -108,12 +112,11 @@ class SpdMatrix:
     """Symmetric positive definite matrix with certified positivity.
 
     Construction validates symmetry (|e_ij - e_ji| <= 1e-12 * max(1, |e_ij|))
-    and that the minimal eigenvalue exceeds the positivity tolerance.  The
-    stored array is a read-only copy.
+    and that the minimal eigenvalue exceeds SPD_EIG_TOL.  The stored array is
+    a read-only copy.  This is the one place positivity is certified.
     """
 
     array: np.ndarray
-    tolerance: float = SPD_EIG_TOL
 
     def __post_init__(self):
         arr = as_matrix(self.array, "SPD matrix")
@@ -125,13 +128,18 @@ class SpdMatrix:
         arr = np.array(arr, order="C")
         arr.setflags(write=False)
         min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if min_eig <= self.tolerance:
-            raise NotPositiveDefiniteError(min_eig, self.tolerance)
+        if min_eig <= SPD_EIG_TOL:
+            raise NotPositiveDefiniteError(min_eig, SPD_EIG_TOL)
         object.__setattr__(self, "array", arr)
 
     @property
     def p(self) -> int:
         return self.array.shape[0]
+
+    @cached_property
+    def _norm(self) -> float:
+        """Spectral norm, computed once per matrix."""
+        return spectral_norm(self.array)
 
     @classmethod
     def identity(cls, p: int) -> "SpdMatrix":
@@ -139,21 +147,19 @@ class SpdMatrix:
 
     @classmethod
     def diagonal(cls, entries) -> "SpdMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=np.float64)))
+        return cls(np.diag(check_floats(entries, "diagonal entries")))
 
     def is_identity(self, rtol: float = 1e-12) -> bool:
         return bool(np.allclose(self.array, np.eye(self.p), rtol=0.0, atol=rtol))
 
 
-def spd_sqrt(s: SpdMatrix) -> SpdMatrix:
-    """Symmetric positive definite square root via full eigendecomposition."""
+def spd_sqrt(s: SpdMatrix) -> np.ndarray:
+    """Symmetric positive definite square root (read-only) via full eigendecomposition."""
     eigvals, eigvecs = np.linalg.eigh(s.array)
-    min_eig = float(eigvals[0])
-    if min_eig <= s.tolerance:
-        raise NotPositiveDefiniteError(min_eig, s.tolerance)
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     root = 0.5 * (root + root.T)
-    return SpdMatrix(root, tolerance=min(s.tolerance, math.sqrt(min_eig) / 2))
+    root.setflags(write=False)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def matrix_from_dict(d: dict) -> np.ndarray:
         raise InvalidMatrixError(
             f"entries length {arr.size} does not equal rows*cols = {rows * cols}"
         )
-    return as_matrix(arr.reshape(rows, cols))
+    return arr.reshape(rows, cols)
 
 
 def dumps_matrix(a) -> str:

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .linalg import (
     as_matrix,
     check_floats,
     check_int,
-    check_seed,
     frobenius_norm,
     matrix_from_dict,
     matrix_to_dict,
@@ -74,7 +73,8 @@ class ShapeSpec:
     Variants: "identity", "diagonal" (carries the diagonal entries),
     "skew_block" (the block matrix [[0, I], [-I, 0]], even n only), and
     "custom" (an arbitrary square matrix, accepted unvalidated beyond
-    dimensions).
+    dimensions).  Diagonal entries are a list of finite numbers
+    (``linalg.check_floats``).
     """
 
     variant: str
@@ -87,10 +87,8 @@ class ShapeSpec:
         if self.variant == "diagonal":
             if self.entries is None:
                 raise InvalidMatrixError("diagonal shape requires entries")
-            ent = tuple(float(v) for v in self.entries)
-            if not all(math.isfinite(v) for v in ent):
-                raise InvalidMatrixError("diagonal entries must be finite")
-            object.__setattr__(self, "entries", ent)
+            ent = check_floats(self.entries, "diagonal entries")
+            object.__setattr__(self, "entries", tuple(ent.tolist()))
         elif self.entries is not None:
             raise ValueError(f"entries only apply to the diagonal variant, not {self.variant!r}")
         if self.variant == "custom":
@@ -104,13 +102,18 @@ class ShapeSpec:
         elif self.matrix is not None:
             raise ValueError(f"matrix only applies to the custom variant, not {self.variant!r}")
 
+    @cached_property
+    def _custom_sigma(self) -> float:
+        """Spectral norm of the custom matrix, computed once per spec."""
+        return spectral_norm(self.matrix)
+
     @classmethod
     def identity(cls) -> "ShapeSpec":
         return cls("identity")
 
     @classmethod
-    def diagonal(cls, entries: Iterable[float]) -> "ShapeSpec":
-        return cls("diagonal", entries=tuple(entries))
+    def diagonal(cls, entries: Sequence[float]) -> "ShapeSpec":
+        return cls("diagonal", entries=entries)
 
     @classmethod
     def skew_block(cls) -> "ShapeSpec":
@@ -174,7 +177,7 @@ def shape_spectral_norm(spec: ShapeSpec, n: int) -> float:
         return 1.0
     if spec.variant == "diagonal":
         return float(np.max(np.abs(spec.entries)))
-    return spectral_norm(spec.matrix)
+    return spec._custom_sigma
 
 
 def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
@@ -223,7 +226,7 @@ class WishartModel:
     @cached_property
     def theta_sqrt(self) -> np.ndarray:
         """theta^{1/2}, computed once per model (read-only)."""
-        return spd_sqrt(self.theta).array
+        return spd_sqrt(self.theta)
 
 
 def _whitened_sample(
@@ -239,7 +242,6 @@ def _whitened_sample(
 
 def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
-    check_seed(seed)
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_COUPLED_Y))
     return _whitened_sample(model, y, y, model.theta_sqrt)
 
@@ -251,7 +253,6 @@ def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
     coupled sampler's stream, so coupled and decoupled draws for one seed are
     mutually independent.
     """
-    check_seed(seed)
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_Y))
     y_prime = sample_standard_gaussian_matrix(
         model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_YPRIME)
@@ -350,7 +351,7 @@ def shape_from_dict(d: dict) -> ShapeSpec:
     if variant == "identity":
         return ShapeSpec.identity()
     if variant == "diagonal":
-        return ShapeSpec.diagonal(check_floats(d["entries"], "diagonal entries"))
+        return ShapeSpec.diagonal(d["entries"])
     if variant == "skew_block":
         return ShapeSpec.skew_block()
     if variant == "custom":

@@ -160,8 +160,10 @@ def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
         )
     # ||u||^2 is formed from u times a power of two (an exact rescaling) when
     # the entries of A are so large or small that it could overflow or underflow.
+    # The power is capped at 2^1000 so that it stays finite for subnormal entries.
     peak = float(np.abs(arr).max())
-    scale = 1.0 if 2.0**-300 <= peak <= 2.0**300 else math.ldexp(1.0, -math.frexp(peak)[1])
+    scale = (1.0 if 2.0**-300 <= peak <= 2.0**300
+             else math.ldexp(1.0, min(-math.frexp(peak)[1], 1000)))
     best = -math.inf
     for s in range(1, p + 1):
         for u in _level_batches(arr, s):

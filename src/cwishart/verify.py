@@ -7,6 +7,13 @@ trials as one vectorized kernel, and the per-trial results are concatenated
 in block order before any reduction.  Block boundaries do not depend on the
 worker count, which only sets how many threads run blocks at once, so reports
 are bit-identical for any worker count.
+
+Acceptance margins, in standard errors of the compared statistic, each with
+a false-failure probability below 1e-3 per comparison: INEQUALITY_MARGIN = 3
+for the one-sided checks (bound dominance, both decoupling checks, and the
+concentration tails and mean); EQUALITY_MARGIN = 4 for the entrywise
+expectation check; STD_MARGIN = 5 for the linear-form standard deviation,
+whose standard error is the Gaussian-sample approximation s / sqrt(2 (N - 1)).
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from .bounds import (
     SEARCH_CAP,
     BoundReport,
     KappaConvention,
+    _check_tolerance,
     _first_feasible,
     deviation_bound,
     invert_bound_for_n,
@@ -32,6 +40,7 @@ from .linalg import (
     SpdMatrix,
     as_matrix,
     canonical_dumps,
+    check_floats,
     check_int,
     check_seed,
     generator,
@@ -73,10 +82,10 @@ __all__ = [
     "emit_report",
 ]
 
-# Statistical acceptance margins: 3 standard errors for inequality checks,
-# 4 for equality-of-means checks (false-failure probability < 1e-3 per check).
+# Statistical acceptance margins in standard errors (see the module docstring).
 INEQUALITY_MARGIN = 3.0
 EQUALITY_MARGIN = 4.0
+STD_MARGIN = 5.0
 
 # Trials per block: the unit of random streams and of vectorized work.  Fixed,
 # so that results never depend on it being tuned; it also caps peak memory.
@@ -97,7 +106,6 @@ def _run_blocks(
     pool (numpy releases the GIL in its RNG and BLAS calls); kernels must only
     read shared inputs.
     """
-    master_seed = check_seed(master_seed)
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
 
     def block(b: int) -> np.ndarray:
@@ -218,6 +226,11 @@ class DominanceReport(Report):
     holds: bool
 
 
+def _ratio(mean: float, bound: float) -> float:
+    """Empirical mean over the bound; 0 for a zero bound."""
+    return mean / bound if bound > 0 else 0.0
+
+
 def check_bound_dominance(
     cfg: TrialConfig,
     convention: KappaConvention = KappaConvention.FROBENIUS,
@@ -226,9 +239,8 @@ def check_bound_dominance(
     """Check empirical mean + 3 stderr <= bound_value."""
     stats = estimate_mean_deviation(cfg, workers)
     bound = deviation_bound(cfg.model, convention)
-    ratio = stats.mean / bound.bound_value if bound.bound_value > 0 else 0.0
     holds = stats.mean + INEQUALITY_MARGIN * stats.stderr <= bound.bound_value
-    return DominanceReport(stats, bound, ratio, holds)
+    return DominanceReport(stats, bound, _ratio(stats.mean, bound.bound_value), holds)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +306,7 @@ def check_chaos_decoupling(
         raise ValueError(f"need at least 2 trials, got {trials}")
     stack = np.stack(mats)
     traces = np.einsum("kij,ji->k", stack, theta.array)
-    root = spd_sqrt(theta).array
+    root = spd_sqrt(theta)
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Rows z and z' of N(0, theta): standard rows times the symmetric root.
@@ -332,16 +344,16 @@ def check_linear_form_std(
 ) -> LinearFormReport:
     """Check the standard deviation of (a, Z), Z ~ N(0, theta), is ||theta^{1/2} a||.
 
-    Holds when the sample standard deviation sits within 5 of its own standard
-    errors of the target; also records the bound ||theta^{1/2} a|| <=
+    Holds when the sample standard deviation sits within STD_MARGIN of its own
+    standard errors of the target; also records the bound ||theta^{1/2} a|| <=
     ||theta^{1/2}|| * ||a||.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
+    a = check_floats(a, "a")
     if a.size != theta.p:
         raise DimensionError(f"vector has length {a.size} but theta is {theta.p} x {theta.p}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    root = spd_sqrt(theta).array
+    root = spd_sqrt(theta)
     target = float(np.linalg.norm(root @ a))
     norm_ok = target <= spectral_norm(root) * float(np.linalg.norm(a)) + 1e-12
     samples = _run_blocks(
@@ -350,7 +362,7 @@ def check_linear_form_std(
     sample_std = float(samples.std(ddof=1))
     # Gaussian-sample stderr of the standard deviation itself.
     std_stderr = sample_std / math.sqrt(2.0 * (trials - 1))
-    holds = abs(sample_std - target) <= 5.0 * std_stderr
+    holds = abs(sample_std - target) <= STD_MARGIN * std_stderr
     return LinearFormReport(sample_std, std_stderr, target, trials, norm_ok, holds)
 
 
@@ -361,11 +373,11 @@ def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray
 
 
 def _unit_direction(direction, p: int) -> np.ndarray:
-    """``direction`` as a float vector, checked to have length p and unit norm."""
-    d = np.asarray(direction, dtype=np.float64).ravel()
+    """``direction``, a list of finite numbers, checked to have length p and unit norm."""
+    d = check_floats(direction, "direction")
     if d.size != p:
         raise DimensionError(f"direction has length {d.size} but p = {p}")
-    if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:  # also rejects a NaN norm
+    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(d)!r}")
     return d
 
@@ -420,9 +432,9 @@ def check_concentration(
             "(conjugate by theta^{-1/2}) and rerun"
         )
     d = _unit_direction(direction, model.p)
-    t_grid = tuple(float(t) for t in t_grid)
-    if not all(math.isfinite(t) and t >= 0 for t in t_grid):
-        raise ValueError(f"t_grid must be finite and nonnegative, got {t_grid}")
+    t_grid = tuple(check_floats(t_grid, "t_grid").tolist())
+    if not all(t >= 0 for t in t_grid):
+        raise ValueError(f"t_grid must be nonnegative, got {t_grid}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
 
@@ -435,25 +447,15 @@ def check_concentration(
         lambda rng, k: _conditional_stds(b, rng.standard_normal((k, p, n)), d),
         trials, seed, workers,
     )
-    empirical, theoretical, stderrs, asserted = [], [], [], []
-    floor = 10.0 / trials
-    holds = True
-    for t in t_grid:
-        emp = float(np.mean(samples >= mean_bound + t))
-        if t == 0.0:
-            theo = 0.5
-        elif lipschitz == 0.0:
-            theo = 0.0
-        else:
-            theo = 0.5 * math.exp(-t * t / (2.0 * lipschitz * lipschitz))
-        se = math.sqrt(emp * (1.0 - emp) / trials)
-        check_here = theo >= floor
-        if check_here and emp > theo + INEQUALITY_MARGIN * se:
-            holds = False
-        empirical.append(emp)
-        theoretical.append(theo)
-        stderrs.append(se)
-        asserted.append(check_here)
+    empirical = [float(np.mean(samples >= mean_bound + t)) for t in t_grid]
+    # The exponent -t^2 / (2 L^2) is taken as -(t / L)^2 / 2 when L^2 underflows to 0.
+    theoretical = [0.5 if t == 0.0 else 0.0 if lipschitz == 0.0 else 0.5 * math.exp(
+        -t * t / (2.0 * lipschitz * lipschitz) if lipschitz * lipschitz > 0.0
+        else -0.5 * (t / lipschitz) * (t / lipschitz)) for t in t_grid]
+    stderrs = [math.sqrt(e * (1.0 - e) / trials) for e in empirical]
+    asserted = [theo >= 10.0 / trials for theo in theoretical]
+    holds = not any(a and e > theo + INEQUALITY_MARGIN * se
+                    for a, e, theo, se in zip(asserted, empirical, theoretical, stderrs))
 
     mean_value = float(samples.mean())
     mean_stderr = float(samples.std(ddof=1) / math.sqrt(trials))
@@ -515,7 +517,7 @@ class SweepRow(DeviationStats):
 def _sweep_row(model: WishartModel, stats: DeviationStats) -> SweepRow:
     bound = deviation_bound(model).bound_value
     return SweepRow(**vars(stats), p=model.p, n=model.n, bound=bound,
-                    ratio=stats.mean / bound if bound > 0 else 0.0)
+                    ratio=_ratio(stats.mean, bound))
 
 
 @dataclass(frozen=True)
@@ -594,8 +596,8 @@ def empirical_sample_complexity(
     requirement from inverting the closed-form bound; the theoretical value
     dominates whenever the bound itself does.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    tolerance = _check_tolerance(tolerance)
+    p_grid = [check_int(p, "p_grid entry") for p in p_grid]
     rows = []
     for p in p_grid:
         theta = theta_rule(p)
@@ -616,11 +618,9 @@ def empirical_sample_complexity(
                     f"up to the cap {cap} at p = {p}",
                     at_cap=stats.mean,
                 )
-        theoretical = invert_bound_for_n(
-            p, spectral_norm(theta.array), tolerance, shape_family, cap
-        )
+        theoretical = invert_bound_for_n(p, theta._norm, tolerance, shape_family, cap)
         rows.append(ComplexityRow(p, n, theoretical, _sweep_row(model, stats)))
-    return ComplexityTable(tuple(rows), float(tolerance))
+    return ComplexityTable(tuple(rows), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cwishart as cw
-from cwishart import bounds
+from cwishart import bounds, linalg
+from cwishart import model as model_module
 from cwishart.bounds import BoundInputs, KappaConvention
 from cwishart.errors import (
     NotAchievableError,
@@ -111,6 +112,27 @@ class TestDeviationBound:
         assert value(kappa=2.1) > value()
         assert value(theta_norm=1.6) > value()
 
+    def test_norms_are_computed_once_per_model(self, monkeypatch):
+        # The SVDs of B and theta run on the first call only; later calls reuse them.
+        rng = cw.generator(41)
+        m = cw.WishartModel(3, 64, cw.SpdMatrix(np.diag([1.0, 2.0, 3.0])),
+                            cw.ShapeSpec.custom(rng.standard_normal((64, 64))))
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return exact(a)
+
+        exact = linalg.spectral_norm
+        for module in (linalg, model_module, bounds):
+            monkeypatch.setattr(module, "spectral_norm", counted, raising=False)
+        first = [cw.deviation_bound(m, conv) for conv in KappaConvention]
+        assert sorted(calls) == [(3, 3), (64, 64)]
+        calls.clear()
+        second = [cw.deviation_bound(m, conv) for conv in KappaConvention]
+        assert calls == []
+        assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
 
 class TestSequenceBound:
     def seq(self, index_set=(2, 4)):
@@ -210,6 +232,13 @@ class TestInvertBound:
         with pytest.raises(NotAchievableError) as exc:
             cw.invert_bound_for_n(2, 1.0, 1e-9, cw.identity_family, cap=2**12)
         assert exc.value.at_cap > 1e-9
+
+    @pytest.mark.parametrize(
+        "tol", [0, -1.0, math.nan, math.inf, 10**400, "1", True, None],
+        ids=["zero", "negative", "nan", "inf", "int-beyond-float", "string", "bool", "none"])
+    def test_tolerance_must_be_finite_positive_number(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+            cw.invert_bound_for_n(2, 1.0, tol, cw.identity_family)
 
     def test_returned_n_is_minimal(self):
         tol = 3.0

@@ -320,6 +320,8 @@ SCALING = {"command": "sweep", "sweep": "scaling", "p": 2, "n_grid": [8, 16, 32]
 COMPLEXITY = {"command": "sweep", "sweep": "complexity", "p_grid": [2],
               "tolerance": 1e6, "trials": 20, "seed": 1}
 BOUND = {"command": "bound", "model": identity_model_dict(2, 2)}
+STDDEV = {"command": "verify", "check": "stddev", "theta": cw.matrix_to_dict(np.eye(2)),
+          "a": [1.0, 0.0], "trials": 20, "seed": 1}
 CONCENTRATION = {"command": "verify", "check": "concentration",
                  "model": identity_model_dict(3, 16), "direction": [1.0, 0.0, 0.0],
                  "t_grid": [0.0, 0.05], "trials": 20, "seed": 1}
@@ -353,7 +355,7 @@ class TestIntegerFields:
         assert field in err and "must be an integer" in err
 
     def test_valid_configs_run(self, tmp_path):
-        for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY, CONCENTRATION)):
+        for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY, CONCENTRATION, STDDEV)):
             cfg = dict(base, out=str(tmp_path / f"out{i}"))
             assert cli.main(["--config", write_config(tmp_path, f"c{i}.json", cfg)]) == 0
 
@@ -377,11 +379,14 @@ class TestMalformedConfig:
              "diagonal entries"),
             (BOUND, ("model", "shape"), {"variant": "diagonal", "entries": [10**400, 1]},
              "diagonal entries"),
+            (STDDEV, ("a",), [math.nan, 1.0], "a must hold finite numbers"),
+            (COMPLEXITY, ("tolerance",), math.nan, "tolerance must be a finite positive number"),
+            (COMPLEXITY, ("tolerance",), 1e400, "tolerance must be a finite positive number"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
              "t_grid-infinite", "t_grid-nan", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
-             "diagonal-beyond-float"],
+             "diagonal-beyond-float", "a-nan", "tolerance-nan", "tolerance-infinite"],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
         cfg = _with(base, path, value)

@@ -96,18 +96,24 @@ class TestFrobeniusNorm:
 class TestSpdSqrt:
     def test_identity(self):
         root = cw.spd_sqrt(cw.SpdMatrix.identity(3))
-        assert np.allclose(root.array, np.eye(3), atol=1e-14)
+        assert np.allclose(root, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
         root = cw.spd_sqrt(cw.SpdMatrix.diagonal([4.0, 9.0]))
-        assert np.allclose(root.array, np.diag([2.0, 3.0]), atol=1e-12)
+        assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_square_reproduces_input(self):
         g = cw.generator(99).standard_normal((6, 6))
         s = cw.SpdMatrix(g @ g.T + np.eye(6))
-        root = cw.spd_sqrt(s).array
+        root = cw.spd_sqrt(s)
         err = cw.frobenius_norm(root @ root - s.array)
         assert err <= 1e-10 * cw.frobenius_norm(s.array)
+
+    def test_root_is_a_read_only_array(self):
+        root = cw.spd_sqrt(cw.SpdMatrix.diagonal([4.0, 9.0]))
+        assert type(root) is np.ndarray
+        with pytest.raises(ValueError):
+            root[0, 0] = 5.0
 
     def test_not_positive_definite_names_eigenvalue(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
@@ -248,3 +254,8 @@ class TestReport:
                 check_floats(bad, "t")
         with pytest.raises(ValueError, match="t holds a number too large"):
             check_floats([10**400], "t")
+
+    def test_check_floats_rejects_non_finite(self):
+        for bad in ([1.0, math.inf], [-math.inf], [math.nan, 1.0], np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match="t must hold finite numbers"):
+                check_floats(bad, "t")

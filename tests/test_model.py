@@ -50,6 +50,11 @@ class TestBuildShape:
         with pytest.raises(DimensionError):
             cw.build_shape(cw.ShapeSpec.diagonal([1, 2]), 3)
 
+    def test_diagonal_entries_are_finite_numbers(self):
+        for bad in (["1", "2"], [True, 1.0], [1.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="diagonal entries"):
+                cw.ShapeSpec.diagonal(bad)
+
     def test_custom_size_mismatch(self):
         with pytest.raises(DimensionError):
             cw.build_shape(cw.ShapeSpec.custom(np.eye(3)), 4)
@@ -132,7 +137,7 @@ class TestSampleWishart:
         shape = cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 1.0])
         m_theta = cw.WishartModel(2, 4, theta, shape)
         m_id = cw.WishartModel(2, 4, cw.SpdMatrix.identity(2), shape)
-        root = cw.spd_sqrt(theta).array
+        root = cw.spd_sqrt(theta)
         for seed in (3, 14, 159):
             w = cw.sample_wishart(m_theta, seed)
             conj = root @ cw.sample_wishart(m_id, seed) @ root

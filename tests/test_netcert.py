@@ -181,6 +181,9 @@ class TestMaxBilinear:
             assert cw.max_bilinear_over_regular(a) == unpruned_max(a)
             assert cw.max_bilinear_over_regular(a) == pytest.approx(
                 scale * cw.max_bilinear_over_regular(a / scale), rel=1e-12)
+        # Subnormal entries: the rescaling power of two must itself stay finite.
+        for a in (np.array([[2.225073858507e-311]]), 1e-310 * rng.standard_normal((4, 4))):
+            assert cw.max_bilinear_over_regular(a) == unpruned_max(a)
 
     def test_never_exceeds_spectral_norm(self):
         rng = cw.generator(910)

@@ -187,6 +187,13 @@ class TestLinearFormStd:
         with pytest.raises(DimensionError):
             cw.check_linear_form_std(cw.SpdMatrix.identity(3), [1.0, 0.0], 10, 0)
 
+    def test_a_is_a_list_of_finite_numbers(self):
+        theta = cw.SpdMatrix.identity(2)
+        with pytest.raises(ValueError, match="a must be a list of numbers"):
+            cw.check_linear_form_std(theta, ["1", True], 10, 0)
+        with pytest.raises(ValueError, match="a must hold finite numbers"):
+            cw.check_linear_form_std(theta, [math.nan, 1.0], 10, 0)
+
 
 class TestConditionalStd:
     def test_zero_shape(self):
@@ -220,10 +227,14 @@ class TestConditionalStd:
         # The Lipschitz claim is stated for unit d only: [3, 0, 0] on this
         # model, seed and pair count would otherwise count one "violation".
         m = model(3, 16)
-        for direction in ([1.0, 1.0, 0.0], [3.0, 0.0, 0.0], [math.nan, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="unit vector"):
+        for direction, message in (([1.0, 1.0, 0.0], "unit vector"),
+                                   ([3.0, 0.0, 0.0], "unit vector"),
+                                   ([math.nan, 0.0, 0.0], "direction must hold finite numbers"),
+                                   (["1", 0, 0], "direction must be a list of numbers"),
+                                   ([True, 0, 0], "direction must be a list of numbers")):
+            with pytest.raises(ValueError, match=message):
                 cw.check_concentration(m, direction, [0.0], 10, 0)
-            with pytest.raises(ValueError, match="unit vector"):
+            with pytest.raises(ValueError, match=message):
                 cw.count_lipschitz_violations(m, direction, 1000, 67)
 
 
@@ -249,6 +260,14 @@ class TestConcentration:
                 assert theo == pytest.approx(
                     0.5 * math.exp(-t * t / (2 * report.lipschitz**2)), rel=1e-12
                 )
+
+    def test_lipschitz_constant_whose_square_underflows(self):
+        # ||B|| = 1.5e-174 gives L = 7.6e-175, and L^2 = 0 in floating point.
+        m = model(1, 2, shape=cw.ShapeSpec.diagonal([0.0, 1.5171931716174968e-174]))
+        lipschitz = 1.5171931716174968e-174 / 2
+        report = cw.check_concentration(m, [1.0], [0.0, lipschitz, 1.0], 2, 0)
+        assert report.lipschitz == lipschitz and lipschitz * lipschitz == 0.0
+        assert report.theoretical_tails == (0.5, 0.5 * math.exp(-0.5), 0.0)
 
     def test_non_identity_theta_rejected_with_hint(self):
         m = model(2, 4, theta=cw.SpdMatrix.diagonal([1.0, 2.0]))
@@ -313,6 +332,21 @@ class TestSampleComplexity:
             empirical_sample_complexity(
                 [2], 1e-6, cw.identity_family, identity_theta_rule, 50, 101, cap=2**8
             )
+
+    def test_p_grid_entries_are_integers(self):
+        with pytest.raises(ValueError, match="p_grid entry must be an integer"):
+            empirical_sample_complexity([2.5], 1e6, cw.identity_family, identity_theta_rule, 50, 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 10**400, 0, -1.0, "1", True],
+                             ids=["nan", "inf", "int-beyond-float", "zero", "negative",
+                                  "string", "bool"])
+    def test_tolerance_rejected_before_any_trial(self, monkeypatch, tol):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(verify, "estimate_mean_deviation", no_trials)
+        with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+            empirical_sample_complexity([2], tol, cw.identity_family, identity_theta_rule, 50, 1)
 
 
 class TestReports:
