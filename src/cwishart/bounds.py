@@ -7,6 +7,9 @@ The bound on E||W - E(W)|| is
 with sigma the spectral norm of the shape matrix and kappa either its
 Frobenius norm or the Frobenius-to-spectral ratio, depending on the chosen
 convention.  Both conventions are exposed; reports label which one was used.
+
+Sample-complexity searches double n through a shape family's domain; the walk
+stops past the cap or at the first window of 64 n values with no feasible member.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     DimensionError,
@@ -144,25 +147,32 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
     return _report(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
 
 
-def _bound_at(p: int, theta_norm: float, shape_family: Callable[[int], ShapeSpec],
-              n: int) -> float:
-    spec = shape_family(n)
-    return _report(p, n, shape_spectral_norm(spec, n), shape_frobenius_norm(spec, n),
-                   theta_norm, KappaConvention.FROBENIUS).bound_value
-
-
-def _first_feasible(shape_family: Callable[[int], ShapeSpec], ns: range) -> int | None:
-    """First n of ``ns`` (ascending or descending) the family is defined for.
-
-    Only the first 64 members of ``ns`` are tried.
-    """
+def _feasible(shape_family: Callable[[int], ShapeSpec],
+              ns: range) -> tuple[int, ShapeSpec] | None:
+    """``(n, spec)`` at the first of the first 64 members of ``ns`` the family is defined for."""
     for n in ns[:64]:
         try:
-            _validate_shape(shape_family(n), n)
+            spec = shape_family(n)
+            _validate_shape(spec, n)
         except (ShapeParityError, DimensionError):
             continue
-        return n
+        return n, spec
     return None
+
+
+def _doubling(shape_family: Callable[[int], ShapeSpec],
+              cap: int) -> Iterator[tuple[int, ShapeSpec]]:
+    """``(n, spec)`` at the first feasible n, then at the first feasible n from twice the last.
+
+    Stops past ``cap`` or at a window of 64 n values with no feasible member;
+    raises when the family has no feasible n at all.
+    """
+    found = _feasible(shape_family, range(1, cap + 1))
+    if found is None:
+        raise ValueError("shape family has no feasible n below the cap")
+    while found is not None:
+        yield found
+        found = _feasible(shape_family, range(2 * found[0], cap + 1))
 
 
 def _check_tolerance(tolerance) -> float:
@@ -185,43 +195,31 @@ def invert_bound_for_n(
 
     Uses the Frobenius kappa convention and a doubling-then-bisection search;
     ties break toward the smaller n.  Raises when the bound still exceeds the
-    tolerance at the cap.
+    tolerance at the last n the doubling reaches.
     """
     tolerance = _check_tolerance(tolerance)
-    start = _first_feasible(shape_family, range(1, cap + 1))
-    if start is None:
-        raise ValueError("shape family has no feasible n below the cap")
-    if _bound_at(p, theta_norm, shape_family, start) <= tolerance:
-        return start
 
-    lo = start
-    hi = None
-    n = start
-    while hi is None:
-        n *= 2
-        if n > cap:
-            probe = _first_feasible(shape_family, range(cap, 0, -1))
-            raise NotAchievableError(
-                f"bound stays above tolerance {tolerance!r} up to the cap {cap}",
-                at_cap=_bound_at(p, theta_norm, shape_family, lo if probe is None else probe),
-            )
-        m = _first_feasible(shape_family, range(n, cap + 1))
-        if m is None:
-            continue
-        if _bound_at(p, theta_norm, shape_family, m) <= tolerance:
-            hi = m
-        else:
-            lo = m
-        n = m
+    def bound(n: int, spec: ShapeSpec) -> float:
+        return _report(p, n, shape_spectral_norm(spec, n), shape_frobenius_norm(spec, n),
+                       theta_norm, KappaConvention.FROBENIUS).bound_value
+
+    lo = None
+    for hi, spec in _doubling(shape_family, cap):
+        value = bound(hi, spec)
+        if value <= tolerance:
+            break
+        lo = hi
+    else:
+        raise NotAchievableError(f"bound stays above tolerance {tolerance!r} up to the cap {cap}",
+                                 at_cap=value)
 
     # Invariant: bound(hi) <= tolerance, and lo < hi was evaluated above it.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        m = _first_feasible(shape_family, range(mid, hi))
-        if m is None:
+    while lo is not None and hi - lo > 1:
+        found = _feasible(shape_family, range((lo + hi) // 2, hi))
+        if found is None:
             break
-        if _bound_at(p, theta_norm, shape_family, m) <= tolerance:
-            hi = m
+        if bound(*found) <= tolerance:
+            hi = found[0]
         else:
-            lo = m
+            lo = found[0]
     return hi

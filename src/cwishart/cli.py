@@ -22,10 +22,10 @@ from .linalg import (
     SpdMatrix,
     canonical_dumps,
     check_int,
-    dumps_matrix,
     load_matrix,
     matrix_from_dict,
     mix_seed,
+    save_matrix,
 )
 from .model import (
     WishartModel,
@@ -199,11 +199,9 @@ def cmd_sample(cfg: dict) -> int:
     out = _out_dir(cfg)
     for i in range(trials):
         trial_seed = mix_seed(seed, i)
-        with open(out / f"W.{i:03d}.json", "w", encoding="utf-8") as fh:
-            fh.write(dumps_matrix(sample_wishart(model, trial_seed)) + "\n")
+        save_matrix(out / f"W.{i:03d}.json", sample_wishart(model, trial_seed))
         if cfg.get("decoupled"):
-            with open(out / f"Wprime.{i:03d}.json", "w", encoding="utf-8") as fh:
-                fh.write(dumps_matrix(sample_decoupled(model, trial_seed)) + "\n")
+            save_matrix(out / f"Wprime.{i:03d}.json", sample_decoupled(model, trial_seed))
     return 0
 
 

@@ -43,7 +43,7 @@ class EnumerationCapError(WishartError):
 
 
 class NotAchievableError(WishartError):
-    """A doubling search exceeded its cap; carries the value reached at the cap."""
+    """A doubling search exceeded its cap; carries the value at the last n it evaluated."""
 
     def __init__(self, message: str, at_cap: float):
         self.at_cap = float(at_cap)

@@ -149,8 +149,8 @@ class SpdMatrix:
     def diagonal(cls, entries) -> "SpdMatrix":
         return cls(np.diag(check_floats(entries, "diagonal entries")))
 
-    def is_identity(self, rtol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.array, np.eye(self.p), rtol=0.0, atol=rtol))
+    def is_identity(self) -> bool:
+        return bool(np.allclose(self.array, np.eye(self.p), rtol=0.0, atol=1e-12))
 
 
 def spd_sqrt(s: SpdMatrix) -> np.ndarray:

@@ -88,7 +88,7 @@ def enumerate_regular(p: int, s: int) -> Iterator[RegularVector]:
             yield RegularVector(p, s, support, signs)
 
 
-def max_regular_response(v, p: int | None = None) -> tuple[float, RegularVector]:
+def max_regular_response(v) -> tuple[float, RegularVector]:
     """Maximize the inner product (v, y) over all regular vectors y.
 
     Closed form: for each sparsity s the optimum is the sum of the s largest
@@ -96,8 +96,6 @@ def max_regular_response(v, p: int | None = None) -> tuple[float, RegularVector]
     Ties in |v_i| break toward the lower index, ties in s toward the smaller s.
     """
     vec = np.asarray(v, dtype=np.float64).ravel()
-    if p is not None and vec.size != p:
-        raise DimensionError(f"vector has length {vec.size} but p = {p}")
     p = vec.size
     if p < 1:
         raise DimensionError("vector must be nonempty")
@@ -132,7 +130,7 @@ def _level_batches(arr: np.ndarray, s: int) -> Iterator[np.ndarray]:
         yield (signs @ arr.T[np.asarray(chunk, dtype=np.intp)]).reshape(-1, p)
 
 
-def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
+def max_bilinear_over_regular(a) -> float:
     """Maximum of (A x, y) over all pairs of regular vectors x, y.
 
     The outer loop is exhaustive over the regular x; the inner maximization
@@ -153,9 +151,9 @@ def max_bilinear_over_regular(a, cap: int = BILINEAR_CAP) -> float:
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"matrix must be square, got {arr.shape}")
     p = arr.shape[0]
-    if p > cap:
+    if p > BILINEAR_CAP:
         raise EnumerationCapError(
-            f"bilinear maximization supports p <= {cap}, got p={p}",
+            f"bilinear maximization supports p <= {BILINEAR_CAP}, got p={p}",
             count=3**p - 1,
         )
     # ||u||^2 is formed from u times a power of two (an exact rescaling) when

@@ -30,7 +30,7 @@ from .bounds import (
     BoundReport,
     KappaConvention,
     _check_tolerance,
-    _first_feasible,
+    _doubling,
     deviation_bound,
     invert_bound_for_n,
 )
@@ -87,9 +87,11 @@ INEQUALITY_MARGIN = 3.0
 EQUALITY_MARGIN = 4.0
 STD_MARGIN = 5.0
 
-# Trials per block: the unit of random streams and of vectorized work.  Fixed,
-# so that results never depend on it being tuned; it also caps peak memory.
+# Trials per block: the unit of random streams and of vectorized work, fixed so
+# that results never depend on it being tuned (it also caps peak memory).  A check
+# takes at most MAX_TRIALS trials: about 110 s of the cheapest one on one core.
 BLOCK_TRIALS = 1024
+MAX_TRIALS = 10**9
 
 
 def _run_blocks(
@@ -104,17 +106,20 @@ def _run_blocks(
     draws from generator(mix_seed(master_seed, b)); the kernel returns an
     array whose first axis has length k.  workers > 1 runs blocks on a thread
     pool (numpy releases the GIL in its RNG and BLAS calls); kernels must only
-    read shared inputs.
+    read shared inputs.  Trial counts above MAX_TRIALS are rejected up front.
     """
-    sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    blocks = -(-trials // BLOCK_TRIALS)
 
     def block(b: int) -> np.ndarray:
-        return kernel(generator(mix_seed(master_seed, b)), sizes[b])
+        return kernel(generator(mix_seed(master_seed, b)),
+                      min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
 
-    if workers is None or workers <= 1 or len(sizes) < 2:
-        return np.concatenate([block(b) for b in range(len(sizes))])
+    if workers is None or workers <= 1 or blocks < 2:
+        return np.concatenate([block(b) for b in range(blocks)])
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return np.concatenate(list(ex.map(block, range(len(sizes)))))
+        return np.concatenate(list(ex.map(block, range(blocks))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,23 +606,19 @@ def empirical_sample_complexity(
     rows = []
     for p in p_grid:
         theta = theta_rule(p)
-        n = _first_feasible(shape_family, range(1, cap + 1))
-        if n is None:
-            raise ValueError("shape family has no feasible n below the cap")
-        while True:
-            model = WishartModel(p, n, theta, shape_family(n))
+        for n, spec in _doubling(shape_family, cap):
+            model = WishartModel(p, n, theta, spec)
             stats = estimate_mean_deviation(
                 TrialConfig(model, trials, mix_seed(mix_seed(seed, p), n)), workers
             )
             if stats.mean + 2.0 * stats.stderr <= tolerance:
                 break
-            n = _first_feasible(shape_family, range(2 * n, cap + 1))
-            if n is None:
-                raise NotAchievableError(
-                    f"empirical deviation stays above tolerance {tolerance!r} "
-                    f"up to the cap {cap} at p = {p}",
-                    at_cap=stats.mean,
-                )
+        else:
+            raise NotAchievableError(
+                f"empirical deviation stays above tolerance {tolerance!r} "
+                f"up to the cap {cap} at p = {p}",
+                at_cap=stats.mean,
+            )
         theoretical = invert_bound_for_n(p, theta._norm, tolerance, shape_family, cap)
         rows.append(ComplexityRow(p, n, theoretical, _sweep_row(model, stats)))
     return ComplexityTable(tuple(rows), tolerance)

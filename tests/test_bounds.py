@@ -8,6 +8,7 @@ from cwishart import bounds, linalg
 from cwishart import model as model_module
 from cwishart.bounds import BoundInputs, KappaConvention
 from cwishart.errors import (
+    DimensionError,
     NotAchievableError,
     TraceNormalizationError,
     ZeroSpectralNormError,
@@ -255,4 +256,27 @@ class TestInvertBound:
         with pytest.raises(TypeError, match="broken family"):
             cw.invert_bound_for_n(2, 1.0, 1.0, broken)
         with pytest.raises(TypeError, match="broken family"):
-            bounds._first_feasible(broken, range(16, 0, -1))
+            bounds._feasible(broken, range(16, 0, -1))
+
+    def test_each_n_builds_its_shape_once(self):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return cw.ShapeSpec.identity()
+
+        n = cw.invert_bound_for_n(2, 1.0, 3.0, counting)
+        assert n == cw.invert_bound_for_n(2, 1.0, 3.0, cw.identity_family)
+        assert len(calls) > 10 and len(set(calls)) == len(calls)
+
+    def test_at_cap_is_the_bound_at_the_last_doubling_point(self):
+        # Defined at multiples of 3 only: the doubling walks 3, 6, ..., 3072 and
+        # stops there, since 6144 is past the cap.
+        def thirds(n):
+            if n % 3:
+                raise DimensionError(f"defined at multiples of 3 only, got {n}")
+            return cw.ShapeSpec.identity()
+
+        with pytest.raises(NotAchievableError) as exc:
+            cw.invert_bound_for_n(2, 1.0, 1e-9, thirds, cap=4096)
+        assert exc.value.at_cap == cw.deviation_bound(identity_model(2, 3072)).bound_value

@@ -380,13 +380,15 @@ class TestMalformedConfig:
             (BOUND, ("model", "shape"), {"variant": "diagonal", "entries": [10**400, 1]},
              "diagonal entries"),
             (STDDEV, ("a",), [math.nan, 1.0], "a must hold finite numbers"),
+            (STDDEV, ("trials",), 1e13, "trials"),
             (COMPLEXITY, ("tolerance",), math.nan, "tolerance must be a finite positive number"),
             (COMPLEXITY, ("tolerance",), 1e400, "tolerance must be a finite positive number"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
              "t_grid-infinite", "t_grid-nan", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
-             "diagonal-beyond-float", "a-nan", "tolerance-nan", "tolerance-infinite"],
+             "diagonal-beyond-float", "a-nan", "trials-beyond-cap", "tolerance-nan",
+             "tolerance-infinite"],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
         cfg = _with(base, path, value)

@@ -333,6 +333,25 @@ class TestSampleComplexity:
                 [2], 1e-6, cw.identity_family, identity_theta_rule, 50, 101, cap=2**8
             )
 
+    def test_each_n_builds_its_shape_once(self, monkeypatch):
+        calls, evaluated = [], []
+
+        def counting(n):
+            calls.append(n)
+            return cw.ShapeSpec.identity()
+
+        def recording(cfg, workers):
+            evaluated.append(cfg.model.n)
+            return estimate(cfg, workers)
+
+        estimate = verify.estimate_mean_deviation
+        monkeypatch.setattr(verify, "estimate_mean_deviation", recording)
+        # The bound inversion has its own test; here only the Monte Carlo walk counts.
+        monkeypatch.setattr(verify, "invert_bound_for_n", lambda *args: 0)
+        table = empirical_sample_complexity([2], 1.0, counting, identity_theta_rule, 50, 7)
+        assert table.rows[0].empirical_n == evaluated[-1] > 1
+        assert calls == evaluated
+
     def test_p_grid_entries_are_integers(self):
         with pytest.raises(ValueError, match="p_grid entry must be an integer"):
             empirical_sample_complexity([2.5], 1e6, cw.identity_family, identity_theta_rule, 50, 1)
