@@ -142,8 +142,9 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
     """
     if n not in seq.index_set:
         raise ValueError(f"n = {n} is not in the index set {seq.index_set}")
-    sigma = max(shape_spectral_norm(seq.shape_family(m), m) for m in seq.index_set)
-    kappa = max(shape_frobenius_norm(seq.shape_family(m), m) for m in seq.index_set)
+    specs = [(seq.shape_family(m), m) for m in seq.index_set]
+    sigma = max(shape_spectral_norm(spec, m) for spec, m in specs)
+    kappa = max(shape_frobenius_norm(spec, m) for spec, m in specs)
     return _report(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
 
 

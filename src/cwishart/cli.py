@@ -2,11 +2,11 @@
 
 Commands: sample, bound, verify, netcert, sweep.  Parameters come from a JSON
 config file (with a "command" field); command-line flags win over the file.
-All randomness flows from the single seed; WISHART_THREADS sets how many
-threads run Monte Carlo trial blocks and affects speed only, never results.
+All randomness flows from the single seed; WISHART_THREADS, a positive integer,
+sets how many threads run Monte Carlo trial blocks: speed only, never results.
 
 Exit codes: 0 success with all checks holding, 1 at least one check failing,
-2 config/usage error, 3 resource/cap error.
+2 config/usage error, 3 resource/cap error (running out of memory included).
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def _workers() -> int:
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"WISHART_THREADS must be an integer, got {raw!r}") from exc
 
@@ -134,10 +134,6 @@ def _seed(cfg: dict) -> int:
     return check_int(cfg.get("seed", 0), "seed")
 
 
-def _trials(cfg: dict, default: int) -> int:
-    return check_int(cfg.get("trials", default), "trials")
-
-
 def _convention(cfg: dict) -> KappaConvention:
     return KappaConvention(cfg.get("convention", KappaConvention.FROBENIUS.value))
 
@@ -194,7 +190,9 @@ def _emit(cfg: dict, filename: str, lines: list[str]) -> None:
 
 def cmd_sample(cfg: dict) -> int:
     model = _load_model_from(cfg)
-    trials = _trials(cfg, 1)
+    trials = check_int(cfg.get("trials", 1), "trials")
+    if trials < 1:
+        raise ConfigError(f"sample needs at least 1 draw, got trials = {trials}")
     seed = _seed(cfg)
     out = _out_dir(cfg)
     for i in range(trials):
@@ -218,7 +216,7 @@ def _run_check(cfg: dict, workers: int) -> dict:
         raise ConfigError(f"unknown check {check!r}; valid: {', '.join(CHECKS)}")
     seed = _seed(cfg)
     if check in ("expectation", "dominance", "decoupling"):
-        trial_cfg = TrialConfig(_load_model_from(cfg), _trials(cfg, _NORM_TRIALS), seed)
+        trial_cfg = TrialConfig(_load_model_from(cfg), cfg.get("trials", _NORM_TRIALS), seed)
         if check == "expectation":
             return check_expectation(trial_cfg, workers).to_dict()
         if check == "dominance":
@@ -226,10 +224,11 @@ def _run_check(cfg: dict, workers: int) -> dict:
         return check_wishart_decoupling(trial_cfg, workers).to_dict()
     if check == "concentration":
         return check_concentration(_load_model_from(cfg), cfg.get("direction"), cfg.get("t_grid"),
-                                   _trials(cfg, _SCALAR_TRIALS), seed, workers).to_dict()
+                                   cfg.get("trials", _SCALAR_TRIALS), seed, workers).to_dict()
     if "theta" not in cfg:
         raise ConfigError(f"{check} check needs \"theta\"")
-    theta, trials = SpdMatrix(matrix_from_dict(cfg["theta"])), _trials(cfg, _SCALAR_TRIALS)
+    theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
+    trials = cfg.get("trials", _SCALAR_TRIALS)
     if check == "chaos":
         matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
         return check_chaos_decoupling(matrices, theta, trials, seed, workers).to_dict()
@@ -271,14 +270,14 @@ def cmd_sweep(cfg: dict) -> int:
             raise ConfigError("scaling sweep needs a positive \"p\"")
         theta = (SpdMatrix(matrix_from_dict(cfg["theta"])) if "theta" in cfg
                  else SpdMatrix.identity(p))
-        sweep = sweep_scaling(p, n_grid, _family(cfg), theta, _trials(cfg, _NORM_TRIALS), seed,
-                              workers)
+        sweep = sweep_scaling(p, n_grid, _family(cfg), theta, cfg.get("trials", _NORM_TRIALS),
+                              seed, workers)
         rows = list(sweep.rows)
         summary = {"sweep": "scaling", "slope": sweep.slope, "degenerate": sweep.degenerate}
     elif kind == "complexity":
         table = empirical_sample_complexity(
             _list(cfg, "p_grid"), cfg.get("tolerance"), _family(cfg), identity_theta_rule,
-            _trials(cfg, _NORM_TRIALS), seed, workers,
+            cfg.get("trials", _NORM_TRIALS), seed, workers,
         )
         rows = [row.stats for row in table.rows]
         summary = {"sweep": "complexity", "table": table.to_dict()}
@@ -305,8 +304,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return DISPATCH[cfg["command"]](cfg)
-    except (EnumerationCapError, NotAchievableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationCapError, NotAchievableError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

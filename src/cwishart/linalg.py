@@ -141,6 +141,11 @@ class SpdMatrix:
         """Spectral norm, computed once per matrix."""
         return spectral_norm(self.array)
 
+    @cached_property
+    def _root(self) -> np.ndarray:
+        """Symmetric square root (``spd_sqrt``), computed once per matrix."""
+        return spd_sqrt(self)
+
     @classmethod
     def identity(cls, p: int) -> "SpdMatrix":
         return cls(np.eye(p))

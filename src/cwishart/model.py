@@ -31,7 +31,6 @@ from .linalg import (
     matrix_to_dict,
     mix_seed,
     sample_standard_gaussian_matrix,
-    spd_sqrt,
     spectral_norm,
 )
 
@@ -223,11 +222,6 @@ class WishartModel:
             )
         _validate_shape(self.shape, self.n)
 
-    @cached_property
-    def theta_sqrt(self) -> np.ndarray:
-        """theta^{1/2}, computed once per model (read-only)."""
-        return spd_sqrt(self.theta)
-
 
 def _whitened_sample(
     model: WishartModel, y_left: np.ndarray, y_right: np.ndarray, root: np.ndarray
@@ -243,7 +237,7 @@ def _whitened_sample(
 def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_COUPLED_Y))
-    return _whitened_sample(model, y, y, model.theta_sqrt)
+    return _whitened_sample(model, y, y, model.theta._root)
 
 
 def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
@@ -257,7 +251,7 @@ def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
     y_prime = sample_standard_gaussian_matrix(
         model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_YPRIME)
     )
-    return _whitened_sample(model, y_prime, y, model.theta_sqrt)
+    return _whitened_sample(model, y_prime, y, model.theta._root)
 
 
 def expected_wishart(model: WishartModel) -> np.ndarray:

@@ -8,6 +8,11 @@ in block order before any reduction.  Block boundaries do not depend on the
 worker count, which only sets how many threads run blocks at once, so reports
 are bit-identical for any worker count.
 
+The engine, _run_blocks, is the only code that reads a trial count or a worker
+count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
+included), workers an integer of at least 1, both checked before any block
+runs.  Each check reports the number of results the engine returned.
+
 Acceptance margins, in standard errors of the compared statistic, each with
 a false-failure probability below 1e-3 per comparison: INEQUALITY_MARGIN = 3
 for the one-sided checks (bound dominance, both decoupling checks, and the
@@ -42,10 +47,8 @@ from .linalg import (
     canonical_dumps,
     check_floats,
     check_int,
-    check_seed,
     generator,
     mix_seed,
-    spd_sqrt,
     spectral_norm,
 )
 from .model import (
@@ -98,7 +101,7 @@ def _run_blocks(
     kernel: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
     master_seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> np.ndarray:
     """Per-trial results of ``kernel(rng, k)`` over all blocks, in block order.
 
@@ -106,17 +109,21 @@ def _run_blocks(
     draws from generator(mix_seed(master_seed, b)); the kernel returns an
     array whose first axis has length k.  workers > 1 runs blocks on a thread
     pool (numpy releases the GIL in its RNG and BLAS calls); kernels must only
-    read shared inputs.  Trial counts above MAX_TRIALS are rejected up front.
+    read shared inputs.  The one check of trials and workers (see the module
+    docstring) runs before any block.
     """
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    trials, workers = check_int(trials, "trials"), check_int(workers, "workers")
+    if not 2 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be from 2 to {MAX_TRIALS}, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     blocks = -(-trials // BLOCK_TRIALS)
 
     def block(b: int) -> np.ndarray:
         return kernel(generator(mix_seed(master_seed, b)),
                       min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
 
-    if workers is None or workers <= 1 or blocks < 2:
+    if workers == 1 or blocks < 2:
         return np.concatenate([block(b) for b in range(blocks)])
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return np.concatenate(list(ex.map(block, range(blocks))))
@@ -129,11 +136,6 @@ class TrialConfig:
     model: WishartModel
     trials: int
     master_seed: int
-
-    def __post_init__(self):
-        if self.trials < 2:
-            raise ValueError(f"need at least 2 trials for a standard error, got {self.trials}")
-        check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,10 @@ def _wishart_draws(
     return _whitened_sample(model, y, y, root)
 
 
-def estimate_mean_deviation(cfg: TrialConfig, workers: int | None = 1) -> DeviationStats:
+def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStats:
     """Monte Carlo statistics of ||W - E(W)|| over blocks of trials."""
     model = cfg.model
-    root, w0 = model.theta_sqrt, expected_wishart(model)
+    root, w0 = model.theta._root, expected_wishart(model)
     samples = _run_blocks(
         lambda rng, k: np.linalg.norm(_wishart_draws(model, root, rng, k) - w0, 2, axis=(-2, -1)),
         cfg.trials, cfg.master_seed, workers,
@@ -194,19 +196,20 @@ class ExpectationReport(Report):
     holds: bool
 
 
-def check_expectation(cfg: TrialConfig, workers: int | None = 1) -> ExpectationReport:
+def check_expectation(cfg: TrialConfig, workers: int = 1) -> ExpectationReport:
     """Verify E(W) = (Tr B / n) theta entrywise within 4 standard errors."""
     model = cfg.model
-    root = model.theta_sqrt
+    root = model.theta._root
     stack = _run_blocks(
         lambda rng, k: _wishart_draws(model, root, rng, k), cfg.trials, cfg.master_seed, workers
     )
+    trials = len(stack)
     mean = stack.mean(axis=0)
-    stderr = stack.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+    stderr = stack.std(axis=0, ddof=1) / math.sqrt(trials)
     expected = expected_wishart(model)
     dev = np.abs(mean - expected)
     return ExpectationReport(
-        trials=cfg.trials,
+        trials=trials,
         margin=EQUALITY_MARGIN,
         max_abs_deviation=float(dev.max()),
         max_stderr=float(stderr.max()),
@@ -239,7 +242,7 @@ def _ratio(mean: float, bound: float) -> float:
 def check_bound_dominance(
     cfg: TrialConfig,
     convention: KappaConvention = KappaConvention.FROBENIUS,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> DominanceReport:
     """Check empirical mean + 3 stderr <= bound_value."""
     stats = estimate_mean_deviation(cfg, workers)
@@ -273,10 +276,10 @@ class DecouplingReport(Report):
         return cls(lhs, rhs, holds)
 
 
-def check_wishart_decoupling(cfg: TrialConfig, workers: int | None = 1) -> DecouplingReport:
+def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingReport:
     """Check mean||W - E(W)|| <= 2 mean||W'|| + 3 (se_lhs + 2 se_rhs)."""
     model = cfg.model
-    root, w0 = model.theta_sqrt, expected_wishart(model)
+    root, w0 = model.theta._root, expected_wishart(model)
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Coupled Y, then the decoupled pair (Y, Y'), all from the block's stream.
@@ -293,7 +296,7 @@ def check_chaos_decoupling(
     theta: SpdMatrix,
     trials: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> DecouplingReport:
     """Check E sup|(BZ, Z) - E(BZ, Z)| <= 2 E sup|(BZ, Z')| over a matrix list.
 
@@ -307,11 +310,9 @@ def check_chaos_decoupling(
     for i, m in enumerate(mats):
         if m.shape != (p, p):
             raise DimensionError(f"matrices[{i}] is {m.shape}, expected {(p, p)}")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
     stack = np.stack(mats)
     traces = np.einsum("kij,ji->k", stack, theta.array)
-    root = spd_sqrt(theta)
+    root = theta._root
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Rows z and z' of N(0, theta): standard rows times the symmetric root.
@@ -345,7 +346,7 @@ def check_linear_form_std(
     a,
     trials: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> LinearFormReport:
     """Check the standard deviation of (a, Z), Z ~ N(0, theta), is ||theta^{1/2} a||.
 
@@ -356,9 +357,7 @@ def check_linear_form_std(
     a = check_floats(a, "a")
     if a.size != theta.p:
         raise DimensionError(f"vector has length {a.size} but theta is {theta.p} x {theta.p}")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    root = spd_sqrt(theta)
+    root = theta._root
     target = float(np.linalg.norm(root @ a))
     norm_ok = target <= spectral_norm(root) * float(np.linalg.norm(a)) + 1e-12
     samples = _run_blocks(
@@ -366,9 +365,9 @@ def check_linear_form_std(
     )
     sample_std = float(samples.std(ddof=1))
     # Gaussian-sample stderr of the standard deviation itself.
-    std_stderr = sample_std / math.sqrt(2.0 * (trials - 1))
+    std_stderr = sample_std / math.sqrt(2.0 * (len(samples) - 1))
     holds = abs(sample_std - target) <= STD_MARGIN * std_stderr
-    return LinearFormReport(sample_std, std_stderr, target, trials, norm_ok, holds)
+    return LinearFormReport(sample_std, std_stderr, target, len(samples), norm_ok, holds)
 
 
 def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -422,7 +421,7 @@ def check_concentration(
     t_grid: Sequence[float],
     trials: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> ConcentrationCheck:
     """Verify the sub-Gaussian tail of the conditional standard deviation.
 
@@ -440,8 +439,6 @@ def check_concentration(
     t_grid = tuple(check_floats(t_grid, "t_grid").tolist())
     if not all(t >= 0 for t in t_grid):
         raise ValueError(f"t_grid must be nonnegative, got {t_grid}")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
 
     p, n = model.p, model.n
     b = build_shape(model.shape, n)
@@ -452,6 +449,8 @@ def check_concentration(
         lambda rng, k: _conditional_stds(b, rng.standard_normal((k, p, n)), d),
         trials, seed, workers,
     )
+    stats = DeviationStats.from_samples(samples)
+    trials = stats.trials
     empirical = [float(np.mean(samples >= mean_bound + t)) for t in t_grid]
     # The exponent -t^2 / (2 L^2) is taken as -(t / L)^2 / 2 when L^2 underflows to 0.
     theoretical = [0.5 if t == 0.0 else 0.0 if lipschitz == 0.0 else 0.5 * math.exp(
@@ -462,9 +461,7 @@ def check_concentration(
     holds = not any(a and e > theo + INEQUALITY_MARGIN * se
                     for a, e, theo, se in zip(asserted, empirical, theoretical, stderrs))
 
-    mean_value = float(samples.mean())
-    mean_stderr = float(samples.std(ddof=1) / math.sqrt(trials))
-    mean_ok = mean_value <= mean_bound + INEQUALITY_MARGIN * mean_stderr
+    mean_ok = stats.mean <= mean_bound + INEQUALITY_MARGIN * stats.stderr
     return ConcentrationCheck(
         direction=tuple(float(v) for v in d),
         t_grid=t_grid,
@@ -476,8 +473,8 @@ def check_concentration(
         asserted=tuple(asserted),
         u_floor=3.0 * math.sqrt(p),
         trials=trials,
-        mean_value=mean_value,
-        mean_stderr=mean_stderr,
+        mean_value=stats.mean,
+        mean_stderr=stats.stderr,
         mean_ok=mean_ok,
         holds=holds and mean_ok,
     )
@@ -488,14 +485,12 @@ def count_lipschitz_violations(
     direction,
     pairs: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> int:
     """Count pairs violating |s(X1) - s(X2)| <= (sqrt(p) ||B|| / n) ||X1 - X2||_F."""
     d = _unit_direction(direction, model.p)
     b = build_shape(model.shape, model.n)
     lipschitz = math.sqrt(model.p) * shape_spectral_norm(model.shape, model.n) / model.n
-    if pairs < 1:
-        return 0
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         x1, x2 = rng.standard_normal((2, k, model.p, model.n))
@@ -541,7 +536,7 @@ def sweep_scaling(
     theta: SpdMatrix,
     trials: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> ScalingSweep:
     """Estimate mean deviation over an increasing n grid and fit the log-log slope.
 
@@ -592,7 +587,7 @@ def empirical_sample_complexity(
     theta_rule: Callable[[int], SpdMatrix],
     trials: int,
     seed: int,
-    workers: int | None = 1,
+    workers: int = 1,
     cap: int = SEARCH_CAP,
 ) -> ComplexityTable:
     """Doubling search for the smallest n with empirical mean + 2 stderr <= tolerance.

@@ -169,6 +169,19 @@ class TestSequenceBound:
         with pytest.raises(ValueError):
             cw.sequence_bound(self.seq(), 3)
 
+    def test_each_index_builds_its_shape_once(self):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return cw.ShapeSpec.identity()
+
+        seq = cw.WishartSequenceSpec(2, cw.SpdMatrix.identity(2), (2, 4, 8), counting)
+        calls.clear()
+        report = cw.sequence_bound(seq, 4)
+        assert calls == [2, 4, 8]
+        assert report.to_dict() == cw.sequence_bound(self.seq((2, 4, 8)), 4).to_dict()
+
 
 def identity_inversion_oracle(p, theta_norm, tol):
     """Quadratic inversion of the bound for B = I_n: closed-form minimal n.

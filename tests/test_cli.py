@@ -302,6 +302,26 @@ class TestUsage:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_workers_env_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("WISHART_THREADS", threads)
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "verify", "check": "expectation",
+             "model": identity_model_dict(2, 4), "trials": 100, "seed": 1},
+        )
+        assert cli.main(["--config", config]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, workers):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_run_check", exhausted)
+        config = write_config(tmp_path, "c.json", {"command": "verify", "check": "expectation"})
+        assert cli.main(["--config", config]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
 
 def _with(d, path, value):
     """Copy of the nested dict ``d`` with the key path ``path`` set to ``value``."""
@@ -320,6 +340,7 @@ SCALING = {"command": "sweep", "sweep": "scaling", "p": 2, "n_grid": [8, 16, 32]
 COMPLEXITY = {"command": "sweep", "sweep": "complexity", "p_grid": [2],
               "tolerance": 1e6, "trials": 20, "seed": 1}
 BOUND = {"command": "bound", "model": identity_model_dict(2, 2)}
+SAMPLE = {"command": "sample", "model": identity_model_dict(2, 2), "trials": 2, "seed": 1}
 STDDEV = {"command": "verify", "check": "stddev", "theta": cw.matrix_to_dict(np.eye(2)),
           "a": [1.0, 0.0], "trials": 20, "seed": 1}
 CONCENTRATION = {"command": "verify", "check": "concentration",
@@ -381,13 +402,16 @@ class TestMalformedConfig:
              "diagonal entries"),
             (STDDEV, ("a",), [math.nan, 1.0], "a must hold finite numbers"),
             (STDDEV, ("trials",), 1e13, "trials"),
+            (SAMPLE, ("trials",), 0, "trials"),
+            (SAMPLE, ("trials",), -3, "trials"),
             (COMPLEXITY, ("tolerance",), math.nan, "tolerance must be a finite positive number"),
             (COMPLEXITY, ("tolerance",), 1e400, "tolerance must be a finite positive number"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
              "t_grid-infinite", "t_grid-nan", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
-             "diagonal-beyond-float", "a-nan", "trials-beyond-cap", "tolerance-nan",
+             "diagonal-beyond-float", "a-nan", "trials-beyond-cap", "sample-no-draws",
+             "sample-negative-draws", "tolerance-nan",
              "tolerance-infinite"],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import cwishart as cw
-from cwishart import verify
+from cwishart import linalg, verify
+from cwishart import model as model_module
 from cwishart.errors import DimensionError, NotAchievableError
 from cwishart.linalg import canonical_dumps, mix_seed
 from cwishart.verify import (
     BLOCK_TRIALS,
     EQUALITY_MARGIN,
+    MAX_TRIALS,
     DecouplingReport,
     TrialConfig,
     check_expectation,
@@ -71,8 +73,10 @@ class TestEstimateMeanDeviation:
         assert s1 == s2
 
     def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            TrialConfig(model(2, 4), 1, 0)
+        # The config holds the count as given; the engine rejects it when the check runs.
+        cfg = TrialConfig(model(2, 4), 1, 0)
+        with pytest.raises(ValueError, match="trials must be from 2"):
+            cw.estimate_mean_deviation(cfg)
 
     def test_stream_contract_of_first_block(self):
         # One block: every Gaussian comes from one (k, p, n) draw of the
@@ -193,6 +197,63 @@ class TestLinearFormStd:
             cw.check_linear_form_std(theta, ["1", True], 10, 0)
         with pytest.raises(ValueError, match="a must hold finite numbers"):
             cw.check_linear_form_std(theta, [math.nan, 1.0], 10, 0)
+
+
+class TestTrialCounts:
+    """The block engine is the one reader of trials and workers."""
+
+    @pytest.mark.parametrize("pairs", [0, 1, -5])
+    def test_lipschitz_pair_count_is_a_trial_count(self, pairs):
+        with pytest.raises(ValueError, match="trials must be from 2"):
+            cw.count_lipschitz_violations(model(3, 16), [1, 0, 0], pairs, 67)
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            cw.check_linear_form_std(cw.SpdMatrix.identity(2), [1.0, 0.0], 100, 41, workers=0)
+
+    def test_non_integral_trials_name_the_field(self):
+        with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+            cw.estimate_mean_deviation(TrialConfig(model(2, 4), 2.5, 0))
+        with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+            cw.check_chaos_decoupling([np.eye(2)], cw.SpdMatrix.identity(2), 2.5, 0)
+
+    @pytest.mark.parametrize("trials,workers",
+                             [(1, 1), (MAX_TRIALS + 1, 1), (True, 1), (100, 0), (100, None)],
+                             ids=["one", "beyond-cap", "bool", "no-workers", "none-workers"])
+    def test_counts_are_checked_before_any_block(self, trials, workers):
+        def kernel(rng, k):
+            raise AssertionError("a block ran")
+
+        with pytest.raises(ValueError, match="trials|workers"):
+            verify._run_blocks(kernel, trials, 0, workers)
+
+    def test_integral_float_trials_report_an_int_count(self):
+        theta, m = cw.SpdMatrix.diagonal([4.0, 1.0]), model(2, 4)
+        for run in (lambda t: cw.check_linear_form_std(theta, [1.0, 1.0], t, 5),
+                    lambda t: cw.check_concentration(m, [1.0, 0.0], [0.0, 0.5], t, 5),
+                    lambda t: check_expectation(TrialConfig(m, t, 5))):
+            as_float, as_int = run(2000.0), run(2000)
+            assert type(as_float.trials) is int
+            assert canonical_dumps(as_float.to_dict()) == canonical_dumps(as_int.to_dict())
+
+    def test_theta_root_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s.p)
+            return exact(s)
+
+        exact = linalg.spd_sqrt
+        for module in (linalg, model_module, verify):
+            monkeypatch.setattr(module, "spd_sqrt", counted, raising=False)
+        theta = cw.SpdMatrix.diagonal([4.0, 1.0])
+        for seed in (1, 2, 3):
+            cw.check_linear_form_std(theta, [1.0, 1.0], 100, seed)
+        assert calls == [2]
+        cw.check_chaos_decoupling([np.eye(2)], theta, 100, 4)
+        cw.estimate_mean_deviation(TrialConfig(model(2, 4, theta=theta), 100, 5))
+        assert calls == [2]
+        assert np.array_equal(theta._root, exact(theta))
 
 
 class TestConditionalStd:
