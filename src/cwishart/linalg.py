@@ -172,10 +172,8 @@ def spd_sqrt(s: SpdMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    seed = int(seed)
+    """Validate a 64-bit unsigned seed: an integer under check_int's rule."""
+    seed = check_int(seed, "seed")
     if not 0 <= seed <= _U64_MASK:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed

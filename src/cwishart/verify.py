@@ -3,15 +3,20 @@
 Determinism contract: every check is a pure function of its inputs including
 the master seed.  Trials run in fixed blocks of BLOCK_TRIALS; block b draws
 every Gaussian it needs from generator(mix_seed(master_seed, b)), computes its
-trials as one vectorized kernel, and the per-trial results are concatenated
-in block order before any reduction.  Block boundaries do not depend on the
-worker count, which only sets how many threads run blocks at once, so reports
-are bit-identical for any worker count.
+trials as one vectorized kernel, and reduces its per-trial results to a
+summary: the count, and per result entry the sum, the sum of squared
+deviations from the mean and the max.  Summaries merge in block order (the
+pairwise update of Chan, Golub and LeVeque, 1979), so memory holds one block
+per worker whatever the trial count.  Block boundaries and the merge order do
+not depend on the worker count, which only sets how many threads run blocks at
+once, so reports are bit-identical for any worker count.  Every check reads
+its statistics from the merged summary; tail frequencies and violation counts
+are sums of 0/1 indicators, so they are exact.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
 included), workers an integer of at least 1, both checked before any block
-runs.  Each check reports the number of results the engine returned.
+runs.  Each check reports the trial count of the engine's summary.
 
 Acceptance margins, in standard errors of the compared statistic, each with
 a false-failure probability below 1e-3 per comparison: INEQUALITY_MARGIN = 3
@@ -22,11 +27,13 @@ whose standard error is the Gaussian-sample approximation s / sqrt(2 (N - 1)).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,18 +104,63 @@ BLOCK_TRIALS = 1024
 MAX_TRIALS = 10**9
 
 
+class _Summary(NamedTuple):
+    """Trial count, and per result entry the sum, sum of squared deviations and max."""
+
+    trials: int
+    total: np.ndarray
+    sq_dev: np.ndarray
+    max: np.ndarray
+
+    @classmethod
+    def of_block(cls, results: np.ndarray) -> "_Summary":
+        """Summary of a (k, ...) array of per-trial results."""
+        # Trials on the last, contiguous axis: reducing a leading axis is several times slower.
+        x = np.ascontiguousarray(np.moveaxis(np.asarray(results, dtype=np.float64), 0, -1))
+        total = x.sum(axis=-1)
+        dev = x - (total / x.shape[-1])[..., None]
+        return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), x.max(axis=-1))
+
+    def merge(self, other: "_Summary") -> "_Summary":
+        """Summary of both samples: the Chan-Golub-LeVeque pairwise update."""
+        trials = self.trials + other.trials
+        delta = other.total / other.trials - self.total / self.trials
+        sq_dev = self.sq_dev + other.sq_dev + delta * delta * (self.trials * other.trials / trials)
+        return _Summary(trials, self.total + other.total, sq_dev, np.maximum(self.max, other.max))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.total / self.trials
+
+    @property
+    def std(self) -> np.ndarray:
+        """Sample standard deviation (ddof = 1) of each entry."""
+        return np.sqrt(self.sq_dev / (self.trials - 1))
+
+    def stats(self, entry=()) -> DeviationStats:
+        """DeviationStats of one result entry (the only one for scalar results)."""
+        return DeviationStats(
+            mean=float(self.mean[entry]),
+            stderr=float(self.std[entry] / math.sqrt(self.trials)),
+            max=float(self.max[entry]),
+            trials=self.trials,
+        )
+
+
 def _run_blocks(
     kernel: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
     master_seed: int,
     workers: int = 1,
-) -> np.ndarray:
-    """Per-trial results of ``kernel(rng, k)`` over all blocks, in block order.
+) -> _Summary:
+    """The merged summary of ``kernel(rng, k)`` over all blocks, in block order.
 
     Block b holds k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) trials and
     draws from generator(mix_seed(master_seed, b)); the kernel returns an
-    array whose first axis has length k.  workers > 1 runs blocks on a thread
-    pool (numpy releases the GIL in its RNG and BLAS calls); kernels must only
+    array whose first axis has length k, which the thread that ran it reduces
+    to a _Summary.  workers > 1 runs blocks on a thread pool (numpy releases
+    the GIL in its RNG and BLAS calls), submitted at most 4 * workers blocks
+    ahead of the merge so that pending work stays bounded; kernels must only
     read shared inputs.  The one check of trials and workers (see the module
     docstring) runs before any block.
     """
@@ -119,14 +171,19 @@ def _run_blocks(
         raise ValueError(f"workers must be at least 1, got {workers}")
     blocks = -(-trials // BLOCK_TRIALS)
 
-    def block(b: int) -> np.ndarray:
-        return kernel(generator(mix_seed(master_seed, b)),
-                      min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+    def block(b: int) -> _Summary:
+        return _Summary.of_block(kernel(generator(mix_seed(master_seed, b)),
+                                        min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)))
 
     if workers == 1 or blocks < 2:
-        return np.concatenate([block(b) for b in range(blocks)])
+        return functools.reduce(_Summary.merge, map(block, range(blocks)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return np.concatenate(list(ex.map(block, range(blocks))))
+        window = deque(ex.submit(block, b) for b in range(min(blocks, 4 * workers)))
+        summary = window.popleft().result()
+        for b in range(4 * workers, blocks):
+            window.append(ex.submit(block, b))
+            summary = summary.merge(window.popleft().result())
+        return functools.reduce(_Summary.merge, (f.result() for f in window), summary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,17 +204,6 @@ class DeviationStats(Report):
     max: float
     trials: int
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "DeviationStats":
-        samples = np.asarray(samples, dtype=np.float64)
-        n = samples.size
-        return cls(
-            mean=float(samples.mean()),
-            stderr=float(samples.std(ddof=1) / math.sqrt(n)),
-            max=float(samples.max()),
-            trials=n,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Mean deviation and the expectation formula
@@ -175,11 +221,10 @@ def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStat
     """Monte Carlo statistics of ||W - E(W)|| over blocks of trials."""
     model = cfg.model
     root, w0 = model.theta._root, expected_wishart(model)
-    samples = _run_blocks(
+    return _run_blocks(
         lambda rng, k: np.linalg.norm(_wishart_draws(model, root, rng, k) - w0, 2, axis=(-2, -1)),
         cfg.trials, cfg.master_seed, workers,
-    )
-    return DeviationStats.from_samples(samples)
+    ).stats()
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,16 +245,15 @@ def check_expectation(cfg: TrialConfig, workers: int = 1) -> ExpectationReport:
     """Verify E(W) = (Tr B / n) theta entrywise within 4 standard errors."""
     model = cfg.model
     root = model.theta._root
-    stack = _run_blocks(
+    summary = _run_blocks(
         lambda rng, k: _wishart_draws(model, root, rng, k), cfg.trials, cfg.master_seed, workers
     )
-    trials = len(stack)
-    mean = stack.mean(axis=0)
-    stderr = stack.std(axis=0, ddof=1) / math.sqrt(trials)
+    mean = summary.mean
+    stderr = summary.std / math.sqrt(summary.trials)
     expected = expected_wishart(model)
     dev = np.abs(mean - expected)
     return ExpectationReport(
-        trials=trials,
+        trials=summary.trials,
         margin=EQUALITY_MARGIN,
         max_abs_deviation=float(dev.max()),
         max_stderr=float(stderr.max()),
@@ -264,14 +308,12 @@ class DecouplingReport(Report):
     holds: bool
 
     @classmethod
-    def from_pairs(cls, pairs) -> "DecouplingReport":
-        """Report on per-trial (lhs, rhs) rows.
+    def from_summary(cls, summary: _Summary) -> "DecouplingReport":
+        """Report on the summary of per-trial (lhs, rhs) rows.
 
         Holds when mean lhs <= 2 mean rhs + 3 (se_lhs + 2 se_rhs).
         """
-        pairs = np.asarray(pairs, dtype=np.float64)
-        lhs = DeviationStats.from_samples(pairs[:, 0])
-        rhs = DeviationStats.from_samples(pairs[:, 1])
+        lhs, rhs = summary.stats(0), summary.stats(1)
         holds = lhs.mean <= 2.0 * rhs.mean + INEQUALITY_MARGIN * (lhs.stderr + 2.0 * rhs.stderr)
         return cls(lhs, rhs, holds)
 
@@ -288,7 +330,7 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingRe
         rhs = np.linalg.norm(_whitened_sample(model, y_prime, y_dec, root), 2, axis=(-2, -1))
         return np.stack((lhs, rhs), axis=1)
 
-    return DecouplingReport.from_pairs(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
+    return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
 
 
 def check_chaos_decoupling(
@@ -322,7 +364,7 @@ def check_chaos_decoupling(
         rhs = np.abs(np.einsum("tmi,ti->tm", bz, z_prime)).max(axis=1)
         return np.stack((lhs, rhs), axis=1)
 
-    return DecouplingReport.from_pairs(_run_blocks(kernel, trials, seed, workers))
+    return DecouplingReport.from_summary(_run_blocks(kernel, trials, seed, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +402,14 @@ def check_linear_form_std(
     root = theta._root
     target = float(np.linalg.norm(root @ a))
     norm_ok = target <= spectral_norm(root) * float(np.linalg.norm(a)) + 1e-12
-    samples = _run_blocks(
+    summary = _run_blocks(
         lambda rng, k: (rng.standard_normal((k, theta.p)) @ root) @ a, trials, seed, workers
     )
-    sample_std = float(samples.std(ddof=1))
+    sample_std = float(summary.std)
     # Gaussian-sample stderr of the standard deviation itself.
-    std_stderr = sample_std / math.sqrt(2.0 * (len(samples) - 1))
+    std_stderr = sample_std / math.sqrt(2.0 * (summary.trials - 1))
     holds = abs(sample_std - target) <= STD_MARGIN * std_stderr
-    return LinearFormReport(sample_std, std_stderr, target, len(samples), norm_ok, holds)
+    return LinearFormReport(sample_std, std_stderr, target, summary.trials, norm_ok, holds)
 
 
 def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -445,13 +487,16 @@ def check_concentration(
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
 
-    samples = _run_blocks(
-        lambda rng, k: _conditional_stds(b, rng.standard_normal((k, p, n)), d),
-        trials, seed, workers,
-    )
-    stats = DeviationStats.from_samples(samples)
-    trials = stats.trials
-    empirical = [float(np.mean(samples >= mean_bound + t)) for t in t_grid]
+    thresholds = mean_bound + np.array(t_grid)
+
+    def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        # Column 0 is the conditional std, column 1 + i its 0/1 indicator of tail i.
+        s = _conditional_stds(b, rng.standard_normal((k, p, n)), d)
+        return np.column_stack((s, s[:, None] >= thresholds))
+
+    summary = _run_blocks(kernel, trials, seed, workers)
+    stats, trials = summary.stats(0), summary.trials
+    empirical = (summary.total[1:] / trials).tolist()
     # The exponent -t^2 / (2 L^2) is taken as -(t / L)^2 / 2 when L^2 underflows to 0.
     theoretical = [0.5 if t == 0.0 else 0.0 if lipschitz == 0.0 else 0.5 * math.exp(
         -t * t / (2.0 * lipschitz * lipschitz) if lipschitz * lipschitz > 0.0
@@ -497,7 +542,7 @@ def count_lipschitz_violations(
         lhs = np.abs(_conditional_stds(b, x1, d) - _conditional_stds(b, x2, d))
         return lhs > lipschitz * np.linalg.norm(x1 - x2, axis=(-2, -1))
 
-    return int(_run_blocks(kernel, pairs, seed, workers).sum())
+    return int(_run_blocks(kernel, pairs, seed, workers).total)
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,20 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert field in err and "must be an integer" in err
 
+    def test_integral_float_seed_runs_as_its_integer(self, tmp_path, capsys):
+        m = cw.model_from_dict(DOMINANCE["model"])
+        as_float, as_int = (cw.check_bound_dominance(cw.TrialConfig(m, 20, seed)).to_dict()
+                            for seed in (2.0, 2))
+        assert as_float == as_int
+        reports = []
+        for seed in (2.0, 2):
+            config = write_config(tmp_path, "c.json", _with(DOMINANCE, ("seed",), seed))
+            assert cli.main(["--config", config]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        # The digest hashes the config as written, where 2.0 and 2 differ.
+        assert reports[0].pop("config_digest") != reports[1].pop("config_digest")
+        assert reports[0] == reports[1] and reports[0]["master_seed"] == 2
+
     def test_valid_configs_run(self, tmp_path):
         for i, base in enumerate((DOMINANCE, SCALING, COMPLEXITY, CONCENTRATION, STDDEV)):
             cfg = dict(base, out=str(tmp_path / f"out{i}"))

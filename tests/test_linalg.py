@@ -157,9 +157,9 @@ class TestGaussianSampler:
             check_seed(-1)
         with pytest.raises(ValueError):
             check_seed(2**64)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             check_seed(1.5)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             check_seed(True)
         assert check_seed(2**64 - 1) == 2**64 - 1
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,7 @@ class TestReports:
         m = model(3, 8, shape=cw.ShapeSpec.skew_block(),
                   theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
         mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
+        m_identity = model(3, 8)
         outputs = set()
         for workers in (1, 2, 3):
             reports = [
@@ -462,10 +464,42 @@ class TestReports:
                 cw.check_linear_form_std(
                     cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, workers
                 ).to_dict(),
+                check_expectation(TrialConfig(m, trials, 133), workers).to_dict(),
+                cw.check_bound_dominance(TrialConfig(m, trials, 137), workers=workers).to_dict(),
+                cw.check_concentration(
+                    m_identity, [1.0, 0.0, 0.0], [0.0, 0.02, 0.05], trials, 139, workers
+                ).to_dict(),
+                cw.count_lipschitz_violations(m_identity, [0.0, 1.0, 0.0], trials, 149, workers),
             ]
             assert reports[0]["lhs"]["trials"] == trials
             outputs.add(canonical_dumps(reports))
         assert len(outputs) == 1
+
+    def test_merged_summary_matches_one_pass(self):
+        # The block-order merge against numpy over all trials at once, on
+        # uneven blocks (the last one a single trial) with a nonzero mean.
+        x = 3.0 + cw.generator(167).standard_normal((2 * BLOCK_TRIALS + 1, 2, 3))
+        parts = (x[:BLOCK_TRIALS], x[BLOCK_TRIALS:-1], x[-1:])
+        merged = verify._Summary.of_block(parts[0])
+        for part in parts[1:]:
+            merged = merged.merge(verify._Summary.of_block(part))
+        assert merged.trials == len(x)
+        np.testing.assert_allclose(merged.mean, x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(merged.std, x.std(axis=0, ddof=1), rtol=1e-12)
+        assert np.array_equal(merged.max, x.max(axis=0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_trials(self, workers):
+        # Blocks are reduced as they finish: 2 * 10^6 per-trial values alone
+        # would take 16 MB.
+        theta = cw.SpdMatrix.diagonal([4.0, 1.0])
+        tracemalloc.start()
+        try:
+            cw.check_linear_form_std(theta, [1.0, 1.0], 2 * 10**6, 163, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_worker_counts_do_not_change_reports(self):
         m = model(3, 8)
@@ -481,8 +515,13 @@ class TestNegativeControls:
 
     def test_decoupling_rejects_lhs_three_times_rhs(self):
         rhs = 1.0 + 0.1 * cw.generator(137).standard_normal(1000)
-        assert DecouplingReport.from_pairs(np.column_stack((1.5 * rhs, rhs))).holds
-        assert not DecouplingReport.from_pairs(np.column_stack((3.0 * rhs, rhs))).holds
+
+        def report(lhs):
+            return DecouplingReport.from_summary(
+                verify._Summary.of_block(np.column_stack((lhs, rhs))))
+
+        assert report(1.5 * rhs).holds
+        assert not report(3.0 * rhs).holds
 
     def test_expectation_rejects_five_percent_error(self, monkeypatch):
         cfg = TrialConfig(model(2, 8), 8000, 139)
@@ -527,7 +566,8 @@ class TestNegativeControls:
         args = (cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], 10**5, 157)
         assert cw.check_linear_form_std(*args).holds
         run = verify._run_blocks
-        monkeypatch.setattr(verify, "_run_blocks", lambda *a: 1.05 * run(*a))
+        monkeypatch.setattr(verify, "_run_blocks",
+                            lambda kernel, *a: run(lambda rng, k: 1.05 * kernel(rng, k), *a))
         report = cw.check_linear_form_std(*args)
         assert report.target == pytest.approx(math.sqrt(5.0))
         assert abs(report.sample_std - report.target) > 20 * report.std_stderr
