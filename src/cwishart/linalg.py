@@ -98,13 +98,26 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value of a rectangular matrix, from a LAPACK SVD.
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a finite (..., r, c) stack.
 
-    Exact to rounding for every size and every gap between the top singular
-    values; stacks of matrices use ``np.linalg.norm(a, 2, axis=(-2, -1))``.
+    The one spectral-norm rule: each matrix is scaled by a power of two (exact)
+    so that its largest entry lies in [0.5, 1) and its Gram matrix can neither
+    overflow nor underflow; the top eigenvalue of the smaller Gram matrix, from
+    LAPACK ``eigvalsh``, is its squared norm.  Exact to rounding for every
+    size and every gap between the top singular values.
     """
-    return float(np.linalg.norm(as_matrix(a), 2))
+    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))
+    s = np.ldexp(a, -exp)
+    st = s.swapaxes(-1, -2)
+    gram = s @ st if s.shape[-2] <= s.shape[-1] else st @ s
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp[..., 0, 0])
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value of a rectangular matrix (``_spectral_norms`` of one)."""
+    return float(_spectral_norms(as_matrix(a)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,7 +201,8 @@ def apply_shape(y: np.ndarray, spec: ShapeSpec, n: int) -> np.ndarray:
     if spec.variant == "skew_block":
         half = n // 2
         return np.concatenate((-y[..., half:], y[..., :half]), axis=-1)
-    return y @ spec.matrix
+    # One GEMM over every row of every draw: a broadcast matmul repacks B per draw.
+    return (y.reshape(-1, n) @ spec.matrix).reshape(y.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,9 @@ per worker whatever the trial count.  Block boundaries and the merge order do
 not depend on the worker count, which only sets how many threads run blocks at
 once, so reports are bit-identical for any worker count.  Every check reads
 its statistics from the merged summary; tail frequencies and violation counts
-are sums of 0/1 indicators, so they are exact.
+are sums of 0/1 indicators, so they are exact.  Spectral norms of the per-trial
+matrices come from linalg's one exact rule, applied to a block's whole stack.
+A concentration check takes at most MAX_T_GRID tail points.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -50,6 +52,7 @@ from .errors import DimensionError, NotAchievableError
 from .linalg import (
     Report,
     SpdMatrix,
+    _spectral_norms,
     as_matrix,
     canonical_dumps,
     check_floats,
@@ -102,6 +105,9 @@ STD_MARGIN = 5.0
 # takes at most MAX_TRIALS trials: about 110 s of the cheapest one on one core.
 BLOCK_TRIALS = 1024
 MAX_TRIALS = 10**9
+
+# Tail points per concentration check: each holds a 0/1 indicator per trial in a block.
+MAX_T_GRID = 64
 
 
 class _Summary(NamedTuple):
@@ -222,7 +228,7 @@ def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStat
     model = cfg.model
     root, w0 = model.theta._root, expected_wishart(model)
     return _run_blocks(
-        lambda rng, k: np.linalg.norm(_wishart_draws(model, root, rng, k) - w0, 2, axis=(-2, -1)),
+        lambda rng, k: _spectral_norms(_wishart_draws(model, root, rng, k) - w0),
         cfg.trials, cfg.master_seed, workers,
     ).stats()
 
@@ -326,8 +332,8 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingRe
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Coupled Y, then the decoupled pair (Y, Y'), all from the block's stream.
         y, y_dec, y_prime = rng.standard_normal((3, k, model.p, model.n))
-        lhs = np.linalg.norm(_whitened_sample(model, y, y, root) - w0, 2, axis=(-2, -1))
-        rhs = np.linalg.norm(_whitened_sample(model, y_prime, y_dec, root), 2, axis=(-2, -1))
+        lhs = _spectral_norms(_whitened_sample(model, y, y, root) - w0)
+        rhs = _spectral_norms(_whitened_sample(model, y_prime, y_dec, root))
         return np.stack((lhs, rhs), axis=1)
 
     return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
@@ -479,6 +485,8 @@ def check_concentration(
         )
     d = _unit_direction(direction, model.p)
     t_grid = tuple(check_floats(t_grid, "t_grid").tolist())
+    if len(t_grid) > MAX_T_GRID:
+        raise ValueError(f"t_grid must have at most {MAX_T_GRID} points, got {len(t_grid)}")
     if not all(t >= 0 for t in t_grid):
         raise ValueError(f"t_grid must be nonnegative, got {t_grid}")
 

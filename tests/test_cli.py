@@ -407,6 +407,7 @@ class TestMalformedConfig:
             (CONCENTRATION, ("t_grid",), 0.5, "t_grid"),
             (CONCENTRATION, ("t_grid",), [0.1, math.inf], "t_grid"),
             (CONCENTRATION, ("t_grid",), [0.1, math.nan], "t_grid"),
+            (CONCENTRATION, ("t_grid",), [0.01 * i for i in range(65)], "t_grid"),
             (CONCENTRATION, ("direction",), [math.nan, 0.0, 0.0], "direction"),
             (BOUND, ("model", "n"), 10**310, "n must be at most"),
             (BOUND, ("model", "theta", "entries"), ["1.5", True, True, "2"], "entries"),
@@ -422,7 +423,7 @@ class TestMalformedConfig:
             (COMPLEXITY, ("tolerance",), 1e400, "tolerance must be a finite positive number"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
-             "t_grid-infinite", "t_grid-nan", "direction-nan",
+             "t_grid-infinite", "t_grid-nan", "t_grid-too-long", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
              "diagonal-beyond-float", "a-nan", "trials-beyond-cap", "sample-no-draws",
              "sample-negative-draws", "tolerance-nan",

@@ -12,6 +12,7 @@ import cwishart as cw
 from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
     Report,
+    _spectral_norms,
     check_floats,
     check_int,
     check_seed,
@@ -21,7 +22,31 @@ from cwishart.linalg import (
 )
 
 
+# Inputs of the spectral-norm rule, each checked against np.linalg.svd (the
+# near-degenerate 200 x 200 case is test_near_degenerate_matches_svd).
+SVD_CASES = {
+    **{f"stack-p{p}": cw.generator(300 + p).standard_normal((50, p, p)) for p in range(1, 13)},
+    "wide": cw.generator(320).standard_normal((3, 17)),
+    "tall": cw.generator(320).standard_normal((3, 17)).T,
+    "scale-2^900": 2.0**900 * cw.generator(321).standard_normal((6, 6)),
+    "scale-2^-900": 2.0**-900 * cw.generator(321).standard_normal((6, 6)),
+    "zero": np.zeros((4, 3)),
+    "subnormal": 2.0**-1060 * cw.generator(322).standard_normal((5, 4)),
+    "subnormal-and-normal": np.array([[5e-324, 0.0], [1e-310, 3.0]]),
+}
+
+
 class TestSpectralNorm:
+    @pytest.mark.parametrize("name", list(SVD_CASES))
+    def test_matches_svd(self, name):
+        a = SVD_CASES[name]
+        exact = np.linalg.svd(a, compute_uv=False)[..., 0]
+        norms = _spectral_norms(a)
+        assert norms.shape == a.shape[:-2]
+        assert np.all(np.abs(norms - exact) <= 1e-13 * exact)
+        if a.ndim == 2:
+            assert cw.spectral_norm(a) == float(norms)
+
     def test_identity(self):
         assert cw.spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 
@@ -44,14 +69,14 @@ class TestSpectralNorm:
 
     def test_near_degenerate_matches_svd(self):
         # 200 x 200 with s1 - s2 = 1e-6: an iterative solver stalls long
-        # before converging here, an SVD does not.
+        # before converging here, an exact rule does not.
         rng = cw.generator(11)
         u, _ = np.linalg.qr(rng.standard_normal((200, 200)))
         v, _ = np.linalg.qr(rng.standard_normal((200, 200)))
         s = np.concatenate(([1.0, 1.0 - 1e-6], rng.uniform(0.05, 0.5, 198)))
         a = (u * s) @ v.T
         exact = np.linalg.svd(a, compute_uv=False)[0]
-        assert cw.spectral_norm(a) == pytest.approx(exact, rel=1e-12)
+        assert cw.spectral_norm(a) == pytest.approx(exact, rel=1e-13)
         assert cw.spectral_norm(a) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_finite_rejected(self):

@@ -78,6 +78,16 @@ class TestBuildShape:
             dense = y @ cw.build_shape(spec, 6)
             assert np.allclose(apply_shape(y, spec, 6), dense, atol=1e-13)
 
+    @pytest.mark.parametrize("k,p,n", [(1, 1, 1), (7, 3, 6), (5, 4, 96), (3, 2, 200)])
+    def test_custom_shape_on_a_stack_equals_per_draw_products(self, k, p, n):
+        # The stack is one GEMM; each row's dot products are the per-draw ones, bit for bit.
+        rng = cw.generator(406)
+        spec = cw.ShapeSpec.custom(rng.standard_normal((n, n)))
+        y = rng.standard_normal((k, p, n))
+        stacked = apply_shape(y, spec, n)
+        assert stacked.shape == (k, p, n)
+        assert np.array_equal(stacked, np.stack([y[i] @ spec.matrix for i in range(k)]))
+
     def test_closed_form_norms_match_dense(self):
         rng = cw.generator(405)
         specs = [

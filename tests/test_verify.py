@@ -331,6 +331,14 @@ class TestConcentration:
         assert report.lipschitz == lipschitz and lipschitz * lipschitz == 0.0
         assert report.theoretical_tails == (0.5, 0.5 * math.exp(-0.5), 0.0)
 
+    def test_t_grid_length_is_capped(self):
+        # 64 points run; 65 are rejected before any block draws its indicators.
+        grid = [0.01 * i for i in range(verify.MAX_T_GRID + 1)]
+        report = cw.check_concentration(self.cfgmodel(), [1, 0, 0], grid[:-1], 2, 0)
+        assert len(report.empirical_tails) == verify.MAX_T_GRID == 64
+        with pytest.raises(ValueError, match="t_grid must have at most 64 points, got 65"):
+            cw.check_concentration(self.cfgmodel(), [1, 0, 0], grid, 2, 0)
+
     def test_non_identity_theta_rejected_with_hint(self):
         m = model(2, 4, theta=cw.SpdMatrix.diagonal([1.0, 2.0]))
         with pytest.raises(ValueError, match="whiten"):
@@ -454,6 +462,8 @@ class TestReports:
                   theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
         mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
         m_identity = model(3, 8)
+        b_custom = cw.ShapeSpec.custom(cw.generator(151).standard_normal((8, 8)))
+        m_custom = model(3, 8, shape=b_custom, theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
         outputs = set()
         for workers in (1, 2, 3):
             reports = [
@@ -470,6 +480,7 @@ class TestReports:
                     m_identity, [1.0, 0.0, 0.0], [0.0, 0.02, 0.05], trials, 139, workers
                 ).to_dict(),
                 cw.count_lipschitz_violations(m_identity, [0.0, 1.0, 0.0], trials, 149, workers),
+                cw.check_wishart_decoupling(TrialConfig(m_custom, trials, 157), workers).to_dict(),
             ]
             assert reports[0]["lhs"]["trials"] == trials
             outputs.add(canonical_dumps(reports))
