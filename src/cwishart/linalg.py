@@ -299,5 +299,11 @@ class Report:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    """Deterministic, strict JSON text: sorted keys, fixed separators.
+
+    An inf or NaN anywhere in ``obj`` raises ValueError: JSON has no such values.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"result holds inf or NaN, which JSON cannot represent: {exc}") from exc

@@ -235,6 +235,24 @@ def _whitened_sample(
     return root @ (yb @ y_right.swapaxes(-1, -2)) @ root / model.n
 
 
+def _gram_factor(rng: np.random.Generator, k: int, d: int, m: int) -> np.ndarray:
+    """A (k, d, min(d, m)) stack F with F F^T ~ Wishart_d(m, I), the Gram law of a d x m Gaussian.
+
+    For m >= d, F is Bartlett's lower-triangular factor (Bartlett 1933; Odell
+    and Feiveson 1966), drawn row by row: for i = 0 .. d - 1, the k diagonal
+    entries sqrt(chisquare(m - i)), then the (k, i) standard normals left of
+    them.  For m < d, F is the d x m Gaussian matrix itself.  So F never takes
+    more variates than the matrix it stands for.
+    """
+    if m < d:
+        return rng.standard_normal((k, d, m))
+    f = np.zeros((k, d, d))
+    for i in range(d):
+        f[:, i, i] = np.sqrt(rng.chisquare(m - i, k))
+        f[:, i, :i] = rng.standard_normal((k, i))
+    return f
+
+
 def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
     y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_COUPLED_Y))

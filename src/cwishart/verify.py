@@ -2,7 +2,7 @@
 
 Determinism contract: every check is a pure function of its inputs including
 the master seed.  Trials run in fixed blocks of BLOCK_TRIALS; block b draws
-every Gaussian it needs from generator(mix_seed(master_seed, b)), computes its
+every variate it needs from generator(mix_seed(master_seed, b)), computes its
 trials as one vectorized kernel, and reduces its per-trial results to a
 summary: the count, and per result entry the sum, the sum of squared
 deviations from the mean and the max.  Summaries merge in block order (the
@@ -14,6 +14,14 @@ its statistics from the merged summary; tail frequencies and violation counts
 are sums of 0/1 indicators, so they are exact.  Spectral norms of the per-trial
 matrices come from linalg's one exact rule, applied to a block's whole stack.
 A concentration check takes at most MAX_T_GRID tail points.
+
+The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
+the identity or the skew block, so the norm checks (mean deviation, bound
+dominance, Wishart decoupling, expectation, sweeps and the complexity search)
+draw that Gram matrix exactly instead of X (_wishart_draws): a factor with
+O(p^2) chi-square and normal variates per trial instead of p n normals, and
+exact in law, not in value.  Every other B draws (k, p, n) Gaussian stacks;
+the concentration and Lipschitz checks, which need X itself, draw X for every B.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -64,6 +72,7 @@ from .linalg import (
 from .model import (
     ShapeSpec,
     WishartModel,
+    _gram_factor,
     _whitened_sample,
     build_shape,
     expected_wishart,
@@ -123,16 +132,21 @@ class _Summary(NamedTuple):
         """Summary of a (k, ...) array of per-trial results."""
         # Trials on the last, contiguous axis: reducing a leading axis is several times slower.
         x = np.ascontiguousarray(np.moveaxis(np.asarray(results, dtype=np.float64), 0, -1))
-        total = x.sum(axis=-1)
-        dev = x - (total / x.shape[-1])[..., None]
-        return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), x.max(axis=-1))
+        # An overflow leaves an inf, which _run_blocks rejects once the merge is done.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = x.sum(axis=-1)
+            dev = x - (total / x.shape[-1])[..., None]
+            return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), x.max(axis=-1))
 
     def merge(self, other: "_Summary") -> "_Summary":
         """Summary of both samples: the Chan-Golub-LeVeque pairwise update."""
         trials = self.trials + other.trials
-        delta = other.total / other.trials - self.total / self.trials
-        sq_dev = self.sq_dev + other.sq_dev + delta * delta * (self.trials * other.trials / trials)
-        return _Summary(trials, self.total + other.total, sq_dev, np.maximum(self.max, other.max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = other.total / other.trials - self.total / self.trials
+            sq_dev = (self.sq_dev + other.sq_dev
+                      + delta * delta * (self.trials * other.trials / trials))
+            total = self.total + other.total
+        return _Summary(trials, total, sq_dev, np.maximum(self.max, other.max))
 
     @property
     def mean(self) -> np.ndarray:
@@ -168,7 +182,9 @@ def _run_blocks(
     the GIL in its RNG and BLAS calls), submitted at most 4 * workers blocks
     ahead of the merge so that pending work stays bounded; kernels must only
     read shared inputs.  The one check of trials and workers (see the module
-    docstring) runs before any block.
+    docstring) runs before any block.  A merged summary holding inf or NaN
+    (statistics of values too large to square in floating point) raises
+    ValueError rather than being reported.
     """
     trials, workers = check_int(trials, "trials"), check_int(workers, "workers")
     if not 2 <= trials <= MAX_TRIALS:
@@ -182,14 +198,20 @@ def _run_blocks(
                                         min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)))
 
     if workers == 1 or blocks < 2:
-        return functools.reduce(_Summary.merge, map(block, range(blocks)))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        window = deque(ex.submit(block, b) for b in range(min(blocks, 4 * workers)))
-        summary = window.popleft().result()
-        for b in range(4 * workers, blocks):
-            window.append(ex.submit(block, b))
-            summary = summary.merge(window.popleft().result())
-        return functools.reduce(_Summary.merge, (f.result() for f in window), summary)
+        summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            window = deque(ex.submit(block, b) for b in range(min(blocks, 4 * workers)))
+            summary = window.popleft().result()
+            for b in range(4 * workers, blocks):
+                window.append(ex.submit(block, b))
+                summary = summary.merge(window.popleft().result())
+            summary = functools.reduce(_Summary.merge, (f.result() for f in window), summary)
+    if not all(np.isfinite(a).all() for a in summary[1:]):
+        raise ValueError(
+            "Monte Carlo statistics overflow floating point; scale theta or B down and rerun"
+        )
+    return summary
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +237,56 @@ class DeviationStats(Report):
 # Mean deviation and the expectation formula
 # ---------------------------------------------------------------------------
 
-def _wishart_draws(
-    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
+def _gram_draws(
+    model: WishartModel, rng: np.random.Generator, k: int, decoupled: bool
 ) -> np.ndarray:
-    """k coupled draws W, a (k, p, p) stack, from one (k, p, n) Gaussian stack."""
+    """k draws of Y B Y^T (or, decoupled, Y' B Y^T) for identity or skew-block B, unwhitened.
+
+    Both depend on the standard Gaussian p x n Y only through the Gram matrix
+    A A^T of A = Y for identity B (d = p rows, m = n columns), or of the column
+    halves of Y stacked as A = [Y1; Y2] for skew-block B (d = 2p, m = n/2),
+    where Y B Y^T = Y1 Y2^T - Y2 Y1^T.  So each draw takes one Gram factor F
+    (model._gram_factor), with F F^T equal in law to A A^T; the decoupled draw
+    also takes a standard Gaussian Z of F's shape, drawn after F, and Z F^T is
+    equal in law to A' A^T for an independent copy A' of A (A = F Q with Q's
+    rows orthonormal and independent of F, so A' Q^T is standard Gaussian).
+    """
+    p, skew = model.p, model.shape.variant == "skew_block"
+    f = _gram_factor(rng, k, 2 * p if skew else p, model.n // 2 if skew else model.n)
+    ft = f.swapaxes(-1, -2)
+    if not skew:
+        return (rng.standard_normal(f.shape) if decoupled else f) @ ft
+    if decoupled:
+        # With A' = [-Y2'; Y1'], Y' B Y^T is the sum of the diagonal blocks of A' A^T.
+        z = rng.standard_normal(f.shape)
+        return z[:, :p] @ ft[..., :p] + z[:, p:] @ ft[..., p:]
+    # The off-diagonal blocks of A A^T: Y1 Y2^T - Y2 Y1^T.
+    g = f[:, :p] @ ft[..., p:]
+    return g - g.swapaxes(-1, -2)
+
+
+def _wishart_draws(
+    model: WishartModel,
+    root: np.ndarray,
+    rng: np.random.Generator,
+    k: int,
+    decoupled: bool = False,
+) -> np.ndarray:
+    """k draws of W, or with ``decoupled`` of W', as a (k, p, p) stack.
+
+    Identity and skew-block B take one Gram factor per draw, and for W' a
+    standard Gaussian Z after it (_gram_draws): p(p + 1)/2 variates per
+    factor once n >= p (p(2p + 1) once n >= 4p for skew-block B), and never
+    more than the p n of Y.  Every other B draws Y as one (k, p, n) stack, or
+    for W' the pair (Y, Y') as one (2, k, p, n) draw, so a decoupling check's
+    block stream stays one (3, k, p, n) draw: the coupled Y, then Y and Y'.
+    Both whiten as root (...) root / n.
+    """
+    if model.shape.variant in ("identity", "skew_block"):
+        return root @ _gram_draws(model, rng, k, decoupled) @ root / model.n
+    if decoupled:
+        y, y_prime = rng.standard_normal((2, k, model.p, model.n))
+        return _whitened_sample(model, y_prime, y, root)
     y = rng.standard_normal((k, model.p, model.n))
     return _whitened_sample(model, y, y, root)
 
@@ -330,10 +398,9 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingRe
     root, w0 = model.theta._root, expected_wishart(model)
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # Coupled Y, then the decoupled pair (Y, Y'), all from the block's stream.
-        y, y_dec, y_prime = rng.standard_normal((3, k, model.p, model.n))
-        lhs = _spectral_norms(_whitened_sample(model, y, y, root) - w0)
-        rhs = _spectral_norms(_whitened_sample(model, y_prime, y_dec, root))
+        # The coupled draws, then the decoupled ones, all from the block's stream.
+        lhs = _spectral_norms(_wishart_draws(model, root, rng, k) - w0)
+        rhs = _spectral_norms(_wishart_draws(model, root, rng, k, decoupled=True))
         return np.stack((lhs, rhs), axis=1)
 
     return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))

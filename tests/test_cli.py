@@ -112,6 +112,15 @@ class TestBound:
         assert ratio["kappa"] == pytest.approx(1.0)
         assert frob["bound_value"] != ratio["bound_value"]
 
+    def test_bound_past_the_largest_float_exits_two_with_no_report(self, tmp_path, capsys):
+        # ||theta|| = 1e307 times a log factor of about 150 is inf, which JSON cannot hold.
+        model = dict(identity_model_dict(2, 8), theta=cw.matrix_to_dict(np.diag([1e307, 1e307])))
+        config = write_config(tmp_path, "c.json", {"command": "bound", "model": model})
+        assert cli.main(["--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inf or NaN" in captured.err
+
     def test_missing_model_file_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path, "c.json", {"command": "bound", "model_path": "no_such_file.json"}
@@ -162,6 +171,19 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["target"] == pytest.approx(5**0.5)
         assert report["holds"] is True
+
+    @pytest.mark.parametrize("check", ["decoupling", "dominance"])
+    def test_overflowing_statistics_exit_two_with_no_report(self, tmp_path, capsys, check):
+        # Norms near 1e160 square past the largest float: no stderr is reported as Infinity.
+        bad = dict(identity_model_dict(2, 8), theta=cw.matrix_to_dict(np.diag([1e160, 1e160])))
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "verify", "check": check, "model": bad, "trials": 10, "seed": 1},
+        )
+        assert cli.main(["--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
 
     def test_failing_check_maps_to_exit_one(self, tmp_path, monkeypatch):
         config = write_config(

@@ -13,6 +13,7 @@ from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
     Report,
     _spectral_norms,
+    canonical_dumps,
     check_floats,
     check_int,
     check_seed,
@@ -263,6 +264,12 @@ class TestReport:
         assert d == {"inner": {"x": 1.5}, "color": "red", "grid": [1.0, 2.0, 3.0, 4.0],
                      "items": [True, [2, None]]}
         assert all(type(v) is float for v in d["grid"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_canonical_dumps_is_strict_json(self, bad):
+        assert canonical_dumps({"b": [1.0], "a": 2}) == '{"a": 2, "b": [1.0]}'
+        with pytest.raises(ValueError):
+            canonical_dumps({"stats": {"stderr": bad}})
 
     def test_check_floats_names_the_field(self):
         assert check_floats([1, 2.5], "t").tolist() == [1.0, 2.5]

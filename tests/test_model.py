@@ -15,6 +15,7 @@ from cwishart.model import (
     STREAM_COUPLED_Y,
     STREAM_DECOUPLED_Y,
     STREAM_DECOUPLED_YPRIME,
+    _gram_factor,
     apply_shape,
     model_to_dict,
     shape_frobenius_norm,
@@ -190,6 +191,32 @@ class TestSampleDecoupled:
         y = cw.sample_standard_gaussian_matrix(2, 4, mix_seed(seed, STREAM_DECOUPLED_Y))
         yp = cw.sample_standard_gaussian_matrix(2, 4, mix_seed(seed, STREAM_DECOUPLED_YPRIME))
         assert np.allclose(cw.sample_decoupled(m, seed), yp @ y.T / 4, atol=1e-14)
+
+
+class TestGramFactor:
+    """F F^T ~ Wishart_d(m, I) from a (k, d, min(d, m)) factor stack."""
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (3, 3), (3, 10), (4, 256), (5, 2), (16, 4)])
+    def test_factor_shape(self, d, m):
+        f = _gram_factor(cw.generator(mix_seed(71, d * 1000 + m)), 50, d, m)
+        assert f.shape == (50, d, min(d, m))
+        if m >= d:
+            # Bartlett's factor: lower-triangular with a positive diagonal.
+            assert np.all(np.triu(f, 1) == 0.0)
+            assert np.all(np.diagonal(f, axis1=1, axis2=2) > 0.0)
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (3, 8), (4, 64), (6, 3)])
+    def test_mean_is_m_times_identity(self, d, m):
+        k = 20_000
+        f = _gram_factor(cw.generator(mix_seed(73, d * 1000 + m)), k, d, m)
+        g = f @ f.swapaxes(-1, -2)
+        stderr = g.std(axis=0, ddof=1) / math.sqrt(k)
+        assert np.all(np.abs(g.mean(axis=0) - m * np.eye(d)) <= 4 * stderr)
+
+    def test_fewer_columns_than_rows_is_the_gaussian_matrix(self):
+        # Equal seeds: at m < d the factor is the d x m Gaussian draw itself.
+        assert np.array_equal(_gram_factor(cw.generator(79), 3, 5, 2),
+                              cw.generator(79).standard_normal((3, 5, 2)))
 
 
 class TestExpectedWishart:

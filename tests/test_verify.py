@@ -9,7 +9,7 @@ import cwishart as cw
 from cwishart import linalg, verify
 from cwishart import model as model_module
 from cwishart.errors import DimensionError, NotAchievableError
-from cwishart.linalg import canonical_dumps, mix_seed
+from cwishart.linalg import _spectral_norms, canonical_dumps, mix_seed
 from cwishart.verify import (
     BLOCK_TRIALS,
     EQUALITY_MARGIN,
@@ -73,6 +73,20 @@ class TestEstimateMeanDeviation:
         s2 = cw.estimate_mean_deviation(cfg, workers=2)
         assert s1 == s2
 
+    @pytest.mark.parametrize("p,n,shape", [
+        (3, 16, cw.ShapeSpec.identity()), (3, 2, cw.ShapeSpec.identity()),
+        (3, 16, cw.ShapeSpec.skew_block()), (3, 4, cw.ShapeSpec.skew_block()),
+    ], ids=["identity", "identity-n-below-p", "skew", "skew-n-below-2p"])
+    def test_gram_draws_do_not_depend_on_workers(self, p, n, shape):
+        # Three blocks, so that two workers run blocks at once.
+        m = model(p, n, shape, cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        cfg = TrialConfig(m, 2 * BLOCK_TRIALS + 5, 12345)
+        s1 = cw.estimate_mean_deviation(cfg, workers=1)
+        s2 = cw.estimate_mean_deviation(cfg, workers=2)
+        assert s1 == s2
+        assert (canonical_dumps(cw.check_wishart_decoupling(cfg, 1).to_dict())
+                == canonical_dumps(cw.check_wishart_decoupling(cfg, 2).to_dict()))
+
     def test_trials_validated(self):
         # The config holds the count as given; the engine rejects it when the check runs.
         cfg = TrialConfig(model(2, 4), 1, 0)
@@ -96,6 +110,81 @@ class TestEstimateMeanDeviation:
         assert stats.mean == pytest.approx(dev.mean(), rel=1e-12)
         assert stats.max == pytest.approx(dev.max(), rel=1e-12)
         assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
+
+
+def _x_path_draws(m, root, rng, k, decoupled):
+    """W (or W') from (k, p, n) Gaussian stacks, the way diagonal and custom B draw them."""
+    y = rng.standard_normal((k, m.p, m.n))
+    y_left = rng.standard_normal((k, m.p, m.n)) if decoupled else y
+    return model_module._whitened_sample(m, y_left, y, root)
+
+
+def _norm_summary(draws, m, trials, seed):
+    """Merged summary of the per-trial (||W - E(W)||, ||W'||) under ``draws``."""
+    root, w0 = m.theta._root, cw.expected_wishart(m)
+    return verify._run_blocks(lambda rng, k: np.stack((
+        _spectral_norms(draws(m, root, rng, k, False) - w0),
+        _spectral_norms(draws(m, root, rng, k, True)),
+    ), axis=1), trials, seed)
+
+
+def _max_z(a, b):
+    """Largest two-sample z of the entrywise means of two summaries."""
+    se = np.hypot(a.std / math.sqrt(a.trials), b.std / math.sqrt(b.trials))
+    return float(np.max(np.abs(a.mean - b.mean) / se))
+
+
+STRUCTURED_SIZES = [(2, 8), (3, 10), (8, 8), (4, 256)]
+
+
+def _structured_model(p, n, variant):
+    theta = cw.SpdMatrix(np.diag(np.linspace(0.5, 2.0, p)) + 0.25)
+    return model(p, n, cw.ShapeSpec(variant), theta)
+
+
+class TestStructuredDraws:
+    """Identity and skew-block B draw Gram factors; the laws match the (k, p, n) X path."""
+
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("variant", ["identity", "skew_block"])
+    @pytest.mark.parametrize("p,n", STRUCTURED_SIZES)
+    def test_norms_match_the_x_path(self, p, n, variant):
+        m = _structured_model(p, n, variant)
+        structured = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(191, p * n))
+        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(193, p * n))
+        assert _max_z(structured, direct) <= EQUALITY_MARGIN
+
+    @pytest.mark.parametrize("p,n,variant", [
+        (2, 8, "identity"), (3, 10, "identity"), (8, 8, "identity"),
+        (2, 8, "skew_block"), (3, 10, "skew_block"),
+    ])
+    def test_off_by_one_degrees_of_freedom_are_rejected(self, p, n, variant, monkeypatch):
+        # Bartlett's diagonal with chi-square degrees m - i + 1 instead of m - i,
+        # at the sizes where the factor is Bartlett's (m >= d).  At (4, 256) the
+        # off-by-one shifts E(W) by I / 256, about 2 standard errors here.
+        def wrong_factor(rng, k, d, m):
+            f = np.zeros((k, d, d))
+            for i in range(d):
+                f[:, i, i] = np.sqrt(rng.chisquare(m - i + 1, k))
+                f[:, i, :i] = rng.standard_normal((k, i))
+            return f
+
+        monkeypatch.setattr(verify, "_gram_factor", wrong_factor)
+        m = _structured_model(p, n, variant)
+        structured = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(191, p * n))
+        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(193, p * n))
+        assert _max_z(structured, direct) > EQUALITY_MARGIN
+
+    def test_diagonal_and_custom_b_draw_the_x_path(self):
+        # Same stream, same arithmetic: byte-identical draws.
+        for shape in (cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 2.0]),
+                      cw.ShapeSpec.custom(cw.generator(197).standard_normal((4, 4)))):
+            m = model(2, 4, shape, cw.SpdMatrix.diagonal([2.0, 0.5]))
+            for decoupled in (False, True):
+                got = verify._wishart_draws(m, m.theta._root, cw.generator(199), 7, decoupled)
+                want = _x_path_draws(m, m.theta._root, cw.generator(199), 7, decoupled)
+                assert np.array_equal(got, want)
 
 
 class TestBoundDominance:
@@ -227,6 +316,13 @@ class TestTrialCounts:
 
         with pytest.raises(ValueError, match="trials|workers"):
             verify._run_blocks(kernel, trials, 0, workers)
+
+    def test_overflowing_statistics_are_rejected(self):
+        # Norms near 1e160: their squared deviations overflow, so no stderr can be reported.
+        m = model(2, 8, theta=cw.SpdMatrix.diagonal([1e160, 1e160]))
+        for check in (cw.check_wishart_decoupling, cw.check_bound_dominance):
+            with pytest.raises(ValueError, match="overflow"):
+                check(TrialConfig(m, 10, 1))
 
     def test_integral_float_trials_report_an_int_count(self):
         theta, m = cw.SpdMatrix.diagonal([4.0, 1.0]), model(2, 4)
@@ -363,6 +459,12 @@ class TestSweepScaling:
         )
         assert not sweep.degenerate
         assert -0.7 <= sweep.slope <= -0.3
+
+    def test_identity_family_at_a_million_columns(self):
+        # Identity B draws a p x p Gram factor, so n = 2^20 costs what n = p does.
+        sweep = sweep_scaling(4, [2**18, 2**19, 2**20], cw.identity_family,
+                              cw.SpdMatrix.identity(4), 200, 211)
+        assert -0.6 <= sweep.slope <= -0.4
 
     def test_rerun_is_bit_identical(self):
         args = (3, [8, 16, 32], cw.identity_family, cw.SpdMatrix.identity(3), 100, 79)
