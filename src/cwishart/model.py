@@ -106,6 +106,15 @@ class ShapeSpec:
         """Spectral norm of the custom matrix, computed once per spec."""
         return spectral_norm(self.matrix)
 
+    @cached_property
+    def _nonzero_entries(self) -> np.ndarray | None:
+        """The nonzero diagonal entries, in order, when a diagonal has a zero; else None."""
+        if self.variant != "diagonal" or all(self.entries):
+            return None
+        entries = np.array([e for e in self.entries if e])
+        entries.setflags(write=False)
+        return entries
+
     @classmethod
     def identity(cls) -> "ShapeSpec":
         return cls("identity")

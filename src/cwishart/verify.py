@@ -20,8 +20,11 @@ the identity or the skew block, so the norm checks (mean deviation, bound
 dominance, Wishart decoupling, expectation, sweeps and the complexity search)
 draw that Gram matrix exactly instead of X (_wishart_draws): a factor with
 O(p^2) chi-square and normal variates per trial instead of p n normals, and
-exact in law, not in value.  Every other B draws (k, p, n) Gaussian stacks;
-the concentration and Lipschitz checks, which need X itself, draw X for every B.
+exact in law, not in value.  A diagonal B with a zero entry draws X over its
+nonzero columns only; every other B draws (k, p, n) Gaussian stacks.  The
+concentration and Lipschitz checks read X only through g = X^T d ~ N(0, I_n)
+(theta = I, unit d), so they draw g, or for orthogonal B only ||g||, and for
+the Lipschitz distance one chi-square for the rest of ||X1 - X2||_F.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -119,13 +122,28 @@ MAX_TRIALS = 10**9
 MAX_T_GRID = 64
 
 
+# An entry whose largest |value| in a block is below 2**TINY_EXPONENT sums its
+# squared deviations at a power-of-two scale (see _Summary).
+TINY_EXPONENT = -256
+
+
 class _Summary(NamedTuple):
-    """Trial count, and per result entry the sum, sum of squared deviations and max."""
+    """Trial count, and per result entry the sum, sum of squared deviations and max.
+
+    The squared deviations of an entry are summed in units of 4**exp: a block
+    entry whose largest |value| v is below 2**TINY_EXPONENT has exp the
+    exponent of v (v = f 2**exp, 0.5 <= f < 1), every other entry exp = 0,
+    so tiny values neither underflow nor go subnormal when squared; a merge
+    rescales both sides to the larger exp.  Scaling by a power of two is
+    exact, so statistics of values in the normal range keep their exact bits,
+    and those of tiny values scaled by 2**j are scaled by 2**j.
+    """
 
     trials: int
     total: np.ndarray
     sq_dev: np.ndarray
     max: np.ndarray
+    exp: np.ndarray
 
     @classmethod
     def of_block(cls, results: np.ndarray) -> "_Summary":
@@ -134,19 +152,30 @@ class _Summary(NamedTuple):
         x = np.ascontiguousarray(np.moveaxis(np.asarray(results, dtype=np.float64), 0, -1))
         # An overflow leaves an inf, which _run_blocks rejects once the merge is done.
         with np.errstate(over="ignore", invalid="ignore"):
-            total = x.sum(axis=-1)
+            total, high = x.sum(axis=-1), x.max(axis=-1)
             dev = x - (total / x.shape[-1])[..., None]
-            return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), x.max(axis=-1))
+            exp = np.zeros(high.shape, dtype=np.intc)
+            # A tiny entry has a tiny |max|: most blocks need not look further.
+            if np.abs(high).min() < 2.0**TINY_EXPONENT:
+                top = np.maximum(high, -x.min(axis=-1))
+                exp = np.frexp(np.where(top < 2.0**TINY_EXPONENT, top, 0.0))[1]
+                dev = np.ldexp(dev, -exp[..., None])
+            return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), high, exp)
 
     def merge(self, other: "_Summary") -> "_Summary":
         """Summary of both samples: the Chan-Golub-LeVeque pairwise update."""
         trials = self.trials + other.trials
+        exp, sq_self, sq_other = self.exp, self.sq_dev, other.sq_dev
         with np.errstate(over="ignore", invalid="ignore"):
             delta = other.total / other.trials - self.total / self.trials
-            sq_dev = (self.sq_dev + other.sq_dev
-                      + delta * delta * (self.trials * other.trials / trials))
+            if self.exp.any() or other.exp.any():
+                exp = np.maximum(self.exp, other.exp)
+                sq_self = np.ldexp(sq_self, 2 * (self.exp - exp))
+                sq_other = np.ldexp(sq_other, 2 * (other.exp - exp))
+                delta = np.ldexp(delta, -exp)
+            sq_dev = sq_self + sq_other + delta * delta * (self.trials * other.trials / trials)
             total = self.total + other.total
-        return _Summary(trials, total, sq_dev, np.maximum(self.max, other.max))
+        return _Summary(trials, total, sq_dev, np.maximum(self.max, other.max), exp)
 
     @property
     def mean(self) -> np.ndarray:
@@ -155,7 +184,7 @@ class _Summary(NamedTuple):
     @property
     def std(self) -> np.ndarray:
         """Sample standard deviation (ddof = 1) of each entry."""
-        return np.sqrt(self.sq_dev / (self.trials - 1))
+        return np.ldexp(np.sqrt(self.sq_dev / (self.trials - 1)), self.exp)
 
     def stats(self, entry=()) -> DeviationStats:
         """DeviationStats of one result entry (the only one for scalar results)."""
@@ -280,15 +309,22 @@ def _wishart_draws(
     more than the p n of Y.  Every other B draws Y as one (k, p, n) stack, or
     for W' the pair (Y, Y') as one (2, k, p, n) draw, so a decoupling check's
     block stream stays one (3, k, p, n) draw: the coupled Y, then Y and Y'.
-    Both whiten as root (...) root / n.
+    A diagonal B with a zero entry draws those stacks over its nonzero
+    columns only (ShapeSpec._nonzero_entries): W and W' are sums over the
+    columns j of b_j times a product of column j, so a zero column adds
+    nothing.  All whiten as root (...) root / n.
     """
     if model.shape.variant in ("identity", "skew_block"):
         return root @ _gram_draws(model, rng, k, decoupled) @ root / model.n
+    entries = model.shape._nonzero_entries
+    shape = (k, model.p, model.n if entries is None else entries.size)
     if decoupled:
-        y, y_prime = rng.standard_normal((2, k, model.p, model.n))
-        return _whitened_sample(model, y_prime, y, root)
-    y = rng.standard_normal((k, model.p, model.n))
-    return _whitened_sample(model, y, y, root)
+        y, y_left = rng.standard_normal((2, *shape))
+    else:
+        y = y_left = rng.standard_normal(shape)
+    if entries is None:
+        return _whitened_sample(model, y_left, y, root)
+    return root @ ((y_left * entries) @ y.swapaxes(-1, -2)) @ root / model.n
 
 
 def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStats:
@@ -485,10 +521,9 @@ def check_linear_form_std(
     return LinearFormReport(sample_std, std_stderr, target, summary.trials, norm_ok, holds)
 
 
-def _conditional_stds(b: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(sqrt(p)/n) ||B X^T d|| for one p x n draw or each of a (..., p, n) stack."""
-    p, n = x.shape[-2:]
-    return math.sqrt(p) / n * np.linalg.norm((d @ x) @ b.T, axis=-1)
+def _conditional_stds(b: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """(sqrt(p)/n) ||B g|| for g = X^T d, one length-n vector or each of a (..., n) stack."""
+    return math.sqrt(p) / g.shape[-1] * np.linalg.norm(g @ b.T, axis=-1)
 
 
 def _unit_direction(direction, p: int) -> np.ndarray:
@@ -544,6 +579,11 @@ def check_concentration(
     theta^{1/2} into the deviation being studied).  Holds when the empirical
     tail stays below the theoretical one plus 3 binomial standard errors at
     every grid point with theoretical mass >= 10 / trials.
+
+    With theta = I and a unit d, the std depends on X only through
+    g = X^T d ~ N(0, I_n), so each trial draws g alone.  For identity and
+    skew-block B, which are orthogonal, ||B g|| = ||g||, and each trial draws
+    only ||g|| = sqrt(chi-square(n)) (model._gram_factor with one row).
     """
     if not model.theta.is_identity():
         raise ValueError(
@@ -558,7 +598,8 @@ def check_concentration(
         raise ValueError(f"t_grid must be nonnegative, got {t_grid}")
 
     p, n = model.p, model.n
-    b = build_shape(model.shape, n)
+    orthogonal = model.shape.variant in ("identity", "skew_block")
+    b = None if orthogonal else build_shape(model.shape, n)
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
 
@@ -566,7 +607,10 @@ def check_concentration(
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Column 0 is the conditional std, column 1 + i its 0/1 indicator of tail i.
-        s = _conditional_stds(b, rng.standard_normal((k, p, n)), d)
+        if orthogonal:
+            s = math.sqrt(p) / n * _gram_factor(rng, k, 1, n)[:, 0, 0]
+        else:
+            s = _conditional_stds(b, rng.standard_normal((k, n)), p)
         return np.column_stack((s, s[:, None] >= thresholds))
 
     summary = _run_blocks(kernel, trials, seed, workers)
@@ -607,15 +651,26 @@ def count_lipschitz_violations(
     seed: int,
     workers: int = 1,
 ) -> int:
-    """Count pairs violating |s(X1) - s(X2)| <= (sqrt(p) ||B|| / n) ||X1 - X2||_F."""
-    d = _unit_direction(direction, model.p)
-    b = build_shape(model.shape, model.n)
-    lipschitz = math.sqrt(model.p) * shape_spectral_norm(model.shape, model.n) / model.n
+    """Count pairs violating |s(X1) - s(X2)| <= (sqrt(p) ||B|| / n) ||X1 - X2||_F.
+
+    s(X) depends on X only through g = X^T d, and ||X1 - X2||_F^2 splits
+    into ||g1 - g2||^2 plus the squared norm R^2 of the part of X1 - X2
+    orthogonal to d, which is 2 chi-square((p - 1) n) and independent of
+    (g1, g2).  So each block draws the (g1, g2) pairs as one (2, k, n) stack,
+    then, for p > 1, the k values of R^2: 2n + 1 variates per pair.
+    """
+    _unit_direction(direction, model.p)
+    p, n = model.p, model.n
+    b = build_shape(model.shape, n)
+    lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        x1, x2 = rng.standard_normal((2, k, model.p, model.n))
-        lhs = np.abs(_conditional_stds(b, x1, d) - _conditional_stds(b, x2, d))
-        return lhs > lipschitz * np.linalg.norm(x1 - x2, axis=(-2, -1))
+        g1, g2 = rng.standard_normal((2, k, n))
+        dist_sq = np.square(g1 - g2).sum(axis=-1)
+        if p > 1:
+            dist_sq += 2.0 * rng.chisquare((p - 1) * n, k)
+        lhs = np.abs(_conditional_stds(b, g1, p) - _conditional_stds(b, g2, p))
+        return lhs > lipschitz * np.sqrt(dist_sq)
 
     return int(_run_blocks(kernel, pairs, seed, workers).total)
 

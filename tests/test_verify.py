@@ -94,22 +94,25 @@ class TestEstimateMeanDeviation:
             cw.estimate_mean_deviation(cfg)
 
     def test_stream_contract_of_first_block(self):
-        # One block: every Gaussian comes from one (k, p, n) draw of the
-        # generator for mix_seed(seed, 0), trial t using the slice [t].
+        # One block: every Gaussian comes from one (k, p, m) draw of the
+        # generator for mix_seed(seed, 0), trial t using the slice [t], over the
+        # m columns whose diagonal entry is nonzero, in order: all n of them
+        # when no entry is zero.
         theta = cw.SpdMatrix.diagonal([2.0, 0.5])
-        shape = cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 2.0, 0.0])
         p, n, k, seed = 2, 5, BLOCK_TRIALS, 4242
-        stats = cw.estimate_mean_deviation(TrialConfig(model(p, n, shape, theta), k, seed))
-        y = cw.generator(mix_seed(seed, 0)).standard_normal((k, p, n))
         root = np.diag(np.sqrt([2.0, 0.5]))
-        b = np.diag([1.5, 0.5, 1.0, 2.0, 0.0])
-        w = root @ (y @ b @ y.transpose(0, 2, 1)) @ root / n
-        w0 = np.trace(b) / n * np.diag([2.0, 0.5])
-        dev = np.linalg.svd(w - w0, compute_uv=False)[:, 0]
-        assert stats.trials == k
-        assert stats.mean == pytest.approx(dev.mean(), rel=1e-12)
-        assert stats.max == pytest.approx(dev.max(), rel=1e-12)
-        assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
+        for entries, drawn in (([1.5, 0.5, 1.0, 2.0, 0.25], [1.5, 0.5, 1.0, 2.0, 0.25]),
+                               ([1.5, 0.0, 1.0, 2.0, 0.0], [1.5, 1.0, 2.0])):
+            shape = cw.ShapeSpec.diagonal(entries)
+            stats = cw.estimate_mean_deviation(TrialConfig(model(p, n, shape, theta), k, seed))
+            y = cw.generator(mix_seed(seed, 0)).standard_normal((k, p, len(drawn)))
+            w = root @ (y @ np.diag(drawn) @ y.transpose(0, 2, 1)) @ root / n
+            w0 = sum(entries) / n * np.diag([2.0, 0.5])
+            dev = np.linalg.svd(w - w0, compute_uv=False)[:, 0]
+            assert stats.trials == k
+            assert stats.mean == pytest.approx(dev.mean(), rel=1e-12)
+            assert stats.max == pytest.approx(dev.max(), rel=1e-12)
+            assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
 
 
 def _x_path_draws(m, root, rng, k, decoupled):
@@ -137,13 +140,14 @@ def _max_z(a, b):
 STRUCTURED_SIZES = [(2, 8), (3, 10), (8, 8), (4, 256)]
 
 
-def _structured_model(p, n, variant):
+def _structured_model(p, n, variant, entries=None):
     theta = cw.SpdMatrix(np.diag(np.linspace(0.5, 2.0, p)) + 0.25)
-    return model(p, n, cw.ShapeSpec(variant), theta)
+    return model(p, n, cw.ShapeSpec(variant, entries=entries), theta)
 
 
 class TestStructuredDraws:
-    """Identity and skew-block B draw Gram factors; the laws match the (k, p, n) X path."""
+    """Identity and skew-block B draw Gram factors, and a diagonal B with a zero
+    entry draws its nonzero columns only; the laws match the (k, p, n) X path."""
 
     TRIALS = 20_000
 
@@ -176,9 +180,31 @@ class TestStructuredDraws:
         direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(193, p * n))
         assert _max_z(structured, direct) > EQUALITY_MARGIN
 
+    @pytest.mark.parametrize("p,n,entries", [
+        (3, 10, [10.0] + [0.0] * 9),
+        (2, 8, [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0]),
+        (4, 6, [1.0, -2.0, 0.0, 0.0, 0.5, 0.0]),
+    ], ids=["rank-one", "half-zero", "signed"])
+    def test_zero_columns_match_the_x_path(self, p, n, entries):
+        # W and W' from the nonzero columns only, against the full (k, p, n) draws.
+        m = _structured_model(p, n, "diagonal", entries)
+        reduced = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(223, p * n))
+        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(227, p * n))
+        assert _max_z(reduced, direct) <= EQUALITY_MARGIN
+
+    def test_dropping_a_nonzero_column_is_rejected(self):
+        # The same comparison tells a draw over one nonzero column too few.
+        m = _structured_model(2, 8, "diagonal", [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])
+        vars(m.shape)["_nonzero_entries"] = np.array([2.0, 0.5, 1.5, 3.0])
+        reduced = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(223, 16))
+        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(227, 16))
+        assert _max_z(reduced, direct) > EQUALITY_MARGIN
+
     def test_diagonal_and_custom_b_draw_the_x_path(self):
-        # Same stream, same arithmetic: byte-identical draws.
+        # Same stream, same arithmetic: byte-identical draws.  A diagonal with
+        # every entry nonzero, however small or negative, draws every column.
         for shape in (cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 2.0]),
+                      cw.ShapeSpec.diagonal([1.5, -0.5, 1e-300, 2.0]),
                       cw.ShapeSpec.custom(cw.generator(197).standard_normal((4, 4)))):
             m = model(2, 4, shape, cw.SpdMatrix.diagonal([2.0, 0.5]))
             for decoupled in (False, True):
@@ -324,6 +350,24 @@ class TestTrialCounts:
             with pytest.raises(ValueError, match="overflow"):
                 check(TrialConfig(m, 10, 1))
 
+    def test_tiny_statistics_scale_exactly(self):
+        # Values near 2^-560 have squared deviations far below the least float;
+        # the summary squares them at a power-of-two scale, so every statistic
+        # is that of B = I (as a diagonal) scaled by 2^-560, bit for bit.
+        def reports(b):
+            cfg = TrialConfig(model(2, 8, shape=cw.ShapeSpec.diagonal([b] * 8)), 2000, 5)
+            return check_expectation(cfg), cw.check_wishart_decoupling(cfg)
+
+        (exp_one, dec_one), (exp_tiny, dec_tiny) = reports(1.0), reports(2.0**-560)
+        for field in ("max_abs_deviation", "max_stderr", "mean_matrix", "expected_matrix",
+                      "stderr_matrix"):
+            assert np.array_equal(np.ldexp(getattr(exp_one, field), -560), getattr(exp_tiny, field))
+        for one, tiny in ((dec_one.lhs, dec_tiny.lhs), (dec_one.rhs, dec_tiny.rhs)):
+            assert (tiny.mean, tiny.stderr, tiny.max) == tuple(
+                math.ldexp(v, -560) for v in (one.mean, one.stderr, one.max))
+        assert exp_tiny.max_stderr > 0.0 and exp_tiny.holds and exp_one.holds
+        assert dec_tiny.holds and dec_one.holds
+
     def test_integral_float_trials_report_an_int_count(self):
         theta, m = cw.SpdMatrix.diagonal([4.0, 1.0]), model(2, 4)
         for run in (lambda t: cw.check_linear_form_std(theta, [1.0, 1.0], t, 5),
@@ -356,13 +400,13 @@ class TestTrialCounts:
 class TestConditionalStd:
     def test_zero_shape(self):
         x = cw.sample_standard_gaussian_matrix(2, 4, 1)
-        assert verify._conditional_stds(np.zeros((4, 4)), x, np.array([1.0, 0.0])) == 0.0
+        assert verify._conditional_stds(np.zeros((4, 4)), np.array([1.0, 0.0]) @ x, 2) == 0.0
 
     def test_identity_shape_row_norm(self):
         x = cw.sample_standard_gaussian_matrix(3, 8, 2)
         expected = math.sqrt(3) / 8 * float(np.linalg.norm(x[0]))
         d = np.array([1.0, 0.0, 0.0])
-        assert verify._conditional_stds(np.eye(8), x, d) == pytest.approx(expected)
+        assert verify._conditional_stds(np.eye(8), d @ x, 3) == pytest.approx(expected)
 
     def test_double_sum_definition(self):
         # sigma^2 = p/n^2 * sum_l [sum_m sum_j b_lm x_j X_jm]^2
@@ -379,7 +423,7 @@ class TestConditionalStd:
             )
             total += inner**2
         oracle = math.sqrt(p) / n * math.sqrt(total)
-        assert verify._conditional_stds(b, x, d) == pytest.approx(oracle, rel=1e-12)
+        assert verify._conditional_stds(b, d @ x, p) == pytest.approx(oracle, rel=1e-12)
 
     def test_unit_vector_required(self):
         # The Lipschitz claim is stated for unit d only: [3, 0, 0] on this
@@ -443,6 +487,65 @@ class TestConcentration:
     def test_lipschitz_never_violated(self):
         violations = cw.count_lipschitz_violations(self.cfgmodel(), [1, 0, 0], 1000, 67)
         assert violations == 0
+
+    def test_lipschitz_at_one_row(self):
+        # p = 1: X1 - X2 has no part orthogonal to d, so no chi-square term is drawn.
+        for n in (1, 16):
+            for d in ([1.0], [-1.0]):
+                assert cw.count_lipschitz_violations(model(1, n), d, 5000, 71) == 0
+
+
+def _x_path_concentration(m, d, thresholds, trials, seed):
+    """Summary of (sigma, tail indicators) per trial from full p x n draws of X."""
+    b = model_module.build_shape(m.shape, m.n)
+
+    def kernel(rng, k):
+        x = rng.standard_normal((k, m.p, m.n))
+        s = math.sqrt(m.p) / m.n * np.linalg.norm(np.einsum("lj,tij,i->tl", b, x, d), axis=-1)
+        return np.column_stack((s, s[:, None] >= thresholds))
+
+    return verify._run_blocks(kernel, trials, seed)
+
+
+CONCENTRATION_SHAPES = {
+    "identity": (3, 16, cw.ShapeSpec.identity()),
+    "skew": (3, 16, cw.ShapeSpec.skew_block()),
+    "diagonal-with-zero": (2, 8, cw.ShapeSpec.diagonal([0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])),
+    "custom": (3, 8, cw.ShapeSpec.custom(cw.generator(233).standard_normal((8, 8)))),
+}
+
+
+class TestConcentrationDraws:
+    """The concentration check draws g = X^T d (or ||g||); its law matches X's."""
+
+    TRIALS = 20_000
+
+    def compare(self, name, monkeypatch):
+        """Max two-sample |z| of the (sigma, tail) means against the X path."""
+        p, n, shape = CONCENTRATION_SHAPES[name]
+        m = model(p, n, shape)
+        d = [2 / 3, -1 / 3, 2 / 3] if p == 3 else [0.6, 0.8]
+        lipschitz = math.sqrt(p) * model_module.shape_spectral_norm(shape, n) / n
+        grid = [0.0, 0.25 * lipschitz, 0.5 * lipschitz, lipschitz]
+        seed = list(CONCENTRATION_SHAPES).index(name)
+        summaries, run = [], verify._run_blocks
+        monkeypatch.setattr(verify, "_run_blocks",
+                            lambda *a: summaries.append(run(*a)) or summaries[-1])
+        report = cw.check_concentration(m, d, grid, self.TRIALS, mix_seed(239, seed))
+        monkeypatch.setattr(verify, "_run_blocks", run)
+        direct = _x_path_concentration(m, np.array(d), report.mean_bound + np.array(grid),
+                                       self.TRIALS, mix_seed(241, seed))
+        return _max_z(summaries[0], direct)
+
+    @pytest.mark.parametrize("name", list(CONCENTRATION_SHAPES))
+    def test_sigma_and_tails_match_the_x_path(self, name, monkeypatch):
+        assert self.compare(name, monkeypatch) <= EQUALITY_MARGIN
+
+    def test_chi_with_one_degree_too_few_is_rejected(self, monkeypatch):
+        # ||g|| drawn as sqrt(chi-square(n - 1)) at n = 16: |z| from 7.5 to 18.
+        exact = verify._gram_factor
+        monkeypatch.setattr(verify, "_gram_factor", lambda rng, k, d, m: exact(rng, k, d, m - 1))
+        assert self.compare("identity", monkeypatch) > EQUALITY_MARGIN
 
 
 class TestSweepScaling:
@@ -672,6 +775,14 @@ class TestNegativeControls:
         assert report.lipschitz == pytest.approx(0.25 * lipschitz)
         assert report.asserted == (True,)
         assert not report.holds
+
+    def test_lipschitz_count_rejects_shrunk_constant(self, monkeypatch):
+        # With the constant cut tenfold about a third of the pairs violate it.
+        args = (model(3, 16), [1, 0, 0], 1000, 67)
+        assert cw.count_lipschitz_violations(*args) == 0
+        exact = verify.shape_spectral_norm
+        monkeypatch.setattr(verify, "shape_spectral_norm", lambda spec, n: 0.1 * exact(spec, n))
+        assert cw.count_lipschitz_violations(*args) > 100
 
     def test_linear_form_rejects_five_percent_error(self, monkeypatch):
         # At 10^5 trials a 5% error in the standard deviation is about 22 of
