@@ -61,6 +61,8 @@ STREAM_DECOUPLED_Y = 1
 STREAM_DECOUPLED_YPRIME = 2
 
 _VARIANTS = ("identity", "diagonal", "skew_block", "custom")
+# The variants whose B is orthogonal, so every singular value is 1 and ||B g|| = ||g||.
+_ORTHOGONAL_VARIANTS = ("identity", "skew_block")
 
 TRACE_NORMALIZATION_TOL = 1e-12
 
@@ -108,8 +110,8 @@ class ShapeSpec:
 
     @cached_property
     def _nonzero_entries(self) -> np.ndarray | None:
-        """The nonzero diagonal entries, in order, when a diagonal has a zero; else None."""
-        if self.variant != "diagonal" or all(self.entries):
+        """The nonzero diagonal entries, in order, for a diagonal; else None."""
+        if self.variant != "diagonal":
             return None
         entries = np.array([e for e in self.entries if e])
         entries.setflags(write=False)
@@ -179,9 +181,8 @@ def shape_trace(spec: ShapeSpec, n: int) -> float:
 
 
 def shape_spectral_norm(spec: ShapeSpec, n: int) -> float:
-    # Identity and skew-block matrices are orthogonal: all singular values 1.
     _validate_shape(spec, n)
-    if spec.variant in ("identity", "skew_block"):
+    if spec.variant in _ORTHOGONAL_VARIANTS:
         return 1.0
     if spec.variant == "diagonal":
         return float(np.max(np.abs(spec.entries)))
@@ -190,7 +191,7 @@ def shape_spectral_norm(spec: ShapeSpec, n: int) -> float:
 
 def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
     _validate_shape(spec, n)
-    if spec.variant in ("identity", "skew_block"):
+    if spec.variant in _ORTHOGONAL_VARIANTS:
         return math.sqrt(n)
     if spec.variant == "diagonal":
         return float(np.linalg.norm(spec.entries))

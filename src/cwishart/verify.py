@@ -20,11 +20,12 @@ the identity or the skew block, so the norm checks (mean deviation, bound
 dominance, Wishart decoupling, expectation, sweeps and the complexity search)
 draw that Gram matrix exactly instead of X (_wishart_draws): a factor with
 O(p^2) chi-square and normal variates per trial instead of p n normals, and
-exact in law, not in value.  A diagonal B with a zero entry draws X over its
-nonzero columns only; every other B draws (k, p, n) Gaussian stacks.  The
-concentration and Lipschitz checks read X only through g = X^T d ~ N(0, I_n)
-(theta = I, unit d), so they draw g, or for orthogonal B only ||g||, and for
-the Lipschitz distance one chi-square for the rest of ||X1 - X2||_F.
+exact in law, not in value.  A diagonal B draws X over its nonzero columns
+only (all n when no entry is zero); a custom B draws (k, p, n) Gaussian
+stacks.  The concentration and Lipschitz checks read X only through
+g = X^T d ~ N(0, I_n) (theta = I, unit d), so they draw g, or for orthogonal
+B only ||g||, and for the Lipschitz distance one chi-square for the rest of
+||X1 - X2||_F.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -73,6 +74,7 @@ from .linalg import (
     spectral_norm,
 )
 from .model import (
+    _ORTHOGONAL_VARIANTS,
     ShapeSpec,
     WishartModel,
     _gram_factor,
@@ -309,12 +311,12 @@ def _wishart_draws(
     more than the p n of Y.  Every other B draws Y as one (k, p, n) stack, or
     for W' the pair (Y, Y') as one (2, k, p, n) draw, so a decoupling check's
     block stream stays one (3, k, p, n) draw: the coupled Y, then Y and Y'.
-    A diagonal B with a zero entry draws those stacks over its nonzero
-    columns only (ShapeSpec._nonzero_entries): W and W' are sums over the
-    columns j of b_j times a product of column j, so a zero column adds
-    nothing.  All whiten as root (...) root / n.
+    A diagonal B draws those stacks over its nonzero columns only
+    (ShapeSpec._nonzero_entries): W and W' are sums over the columns j of
+    b_j times a product of column j, so a zero column adds nothing, and a
+    diagonal with no zero entry draws all n.  All whiten as root (...) root / n.
     """
-    if model.shape.variant in ("identity", "skew_block"):
+    if model.shape.variant in _ORTHOGONAL_VARIANTS:
         return root @ _gram_draws(model, rng, k, decoupled) @ root / model.n
     entries = model.shape._nonzero_entries
     shape = (k, model.p, model.n if entries is None else entries.size)
@@ -583,7 +585,7 @@ def check_concentration(
     With theta = I and a unit d, the std depends on X only through
     g = X^T d ~ N(0, I_n), so each trial draws g alone.  For identity and
     skew-block B, which are orthogonal, ||B g|| = ||g||, and each trial draws
-    only ||g|| = sqrt(chi-square(n)) (model._gram_factor with one row).
+    only ||g|| = sqrt(chi-square(n)).
     """
     if not model.theta.is_identity():
         raise ValueError(
@@ -598,7 +600,7 @@ def check_concentration(
         raise ValueError(f"t_grid must be nonnegative, got {t_grid}")
 
     p, n = model.p, model.n
-    orthogonal = model.shape.variant in ("identity", "skew_block")
+    orthogonal = model.shape.variant in _ORTHOGONAL_VARIANTS
     b = None if orthogonal else build_shape(model.shape, n)
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
@@ -608,7 +610,7 @@ def check_concentration(
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Column 0 is the conditional std, column 1 + i its 0/1 indicator of tail i.
         if orthogonal:
-            s = math.sqrt(p) / n * _gram_factor(rng, k, 1, n)[:, 0, 0]
+            s = math.sqrt(p) / n * np.sqrt(rng.chisquare(n, k))
         else:
             s = _conditional_stds(b, rng.standard_normal((k, n)), p)
         return np.column_stack((s, s[:, None] >= thresholds))

@@ -543,8 +543,18 @@ class TestConcentrationDraws:
 
     def test_chi_with_one_degree_too_few_is_rejected(self, monkeypatch):
         # ||g|| drawn as sqrt(chi-square(n - 1)) at n = 16: |z| from 7.5 to 18.
-        exact = verify._gram_factor
-        monkeypatch.setattr(verify, "_gram_factor", lambda rng, k, d, m: exact(rng, k, d, m - 1))
+        class OneDegreeShort:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def chisquare(self, df, size):
+                return self.rng.chisquare(df - 1, size)
+
+        exact = verify.generator
+        monkeypatch.setattr(verify, "generator", lambda seed: OneDegreeShort(exact(seed)))
         assert self.compare("identity", monkeypatch) > EQUALITY_MARGIN
 
 
