@@ -102,10 +102,7 @@ def max_regular_response(v) -> tuple[float, RegularVector]:
     order = np.argsort(-np.abs(vec), kind="stable")
     prefix = np.cumsum(np.abs(vec)[order])
     values = prefix / np.sqrt(np.arange(1, p + 1))
-    best_s = 1
-    for s in range(2, p + 1):
-        if values[s - 1] > values[best_s - 1]:
-            best_s = s
+    best_s = int(np.argmax(values)) + 1
     chosen = sorted(int(i) for i in order[:best_s])
     signs = tuple(1 if vec[i] >= 0 else -1 for i in chosen)
     return float(values[best_s - 1]), RegularVector(p, best_s, tuple(chosen), signs)

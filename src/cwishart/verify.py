@@ -5,15 +5,18 @@ the master seed.  Trials run in fixed blocks of BLOCK_TRIALS; block b draws
 every variate it needs from generator(mix_seed(master_seed, b)), computes its
 trials as one vectorized kernel, and reduces its per-trial results to a
 summary: the count, and per result entry the sum, the sum of squared
-deviations from the mean and the max.  Summaries merge in block order (the
+deviations from the mean (at the power-of-two scale of the entry's largest
+|value|, see _Summary) and the max.  Summaries merge in block order (the
 pairwise update of Chan, Golub and LeVeque, 1979), so memory holds one block
 per worker whatever the trial count.  Block boundaries and the merge order do
 not depend on the worker count, which only sets how many threads run blocks at
 once, so reports are bit-identical for any worker count.  Every check reads
 its statistics from the merged summary; tail frequencies and violation counts
-are sums of 0/1 indicators, so they are exact.  Spectral norms of the per-trial
-matrices come from linalg's one exact rule, applied to a block's whole stack.
-A concentration check takes at most MAX_T_GRID tail points.
+are sums of 0/1 indicators, so they are exact.  Statistics of values scaled by
+2**j are scaled by 2**j, bit for bit; they overflow (ValueError) only when a
+per-trial value, or a sum over the trials, does not fit in a float.  Spectral
+norms of the per-trial matrices come from linalg's one exact rule, applied to a
+block's whole stack.  A concentration check takes at most MAX_T_GRID tail points.
 
 The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
 the identity or the skew block, so the norm checks (mean deviation, bound
@@ -25,7 +28,7 @@ only (all n when no entry is zero); a custom B draws (k, p, n) Gaussian
 stacks.  The concentration and Lipschitz checks read X only through
 g = X^T d ~ N(0, I_n) (theta = I, unit d), so they draw g, or for orthogonal
 B only ||g||, and for the Lipschitz distance one chi-square for the rest of
-||X1 - X2||_F.
+||X1 - X2||_F; ||B g|| never builds the n x n B (_conditional_stds).
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -79,7 +82,7 @@ from .model import (
     WishartModel,
     _gram_factor,
     _whitened_sample,
-    build_shape,
+    apply_shape,
     expected_wishart,
     shape_frobenius_norm,
     shape_spectral_norm,
@@ -124,21 +127,18 @@ MAX_TRIALS = 10**9
 MAX_T_GRID = 64
 
 
-# An entry whose largest |value| in a block is below 2**TINY_EXPONENT sums its
-# squared deviations at a power-of-two scale (see _Summary).
-TINY_EXPONENT = -256
-
-
 class _Summary(NamedTuple):
     """Trial count, and per result entry the sum, sum of squared deviations and max.
 
-    The squared deviations of an entry are summed in units of 4**exp: a block
-    entry whose largest |value| v is below 2**TINY_EXPONENT has exp the
-    exponent of v (v = f 2**exp, 0.5 <= f < 1), every other entry exp = 0,
-    so tiny values neither underflow nor go subnormal when squared; a merge
-    rescales both sides to the larger exp.  Scaling by a power of two is
-    exact, so statistics of values in the normal range keep their exact bits,
-    and those of tiny values scaled by 2**j are scaled by 2**j.
+    The squared deviations of an entry are summed in units of 4**exp, where
+    exp is the exponent of the entry's largest |value| v (v = f 2**exp,
+    0.5 <= f < 1): every scaled deviation is below 2 in magnitude, so no
+    square overflows and none goes subnormal unless it is negligible next to
+    the largest.  A merge rescales both sides to the larger exp.  Scaling by
+    a power of two is exact, so statistics of values in the normal range
+    keep their exact bits, and values scaled by 2**j give statistics scaled
+    by 2**j.  Only a value, or a sum over the trials, that does not fit in a
+    float leaves an inf or NaN.
     """
 
     trials: int
@@ -155,27 +155,19 @@ class _Summary(NamedTuple):
         # An overflow leaves an inf, which _run_blocks rejects once the merge is done.
         with np.errstate(over="ignore", invalid="ignore"):
             total, high = x.sum(axis=-1), x.max(axis=-1)
-            dev = x - (total / x.shape[-1])[..., None]
-            exp = np.zeros(high.shape, dtype=np.intc)
-            # A tiny entry has a tiny |max|: most blocks need not look further.
-            if np.abs(high).min() < 2.0**TINY_EXPONENT:
-                top = np.maximum(high, -x.min(axis=-1))
-                exp = np.frexp(np.where(top < 2.0**TINY_EXPONENT, top, 0.0))[1]
-                dev = np.ldexp(dev, -exp[..., None])
+            exp = np.frexp(np.maximum(high, -x.min(axis=-1)))[1]
+            dev = np.ldexp(x - (total / x.shape[-1])[..., None], -exp[..., None])
             return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), high, exp)
 
     def merge(self, other: "_Summary") -> "_Summary":
         """Summary of both samples: the Chan-Golub-LeVeque pairwise update."""
         trials = self.trials + other.trials
-        exp, sq_self, sq_other = self.exp, self.sq_dev, other.sq_dev
+        exp = np.maximum(self.exp, other.exp)
         with np.errstate(over="ignore", invalid="ignore"):
-            delta = other.total / other.trials - self.total / self.trials
-            if self.exp.any() or other.exp.any():
-                exp = np.maximum(self.exp, other.exp)
-                sq_self = np.ldexp(sq_self, 2 * (self.exp - exp))
-                sq_other = np.ldexp(sq_other, 2 * (other.exp - exp))
-                delta = np.ldexp(delta, -exp)
-            sq_dev = sq_self + sq_other + delta * delta * (self.trials * other.trials / trials)
+            delta = np.ldexp(other.total / other.trials - self.total / self.trials, -exp)
+            sq_dev = (np.ldexp(self.sq_dev, 2 * (self.exp - exp))
+                      + np.ldexp(other.sq_dev, 2 * (other.exp - exp))
+                      + delta * delta * (self.trials * other.trials / trials))
             total = self.total + other.total
         return _Summary(trials, total, sq_dev, np.maximum(self.max, other.max), exp)
 
@@ -214,8 +206,8 @@ def _run_blocks(
     ahead of the merge so that pending work stays bounded; kernels must only
     read shared inputs.  The one check of trials and workers (see the module
     docstring) runs before any block.  A merged summary holding inf or NaN
-    (statistics of values too large to square in floating point) raises
-    ValueError rather than being reported.
+    (a per-trial value, or a sum over the trials, that does not fit in a
+    float) raises ValueError rather than being reported.
     """
     trials, workers = check_int(trials, "trials"), check_int(workers, "workers")
     if not 2 <= trials <= MAX_TRIALS:
@@ -523,9 +515,15 @@ def check_linear_form_std(
     return LinearFormReport(sample_std, std_stderr, target, summary.trials, norm_ok, holds)
 
 
-def _conditional_stds(b: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """(sqrt(p)/n) ||B g|| for g = X^T d, one length-n vector or each of a (..., n) stack."""
-    return math.sqrt(p) / g.shape[-1] * np.linalg.norm(g @ b.T, axis=-1)
+def _conditional_stds(shape: ShapeSpec, g: np.ndarray, p: int) -> np.ndarray:
+    """(sqrt(p)/n) ||B g|| for g = X^T d, one length-n vector or each of a (..., n) stack.
+
+    Identity, diagonal and skew-block B are symmetric or antisymmetric, so
+    ||B g|| = ||g B|| = ||apply_shape(g)||, and no n x n matrix is built.
+    """
+    n = g.shape[-1]
+    bg = g @ shape.matrix.T if shape.variant == "custom" else apply_shape(g, shape, n)
+    return math.sqrt(p) / n * np.linalg.norm(bg, axis=-1)
 
 
 def _unit_direction(direction, p: int) -> np.ndarray:
@@ -601,7 +599,6 @@ def check_concentration(
 
     p, n = model.p, model.n
     orthogonal = model.shape.variant in _ORTHOGONAL_VARIANTS
-    b = None if orthogonal else build_shape(model.shape, n)
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
 
@@ -612,7 +609,7 @@ def check_concentration(
         if orthogonal:
             s = math.sqrt(p) / n * np.sqrt(rng.chisquare(n, k))
         else:
-            s = _conditional_stds(b, rng.standard_normal((k, n)), p)
+            s = _conditional_stds(model.shape, rng.standard_normal((k, n)), p)
         return np.column_stack((s, s[:, None] >= thresholds))
 
     summary = _run_blocks(kernel, trials, seed, workers)
@@ -659,22 +656,24 @@ def count_lipschitz_violations(
     into ||g1 - g2||^2 plus the squared norm R^2 of the part of X1 - X2
     orthogonal to d, which is 2 chi-square((p - 1) n) and independent of
     (g1, g2).  So each block draws the (g1, g2) pairs as one (2, k, n) stack,
-    then, for p > 1, the k values of R^2: 2n + 1 variates per pair.
+    then, for p > 1, the k values of R^2: 2n + 1 variates per pair.  The
+    left-hand sides go through the engine as well, so a pair whose s does
+    not fit in a float raises ValueError as the concentration check does.
     """
     _unit_direction(direction, model.p)
     p, n = model.p, model.n
-    b = build_shape(model.shape, n)
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        # Column 0 is |s(X1) - s(X2)|, column 1 its 0/1 indicator of a violation.
         g1, g2 = rng.standard_normal((2, k, n))
         dist_sq = np.square(g1 - g2).sum(axis=-1)
         if p > 1:
             dist_sq += 2.0 * rng.chisquare((p - 1) * n, k)
-        lhs = np.abs(_conditional_stds(b, g1, p) - _conditional_stds(b, g2, p))
-        return lhs > lipschitz * np.sqrt(dist_sq)
+        lhs = np.abs(_conditional_stds(model.shape, g1, p) - _conditional_stds(model.shape, g2, p))
+        return np.column_stack((lhs, lhs > lipschitz * np.sqrt(dist_sq)))
 
-    return int(_run_blocks(kernel, pairs, seed, workers).total)
+    return int(_run_blocks(kernel, pairs, seed, workers).total[1])
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ["decoupling", "dominance"])
     def test_overflowing_statistics_exit_two_with_no_report(self, tmp_path, capsys, check):
-        # Norms near 1e160 square past the largest float: no stderr is reported as Infinity.
-        bad = dict(identity_model_dict(2, 8), theta=cw.matrix_to_dict(np.diag([1e160, 1e160])))
+        # Norms near 1e306 sum past the largest float: no mean is reported as Infinity.
+        bad = dict(identity_model_dict(2, 8), theta=cw.matrix_to_dict(np.diag([1e306, 1e306])))
         config = write_config(
             tmp_path, "c.json",
-            {"command": "verify", "check": check, "model": bad, "trials": 10, "seed": 1},
+            {"command": "verify", "check": check, "model": bad, "trials": 2048, "seed": 1},
         )
         assert cli.main(["--config", config]) == 2
         captured = capsys.readouterr()

@@ -344,29 +344,38 @@ class TestTrialCounts:
             verify._run_blocks(kernel, trials, 0, workers)
 
     def test_overflowing_statistics_are_rejected(self):
-        # Norms near 1e160: their squared deviations overflow, so no stderr can be reported.
-        m = model(2, 8, theta=cw.SpdMatrix.diagonal([1e160, 1e160]))
+        # Norms near 1e306: a block's sum over 1024 trials overflows, so no mean can be reported.
+        m = model(2, 8, theta=cw.SpdMatrix.diagonal([1e306, 1e306]))
         for check in (cw.check_wishart_decoupling, cw.check_bound_dominance):
             with pytest.raises(ValueError, match="overflow"):
-                check(TrialConfig(m, 10, 1))
+                check(TrialConfig(m, 2048, 1))
 
-    def test_tiny_statistics_scale_exactly(self):
-        # Values near 2^-560 have squared deviations far below the least float;
-        # the summary squares them at a power-of-two scale, so every statistic
-        # is that of B = I (as a diagonal) scaled by 2^-560, bit for bit.
+    @staticmethod
+    def assert_statistics_scale_exactly(scale):
+        """Every statistic of B = 2^scale I (as a diagonal) is B = I's scaled by 2^scale."""
         def reports(b):
             cfg = TrialConfig(model(2, 8, shape=cw.ShapeSpec.diagonal([b] * 8)), 2000, 5)
             return check_expectation(cfg), cw.check_wishart_decoupling(cfg)
 
-        (exp_one, dec_one), (exp_tiny, dec_tiny) = reports(1.0), reports(2.0**-560)
+        (exp_one, dec_one), (exp_scaled, dec_scaled) = reports(1.0), reports(2.0**scale)
         for field in ("max_abs_deviation", "max_stderr", "mean_matrix", "expected_matrix",
                       "stderr_matrix"):
-            assert np.array_equal(np.ldexp(getattr(exp_one, field), -560), getattr(exp_tiny, field))
-        for one, tiny in ((dec_one.lhs, dec_tiny.lhs), (dec_one.rhs, dec_tiny.rhs)):
-            assert (tiny.mean, tiny.stderr, tiny.max) == tuple(
-                math.ldexp(v, -560) for v in (one.mean, one.stderr, one.max))
-        assert exp_tiny.max_stderr > 0.0 and exp_tiny.holds and exp_one.holds
-        assert dec_tiny.holds and dec_one.holds
+            assert np.array_equal(np.ldexp(getattr(exp_one, field), scale),
+                                  getattr(exp_scaled, field))
+        for one, scaled in ((dec_one.lhs, dec_scaled.lhs), (dec_one.rhs, dec_scaled.rhs)):
+            assert (scaled.mean, scaled.stderr, scaled.max) == tuple(
+                math.ldexp(v, scale) for v in (one.mean, one.stderr, one.max))
+        assert exp_scaled.max_stderr > 0.0 and exp_scaled.holds and exp_one.holds
+        assert dec_scaled.holds and dec_one.holds
+
+    def test_tiny_statistics_scale_exactly(self):
+        # Values near 2^-560 have squared deviations far below the least float;
+        # the summary squares them at a power-of-two scale.
+        self.assert_statistics_scale_exactly(-560)
+
+    def test_huge_statistics_scale_exactly(self):
+        # Values near 2^560 have squared deviations far above the largest float.
+        self.assert_statistics_scale_exactly(560)
 
     def test_integral_float_trials_report_an_int_count(self):
         theta, m = cw.SpdMatrix.diagonal([4.0, 1.0]), model(2, 4)
@@ -400,13 +409,15 @@ class TestTrialCounts:
 class TestConditionalStd:
     def test_zero_shape(self):
         x = cw.sample_standard_gaussian_matrix(2, 4, 1)
-        assert verify._conditional_stds(np.zeros((4, 4)), np.array([1.0, 0.0]) @ x, 2) == 0.0
+        zero = cw.ShapeSpec.diagonal([0.0] * 4)
+        assert verify._conditional_stds(zero, np.array([1.0, 0.0]) @ x, 2) == 0.0
 
     def test_identity_shape_row_norm(self):
         x = cw.sample_standard_gaussian_matrix(3, 8, 2)
         expected = math.sqrt(3) / 8 * float(np.linalg.norm(x[0]))
         d = np.array([1.0, 0.0, 0.0])
-        assert verify._conditional_stds(np.eye(8), d @ x, 3) == pytest.approx(expected)
+        identity = cw.ShapeSpec.identity()
+        assert verify._conditional_stds(identity, d @ x, 3) == pytest.approx(expected)
 
     def test_double_sum_definition(self):
         # sigma^2 = p/n^2 * sum_l [sum_m sum_j b_lm x_j X_jm]^2
@@ -423,7 +434,8 @@ class TestConditionalStd:
             )
             total += inner**2
         oracle = math.sqrt(p) / n * math.sqrt(total)
-        assert verify._conditional_stds(b, d @ x, p) == pytest.approx(oracle, rel=1e-12)
+        shape = cw.ShapeSpec.custom(b)
+        assert verify._conditional_stds(shape, d @ x, p) == pytest.approx(oracle, rel=1e-12)
 
     def test_unit_vector_required(self):
         # The Lipschitz claim is stated for unit d only: [3, 0, 0] on this
@@ -487,6 +499,33 @@ class TestConcentration:
     def test_lipschitz_never_violated(self):
         violations = cw.count_lipschitz_violations(self.cfgmodel(), [1, 0, 0], 1000, 67)
         assert violations == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_sigma_past_the_largest_float_is_rejected(self):
+        # s(X) = (sqrt(3) / 16) 1e308 ||g|| overflows: inf - inf is NaN, and
+        # NaN > x is false, so the violation count alone would read 0.
+        m = model(3, 16, shape=cw.ShapeSpec.diagonal([1e308] * 16))
+        with pytest.raises(ValueError, match="overflow"):
+            cw.count_lipschitz_violations(m, [1, 0, 0], 1000, 67)
+        with pytest.raises(ValueError, match="overflow"):
+            cw.check_concentration(m, [1, 0, 0], [0.0], 1000, 67)
+
+    def test_sigma_never_builds_the_n_by_n_shape(self):
+        # A dense 4096 x 4096 B alone takes 128 MB.
+        n = 4096
+        diagonal = cw.ShapeSpec.diagonal(np.linspace(0.5, 1.5, n).tolist())
+        runs = [lambda: cw.check_concentration(model(3, n, diagonal), [1, 0, 0], [0.0], 2, 0)]
+        runs += [lambda s=s: cw.count_lipschitz_violations(model(3, n, s), [1, 0, 0], 2, 0)
+                 for s in (cw.ShapeSpec.identity(), cw.ShapeSpec.skew_block(), diagonal)]
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
     def test_lipschitz_at_one_row(self):
         # p = 1: X1 - X2 has no part orthogonal to d, so no chi-square term is drawn.
