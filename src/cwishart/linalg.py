@@ -39,7 +39,7 @@ __all__ = [
     "canonical_dumps",
 ]
 
-# Symmetry and positivity tolerances for SPD inputs.
+# Symmetry and positivity tolerances for SPD inputs, at the scale of the largest entry.
 SYMMETRY_RTOL = 1e-12
 SPD_EIG_TOL = 1e-10
 
@@ -124,30 +124,37 @@ def spectral_norm(a) -> float:
 class SpdMatrix:
     """Symmetric positive definite matrix with certified positivity.
 
-    Construction validates symmetry (|e_ij - e_ji| <= 1e-12 * max(1, |e_ij|))
-    and that the minimal eigenvalue exceeds SPD_EIG_TOL.  The stored array is
-    a read-only copy.  This is the one place positivity is certified.
+    Construction writes it exactly as 4**h U, U's largest |entry| in [0.25, 1),
+    and certifies U: |u_ij - u_ji| <= SYMMETRY_RTOL and minimal eigenvalue >
+    SPD_EIG_TOL (a condition-number cap of about 1e10), so 4**j theta passes or
+    fails with theta.  The stored array is a read-only copy.  This is the one
+    place positivity is certified.
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = as_matrix(self.array, "SPD matrix")
+        arr = np.array(as_matrix(self.array, "SPD matrix"), order="C")
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"SPD matrix must be square, got {arr.shape}")
-        skew = np.abs(arr - arr.T)
-        if np.any(skew > SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))):
-            raise InvalidMatrixError("SPD matrix is not symmetric within tolerance")
-        arr = np.array(arr, order="C")
         arr.setflags(write=False)
-        min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if min_eig <= SPD_EIG_TOL:
-            raise NotPositiveDefiniteError(min_eig, SPD_EIG_TOL)
         object.__setattr__(self, "array", arr)
+        h, unit = self._unit
+        if np.any(np.abs(unit - unit.T) > SYMMETRY_RTOL):
+            raise InvalidMatrixError("SPD matrix is not symmetric within tolerance")
+        min_eig = float(np.linalg.eigvalsh(unit)[0])
+        if min_eig <= SPD_EIG_TOL:
+            raise NotPositiveDefiniteError(np.ldexp(min_eig, 2 * h), np.ldexp(SPD_EIG_TOL, 2 * h))
 
     @property
     def p(self) -> int:
         return self.array.shape[0]
+
+    @cached_property
+    def _unit(self) -> tuple[int, np.ndarray]:
+        """(h, U) with array = 4**h U exactly and U's largest |entry| in [0.25, 1)."""
+        h = -(-int(np.frexp(np.abs(self.array).max())[1]) // 2)
+        return h, np.ldexp(self.array, -2 * h)
 
     @cached_property
     def _norm(self) -> float:
@@ -172,10 +179,11 @@ class SpdMatrix:
 
 
 def spd_sqrt(s: SpdMatrix) -> np.ndarray:
-    """Symmetric positive definite square root (read-only) via full eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(s.array)
+    """Symmetric positive definite square root (read-only): U's by eigh, times 2**h (SpdMatrix)."""
+    h, unit = s._unit
+    eigvals, eigvecs = np.linalg.eigh(unit)
     root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    root = 0.5 * (root + root.T)
+    root = np.ldexp(0.5 * (root + root.T), h)
     root.setflags(write=False)
     return root
 

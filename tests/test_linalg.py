@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +156,70 @@ class TestSpdSqrt:
         s = cw.SpdMatrix.identity(2)
         with pytest.raises(ValueError):
             s.array[0, 0] = 5.0
+
+
+def _exact_det3(a):
+    """Exact determinant of a 3 x 3 float matrix, in rationals."""
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(float(v)) for v in row] for row in a]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+class TestSpdScale:
+    """SpdMatrix certifies theta = 4**h U at U's scale, with no absolute floor."""
+
+    def test_indefinite_theta_rejected(self):
+        # Eigenvalues 1e8, 1 and -1e-9: rounding in eigvalsh is about 1e-8, so an
+        # absolute 1e-10 positivity floor accepts about one in six of these.
+        rng = np.random.default_rng(0)
+        negative = 0
+        for _ in range(500):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            theta = q @ np.diag([1e8, 1.0, -1e-9]) @ q.T
+            theta = 0.5 * (theta + theta.T)
+            det = _exact_det3(theta)
+            negative += det < 0
+            try:
+                cw.SpdMatrix(theta)
+            except NotPositiveDefiniteError:
+                continue
+            assert det > 0
+        assert negative > 50
+
+    def test_tiny_theta_accepted(self):
+        s = cw.SpdMatrix(4.0**-20 * np.eye(3))
+        assert np.array_equal(s._root, 2.0**-20 * np.eye(3))
+        assert cw.SpdMatrix.diagonal([1e-11, 1e-11]).p == 2
+        assert cw.SpdMatrix.diagonal([5e-324]).array[0, 0] == 5e-324
+
+    def test_asymmetry_is_judged_against_the_largest_entry(self):
+        with pytest.raises(InvalidMatrixError):
+            cw.SpdMatrix([[1e-6, 1e-13], [0.0, 1e-6]])
+        # Off by 1e-7 of the small entries, but by 1e-15 of the largest one.
+        theta = cw.SpdMatrix(1e6 * np.array([[1.0, 1e-8], [1e-8 + 1e-15, 1.0]]))
+        assert theta.p == 2
+
+    def test_condition_number_is_capped_near_1e10(self):
+        for j in (-30, 0, 30):
+            assert cw.SpdMatrix.diagonal(np.ldexp([1.0, 1e-9], 2 * j).tolist()).p == 2
+            with pytest.raises(NotPositiveDefiniteError):
+                cw.SpdMatrix.diagonal(np.ldexp([1.0, 1e-11], 2 * j).tolist())
+
+    def test_not_positive_definite_reports_at_theta_scale(self):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cw.SpdMatrix(np.diag([2.0**600, -(2.0**600)]))
+        assert exc.value.eigenvalue == -(2.0**600)
+        assert exc.value.tolerance == np.ldexp(cw.linalg.SPD_EIG_TOL, 602)
+        # h = 512: 4.0**h overflows, but the tolerance at theta's scale does not.
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cw.SpdMatrix(np.diag([1.7e308, -1.0]))
+        assert exc.value.tolerance == np.ldexp(cw.linalg.SPD_EIG_TOL, 1024)
+
+    @pytest.mark.parametrize("j", [-505, -300, -20, 1, 255, 300, 510])
+    def test_root_scales_exactly(self, j):
+        g = cw.generator(97).standard_normal((5, 5))
+        theta = cw.SpdMatrix(g @ g.T + np.eye(5))
+        scaled = cw.SpdMatrix(np.ldexp(theta.array, 2 * j))
+        assert np.array_equal(scaled._root, np.ldexp(theta._root, j))
 
 
 class TestGaussianSampler:

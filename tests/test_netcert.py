@@ -181,9 +181,14 @@ class TestMaxBilinear:
             assert cw.max_bilinear_over_regular(a) == unpruned_max(a)
             assert cw.max_bilinear_over_regular(a) == pytest.approx(
                 scale * cw.max_bilinear_over_regular(a / scale), rel=1e-12)
-        # Subnormal entries: the rescaling power of two must itself stay finite.
+        # Subnormal entries: scaled up to unit scale by ldexp, exactly.
         for a in (np.array([[2.225073858507e-311]]), 1e-310 * rng.standard_normal((4, 4))):
             assert cw.max_bilinear_over_regular(a) == unpruned_max(a)
+        # The enumeration runs at unit scale, so 2^j A gives 2^j times the maximum, exactly.
+        a = rng.standard_normal((5, 5))
+        for j in (-1000, -300, 300, 1000):
+            assert cw.max_bilinear_over_regular(np.ldexp(a, j)) == np.ldexp(
+                cw.max_bilinear_over_regular(a), j)
 
     def test_never_exceeds_spectral_norm(self):
         rng = cw.generator(910)
@@ -245,6 +250,21 @@ class TestCertifyNormBound:
         assert shrunk.factor == pytest.approx(ratio / 2)
         assert (shrunk.exact_norm, shrunk.reg_max) == (cert.exact_norm, cert.reg_max)
         assert not shrunk.holds
+
+    def test_negative_control_far_below_one(self, monkeypatch):
+        # ||A|| = 3.6e-12: the comparison is relative, so no slack hides a zero factor.
+        a = 2.0**-40 * cw.generator(1).standard_normal((6, 6))
+        assert cw.certify_norm_bound(a).holds
+        monkeypatch.setattr(netcert, "log_factor", lambda p: 0)
+        cert = cw.certify_norm_bound(a)
+        assert cert.factor == 0 and 0.0 < cert.exact_norm < 1e-11
+        assert not cert.holds
+
+    def test_subnormal_certificate_is_exact(self):
+        # Every entry 2^-1074: ||A|| and the regular maximum are both 3 * 2^-1074.
+        cert = cw.certify_norm_bound(np.full((3, 3), 5e-324))
+        assert cert.reg_max == cert.exact_norm == math.ldexp(3.0, -1074)
+        assert cert.holds
 
     def test_matrix_id_stable(self):
         a = cw.generator(913).standard_normal((3, 3))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,42 @@ class TestLinearFormStd:
             cw.check_linear_form_std(theta, [math.nan, 1.0], 10, 0)
 
 
+def _scaled(value, exp, keep=frozenset({"margin", "ratio", "sigma", "kappa"})):
+    """A report dict with every float scaled by 2**exp, except the scale-free fields."""
+    if isinstance(value, dict):
+        return {k: v if k in keep else _scaled(v, exp) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_scaled(v, exp) for v in value]
+    return float(np.ldexp(value, exp)) if type(value) is float else value
+
+
+def _theta_reports(theta):
+    """(report dict, k) for each theta check on theta: 4**j theta scales the report by 2**(k j)."""
+    diagonal = cw.ShapeSpec.diagonal([2.0, 0.0, 1.0, 1.0, 0.5, 1.5, 0.0, 2.0])
+    mats = list(cw.generator(61).standard_normal((3, 3, 3)))
+    reports = [
+        check_expectation(TrialConfig(model(3, 8, diagonal, theta), 300, 53)),
+        cw.check_bound_dominance(TrialConfig(model(3, 8, theta=theta), 300, 54)),
+        cw.check_wishart_decoupling(TrialConfig(model(3, 8, diagonal, theta), 300, 55)),
+        cw.check_chaos_decoupling(mats, theta, 300, 56),
+    ]
+    return [(r.to_dict(), 2) for r in reports] + [
+        (cw.check_linear_form_std(theta, [1.0, -2.0, 0.5], 300, 57).to_dict(), 1)]
+
+
+class TestThetaScaling:
+    """4**j theta gives every theta check's report scaled by 2**j or 4**j, bit for bit."""
+
+    g = cw.generator(0).standard_normal((3, 3))
+    theta = cw.SpdMatrix(g @ g.T + np.eye(3))
+
+    @pytest.mark.parametrize("j", [-300, -255, -100, -20, 1, 200, 255, 300, 500])
+    def test_reports_scale_exactly(self, j):
+        scaled = cw.SpdMatrix(np.ldexp(self.theta.array, 2 * j))
+        for (base, power), (got, _) in zip(_theta_reports(self.theta), _theta_reports(scaled)):
+            assert got == _scaled(base, power * j)
+
+
 class TestTrialCounts:
     """The block engine is the one reader of trials and workers."""
 
@@ -500,16 +537,21 @@ class TestConcentration:
         violations = cw.count_lipschitz_violations(self.cfgmodel(), [1, 0, 0], 1000, 67)
         assert violations == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_sigma_past_the_largest_float_is_rejected(self):
         # s(X) = (sqrt(3) / 16) 1e308 ||g|| overflows: inf - inf is NaN, and
-        # NaN > x is false, so the violation count alone would read 0.
+        # NaN > x is false, so the violation count alone would read 0.  The
+        # engine's finite check is the only overflow signal from the blocks.
         m = model(3, 16, shape=cw.ShapeSpec.diagonal([1e308] * 16))
-        with pytest.raises(ValueError, match="overflow"):
-            cw.count_lipschitz_violations(m, [1, 0, 0], 1000, 67)
-        with pytest.raises(ValueError, match="overflow"):
-            cw.check_concentration(m, [1, 0, 0], [0.0], 1000, 67)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="overflow"):
+                cw.count_lipschitz_violations(m, [1, 0, 0], 3000, 67, workers)
+        # ||B||_F = 4e308 is itself past the float range, so computing the mean
+        # bound warns once, before any block runs.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflow"):
+                cw.check_concentration(m, [1, 0, 0], [0.0], 1000, 67)
+        assert len(caught) == 1 and str(caught[0].message).startswith("overflow encountered")
 
     def test_sigma_never_builds_the_n_by_n_shape(self):
         # A dense 4096 x 4096 B alone takes 128 MB.
