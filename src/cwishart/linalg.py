@@ -93,9 +93,15 @@ def check_floats(value, name: str) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries, sqrt(Tr(A A^T))."""
+    """Square root of the sum of squared entries, sqrt(Tr(A A^T)).
+
+    Summed on A scaled by a power of two (exact), its largest entry in
+    [0.5, 1), as in ``_spectral_norms``: a norm that fits in a float is finite.
+    """
     arr = as_matrix(a)
-    return float(np.sqrt(np.sum(arr * arr)))
+    _, exp = np.frexp(np.abs(arr).max())
+    unit = np.ldexp(arr, -exp)
+    return float(np.ldexp(np.sqrt(np.sum(unit * unit)), exp))
 
 
 def _spectral_norms(a: np.ndarray) -> np.ndarray:

@@ -194,7 +194,10 @@ def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
     if spec.variant in _ORTHOGONAL_VARIANTS:
         return math.sqrt(n)
     if spec.variant == "diagonal":
-        return float(np.linalg.norm(spec.entries))
+        # At unit scale, as in linalg.frobenius_norm.
+        entries = np.asarray(spec.entries, dtype=np.float64)
+        _, exp = np.frexp(np.abs(entries).max())
+        return float(np.ldexp(np.linalg.norm(np.ldexp(entries, -exp)), exp))
     return frobenius_norm(spec.matrix)
 
 

@@ -5,11 +5,16 @@ rest zero; there are C(p, s) * 2^s of them per level and 3^p - 1 in total.
 The spectral norm of any p x p matrix is certified against the maximum of the
 bilinear form over regular vector pairs, inflated by 12 * ceil(ln 2p)^2.
 
-That maximum is exact but takes only part of the enumeration: the best
-response y to A x depends only on |A x|, so x and -x are one case and only
-the x whose first support sign is +1 are enumerated; and since (u, y) <= ||u||
-for a unit y, a response u whose norm is below the running maximum (less a
-1e-9 relative margin for rounding) cannot carry it and is never sorted.
+That maximum is exact, and computed by a meet in the middle.  The best
+response y to A x depends only on |A x|, so x and -x are one case.  Each x is
+a pair (x_L, x_R) of {0, +-1} vectors over the first p // 2 and the last
+coordinates, scaled by 1/sqrt(s) for its support size s; two half tables of
+3^(p/2) rows or fewer and their partial responses P_L = A_L x_L and
+P_R = A_R x_R give every ||A x||^2 = (||P_L||^2 + 2 P_L.P_R + ||P_R||^2) / s,
+one GEMM per block of cells.  The cells come in blocks of a fixed size, so
+memory does not grow with p.  Since (u, y) <= ||u|| for a unit y, a cell whose
+norm is below the running maximum (less a 1e-9 relative margin, far above the
+rounding of the expansion) cannot carry it, and its response is never built.
 """
 from __future__ import annotations
 
@@ -37,7 +42,8 @@ __all__ = [
 
 LEVEL_ENUM_CAP = 16     # single-level enumeration
 BILINEAR_CAP = 14       # exhaustive loop over all 3^p - 1 regular vectors
-_BATCH_ROWS = 200_000
+_BLOCK_CELLS = 2**15    # cells (pairs of half-table rows) per block
+_MARGIN = 1e-9          # relative slack of the pruning test on ||A x||^2
 
 CERT_SLACK = 1e-9
 
@@ -116,33 +122,70 @@ def _batch_response_max(u: np.ndarray) -> float:
     return float((prefix / np.sqrt(np.arange(1, p + 1))).max(initial=-math.inf))
 
 
-def _level_batches(arr: np.ndarray, s: int) -> Iterator[np.ndarray]:
-    # Responses A x of the sparsity-s regular x whose first support sign is +1,
-    # in memory-bounded batches; x itself is never built.
-    p = arr.shape[0]
-    signs = np.array(list(itertools.product((1.0,), *[(1.0, -1.0)] * (s - 1)))) / math.sqrt(s)
-    combos_per_batch = max(1, _BATCH_ROWS // len(signs))
-    combos = itertools.combinations(range(p), s)
-    while chunk := list(itertools.islice(combos, combos_per_batch)):
-        yield (signs @ arr.T[np.asarray(chunk, dtype=np.intp)]).reshape(-1, p)
+def _ternary_rows(m: int, lo: int) -> np.ndarray:
+    # The t in {0, +1, -1}^m whose balanced-ternary value sum_k t_k 3^(m-1-k)
+    # runs from lo to (3^m - 1) / 2, as float rows in that order.  The value has
+    # the sign of t's first nonzero entry, so lo = 0 gives the zero row first and
+    # then one of each pair +-t.
+    top = (3**m - 1) // 2
+    digits = np.arange(lo + top, 2 * top + 1)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3
+    return (digits - 1).astype(np.float64)
+
+
+def _half_tables(p: int) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, slice]]]:
+    """The two half tables of x = (x_L, x_R) and the blocks of cells that pair them.
+
+    The left table holds x_L = 0 (row 0) and one of each pair +-x_L; the right
+    table holds every x_R, x_R = 0 at row (3^(p - p // 2) - 1) / 2.  The cells
+    of row 0 past that row, and every cell of the other rows, are the regular
+    x whose first nonzero entry is +1, each once.  Blocks are rectangles of
+    at most ``_BLOCK_CELLS`` cells (one cell at least).
+    """
+    h = p // 2
+    top_r = (3 ** (p - h) - 1) // 2
+    left, right = _ternary_rows(h, 0), _ternary_rows(p - h, -top_r)
+    n_left, n_right = len(left), len(right)
+    cols = min(n_right, _BLOCK_CELLS)
+    rows = max(1, _BLOCK_CELLS // cols)
+    blocks = [(slice(0, 1), slice(j, j + cols)) for j in range(top_r + 1, n_right, cols)]
+    blocks += [(slice(i, i + rows), slice(j, j + cols))
+               for i in range(1, n_left, rows) for j in range(0, n_right, cols)]
+    return left, right, blocks
+
+
+def _responses(x: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    # A x for each row x, summed one column of A at a time: each row then has
+    # the same bits whichever rows it is computed with, which a GEMM's do not.
+    u = x[:, :1] * arr[:, 0]
+    for k in range(1, arr.shape[1]):
+        u += x[:, k:k + 1] * arr[:, k]
+    return u
 
 
 def max_bilinear_over_regular(a) -> float:
     """Maximum of (A x, y) over all pairs of regular vectors x, y.
 
-    The outer loop is exhaustive over the regular x; the inner maximization
-    over y is the closed form of :func:`max_regular_response`, which depends
-    only on |A x|.  Two savings keep the result exact:
+    The outer maximization is exhaustive over the regular x, up to sign; the
+    inner one over y is the closed form of :func:`max_regular_response`, which
+    depends only on |A x|.  The x are the cells of :func:`_half_tables`, and a
+    block of cells gets every s ||A x||^2 = ||P_L||^2 + 2 P_L.P_R + ||P_R||^2
+    from the partial responses of its two half-table rows, one GEMM per block.
 
-    * x and -x give the same value, so only the (3^p - 1) / 2 vectors whose
-      first support sign is +1 are enumerated.
-    * For a unit y, (u, y) <= ||u||, so a response u can beat the running
-      maximum ``best`` only if ||u||^2 > best^2.  Each batch seeds ``best``
-      with its row of largest norm and sorts only the rows above
-      best^2 * (1 - 1e-9).  The margin is far above the relative rounding
-      of ||u||^2 and of the closed form (about p ulps), so no pruned row can
-      carry the maximum, and the result is the same, bit for bit, as that
-      of the full enumeration.
+    ``best`` starts at m = max |a_ij|, the value of the regular pair
+    (e_j, +-e_i).  A block whose largest ||A x|| exceeds it seeds ``best`` with
+    that cell, then builds the response of every cell with
+    ||A x||^2 > best^2 (1 - 1e-9) and takes the closed form.  For a unit y,
+    (A x, y) <= ||A x||, so no other cell can carry the maximum, and the
+    result is the same, bit for bit, as the closed form over every cell.
+
+    Why the margin covers the rounding.  A is scaled by a power of two so that
+    m lies in [0.5, 1).  The entries of P_L and P_R are sums of at most s
+    signed entries of A: below s m, with errors below s^2 u m (u = 2^-53).
+    With the rounding of the three dot products over p coordinates, the
+    error of s ||A x||^2 is below about (2 p s^3 + (p + 3) p s^2) u m^2, so
+    that of ||A x||^2 is below 3 p^2 (p + 1) u best^2: 1e-12 best^2 at
+    p = 14, against the 1e-9 margin.  The closed form of a response rounds
+    within about 3 p ulps of its norm.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -153,18 +196,34 @@ def max_bilinear_over_regular(a) -> float:
             f"bilinear maximization supports p <= {BILINEAR_CAP}, got p={p}",
             count=3**p - 1,
         )
-    # Enumerate on A scaled by a power of two (exact) so that its largest entry
-    # lies in [0.5, 1): no ||u||^2 overflows or underflows.
-    exp = int(np.frexp(np.abs(arr).max())[1])
+    # Work on A scaled by a power of two (exact) so that its largest entry lies
+    # in [0.5, 1): no ||A x||^2 overflows or underflows.
+    m = float(np.abs(arr).max())
+    exp = math.frexp(m)[1]
     arr = np.ldexp(arr, -exp)
-    best = -math.inf
-    for s in range(1, p + 1):
-        for u in _level_batches(arr, s):
-            sq = np.einsum("ij,ij->i", u, u)
-            top = int(np.argmax(sq))
-            best = max(best, _batch_response_max(u[top:top + 1]))
-            keep = sq > best * best * (1.0 - 1e-9)
-            best = max(best, _batch_response_max(u[keep]))
+    best = math.ldexp(m, -exp)
+    left, right, blocks = _half_tables(p)
+    h = left.shape[1]
+    p_left, p_right = left @ arr[:, :h].T, right @ arr[:, h:].T
+    sq_left = np.einsum("ij,ij->i", p_left, p_left)
+    sq_right = np.einsum("ij,ij->i", p_right, p_right)
+    s_left, s_right = np.count_nonzero(left, axis=1), np.count_nonzero(right, axis=1)
+    for rows, cols in blocks:
+        s = s_left[rows, None] + s_right[cols]
+        sq = (2 * p_left[rows]) @ p_right[cols].T
+        sq += sq_left[rows, None]
+        sq += sq_right[cols]
+        sq /= s
+
+        def block_max(cells: np.ndarray) -> float:
+            i, j = np.unravel_index(cells, sq.shape)
+            x = np.concatenate((left[rows][i], right[cols][j]), axis=1) / np.sqrt(s[i, j])[:, None]
+            return _batch_response_max(_responses(x, arr))
+
+        top = int(np.argmax(sq))
+        if sq.flat[top] > best * best * (1.0 - _MARGIN):
+            best = max(best, block_max(np.array([top])))
+            best = max(best, block_max(np.flatnonzero(sq > best * best * (1.0 - _MARGIN))))
     return math.ldexp(best, exp)
 
 

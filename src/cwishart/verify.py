@@ -524,7 +524,9 @@ def _conditional_stds(shape: ShapeSpec, g: np.ndarray, p: int) -> np.ndarray:
     """
     n = g.shape[-1]
     bg = g @ shape.matrix.T if shape.variant == "custom" else apply_shape(g, shape, n)
-    return math.sqrt(p) / n * np.linalg.norm(bg, axis=-1)
+    # Normed at unit scale (exact), so 2^j B gives 2^j times the stds, bit for bit.
+    _, exp = np.frexp(np.abs(bg).max())
+    return np.ldexp(math.sqrt(p) / n * np.linalg.norm(np.ldexp(bg, -exp), axis=-1), exp)
 
 
 def _unit_direction(direction, p: int) -> np.ndarray:
@@ -616,10 +618,10 @@ def check_concentration(
     summary = _run_blocks(kernel, trials, seed, workers)
     stats, trials = summary.stats(0), summary.trials
     empirical = (summary.total[1:] / trials).tolist()
-    # The exponent -t^2 / (2 L^2) is taken as -(t / L)^2 / 2 when L^2 underflows to 0.
-    theoretical = [0.5 if t == 0.0 else 0.0 if lipschitz == 0.0 else 0.5 * math.exp(
-        -t * t / (2.0 * lipschitz * lipschitz) if lipschitz * lipschitz > 0.0
-        else -0.5 * (t / lipschitz) * (t / lipschitz)) for t in t_grid]
+    # The exponent -t^2 / (2 L^2) as -(t / L)^2 / 2: the same for 2^j (t, L), and
+    # -inf, not an error, where t / L overflows.
+    theoretical = [0.5 if t == 0.0 else 0.0 if lipschitz == 0.0
+                   else 0.5 * math.exp(-0.5 * (t / lipschitz) * (t / lipschitz)) for t in t_grid]
     stderrs = [math.sqrt(e * (1.0 - e) / trials) for e in empirical]
     asserted = [theo >= 10.0 / trials for theo in theoretical]
     holds = not any(a and e > theo + INEQUALITY_MARGIN * se

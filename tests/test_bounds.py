@@ -44,6 +44,13 @@ class TestDeviationBound:
             assert report.bound_value == pytest.approx(expected, rel=1e-12)
             assert report.sigma == 1.0 and report.kappa == 1.0
 
+    def test_frobenius_norm_whose_squares_overflow(self):
+        # ||B||_F = 4e200 fits in a float, though each squared entry 1e400 does not.
+        m = cw.WishartModel(2, 16, cw.SpdMatrix.identity(2), cw.ShapeSpec.diagonal([1e200] * 16))
+        report = cw.deviation_bound(m)
+        assert report.kappa == pytest.approx(4e200, rel=1e-15) and report.sigma == 1e200
+        assert math.isfinite(report.bound_value) and report.bound_value > 0.0
+
     def test_doubling_n_with_fixed_norms_halves(self):
         # diag(2, 0) at n=2 and diag(2, 0, 0, 0) at n=4 share sigma and kappa.
         m2 = cw.WishartModel(2, 2, cw.SpdMatrix.identity(2),

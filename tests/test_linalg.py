@@ -119,6 +119,14 @@ class TestFrobeniusNorm:
         a = cw.generator(5).standard_normal((3, 5))
         assert cw.frobenius_norm(a) == pytest.approx(math.sqrt(np.trace(a @ a.T)))
 
+    def test_exact_under_power_of_two_scaling(self):
+        # Summed at unit scale: the squares of 2^1000 A would overflow and those
+        # of 2^-1000 A underflow, and the norm of 1e200 I fits in a float.
+        a = cw.generator(6).standard_normal((3, 5))
+        for j in (-1000, 1000):
+            assert cw.frobenius_norm(np.ldexp(a, j)) == np.ldexp(cw.frobenius_norm(a), j)
+        assert cw.frobenius_norm(1e200 * np.eye(2)) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+
 
 class TestSpdSqrt:
     def test_identity(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,9 +29,26 @@ def structured_matrices(p, rng):
 
 
 def unpruned_max(a):
-    """Closed-form maximum over every enumerated response, with nothing pruned."""
-    return max(netcert._batch_response_max(u)
-               for s in range(1, a.shape[0] + 1) for u in netcert._level_batches(a, s))
+    """Closed form over the response of every regular x, with nothing pruned.
+
+    Computed as max_bilinear_over_regular computes it: at the unit scale, with
+    netcert._responses, whose rows have the same bits whatever rows they come
+    with.  So a pruned run must equal it bit for bit.
+    """
+    exp = int(np.frexp(np.abs(a).max())[1])
+    u = netcert._responses(regular_matrix(a.shape[0]), np.ldexp(a, -exp))
+    return math.ldexp(netcert._batch_response_max(u), exp)
+
+
+def responses_max(a):
+    """Closed form over A x for all 3^p - 1 regular x (one GEMM per 2^15 of them)."""
+    p, best = a.shape[0], -math.inf
+    for start in range(1, 3**p, 2**15):
+        digits = np.arange(start, min(start + 2**15, 3**p))[:, None] // 3 ** np.arange(p) % 3
+        t = np.where(digits == 2, -1.0, digits.astype(np.float64))
+        x = t / np.sqrt(np.count_nonzero(t, axis=1))[:, None]
+        best = max(best, netcert._batch_response_max(x @ a.T))
+    return best
 
 
 class TestEnumeration:
@@ -133,29 +151,36 @@ class TestMaxBilinear:
                 assert value == unpruned_max(a)
 
     def test_best_carries_across_batches(self, monkeypatch):
-        # 64-row batches split p = 7 into dozens, so pruning uses a running
-        # maximum from earlier batches.
-        monkeypatch.setattr(netcert, "_BATCH_ROWS", 64)
+        # 64-cell blocks split p = 7 into dozens, so pruning uses a running
+        # maximum from earlier blocks.
+        monkeypatch.setattr(netcert, "_BLOCK_CELLS", 64)
         rng = cw.generator(920)
         mat = regular_matrix(7)
-        batches = sum(1 for s in range(1, 8) for _ in netcert._level_batches(np.eye(7), s))
-        assert batches > 20
+        assert len(netcert._half_tables(7)[2]) > 20
         for a in [rng.standard_normal((7, 7)) for _ in range(10)] + structured_matrices(7, rng):
             value = cw.max_bilinear_over_regular(a)
             assert abs(value - float((mat @ a @ mat.T).max())) <= 1e-12
             assert value == unpruned_max(a)
 
-    def test_one_response_per_sign_pair(self):
-        # The rows of a level are A x for the x whose first support sign is +1,
-        # in the order of enumerate_regular: half of the level, one of each +-x.
-        rng = cw.generator(921)
-        for p in (1, 4, 6):
-            a = rng.standard_normal((p, p))
-            for s in range(1, p + 1):
-                rows = np.concatenate(list(netcert._level_batches(a, s)))
-                xs = [v.to_array() for v in cw.enumerate_regular(p, s) if v.signs[0] == 1]
-                assert rows.shape == (cw.regular_count(p, s) // 2, p)
-                np.testing.assert_allclose(rows, np.stack(xs) @ a.T, rtol=0, atol=1e-14)
+    def test_one_response_per_sign_pair(self, monkeypatch):
+        # The cells of the blocks are the regular x whose first nonzero entry is
+        # +1: one of each pair +-x, and never x = 0.  Each block has at most
+        # _BLOCK_CELLS cells.
+        for cells, p in itertools.product((netcert._BLOCK_CELLS, 64, 5, 1), range(1, 8)):
+            monkeypatch.setattr(netcert, "_BLOCK_CELLS", cells)
+            left, right, blocks = netcert._half_tables(p)
+            assert left.shape[1] == p // 2 and right.shape[1] == p - p // 2
+            xs = []
+            for rows, cols in blocks:
+                block = [np.concatenate((xl, xr)) for xl in left[rows] for xr in right[cols]]
+                assert 1 <= len(block) <= cells
+                xs += block
+            xs = np.array(xs)
+            assert xs.shape == ((3**p - 1) // 2, p)
+            assert np.all(xs[np.arange(len(xs)), np.argmax(xs != 0, axis=1)] == 1.0)
+            signed = {tuple(x) for x in xs} | {tuple(-x) for x in xs}
+            assert len(signed) == 3**p - 1
+            assert signed == {t for t in itertools.product((0.0, 1.0, -1.0), repeat=p) if any(t)}
 
     def test_margin_covers_rounding(self):
         # The closed form of the flat response (t, t, t) rounds above its own
@@ -189,6 +214,30 @@ class TestMaxBilinear:
         for j in (-1000, -300, 300, 1000):
             assert cw.max_bilinear_over_regular(np.ldexp(a, j)) == np.ldexp(
                 cw.max_bilinear_over_regular(a), j)
+
+    def test_margin_is_needed(self, monkeypatch):
+        # Negative control.  Column 1's response (0, t, t, t, 0) has a closed form
+        # one ulp above column 0's, a_00, but its ||A x||^2 from the expansion is
+        # not above a_00^2.  best holds a_00 when column 1's cell is tested (it is
+        # the largest entry, and column 0 has the largest norm in the block), so
+        # a rule without the margin prunes the maximum.
+        t = 0.6571445789601502
+        value = netcert._batch_response_max(np.array([[0.0, t, t, t, 0.0]]))
+        a = np.zeros((5, 5))
+        a[:, 0] = (np.nextafter(value, 0.0), 0.0, 0.0, 0.0, 1e-4)
+        a[:, 1] = (0.0, t, t, t, 0.0)
+        assert cw.max_bilinear_over_regular(a) == value == unpruned_max(a)
+        monkeypatch.setattr(netcert, "_MARGIN", 0.0)
+        assert cw.max_bilinear_over_regular(a) == np.nextafter(value, 0.0)
+
+    @pytest.mark.parametrize("p", [10, 12])
+    def test_matches_every_response(self, p):
+        # Exhaustive: the closed form over all 3^p - 1 responses A x, computed
+        # with no half tables, no expansion and no pruning.
+        rng = cw.generator(924)
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        for a in (rng.standard_normal((p, p)), rng.standard_normal((p, p)) / 64, q):
+            assert abs(cw.max_bilinear_over_regular(a) - responses_max(a)) <= 1e-12
 
     def test_never_exceeds_spectral_norm(self):
         rng = cw.generator(910)

@@ -352,6 +352,41 @@ class TestThetaScaling:
             assert got == _scaled(base, power * j)
 
 
+class TestShapeScaling:
+    """2^j (B, t_grid) scales the concentration report's norms and statistics by
+    2^j, bit for bit, and leaves its tails and verdicts as they are."""
+
+    TRIALS = 64
+    grid = [0.0, 0.1, 0.3, 1.0]
+    shapes = {
+        "diagonal": (np.array([2.0, 0.0, 1.0, 1.0, 0.5, 1.5, 0.0, 2.0]),
+                     lambda b: cw.ShapeSpec.diagonal(b.tolist())),
+        "custom": (cw.generator(3).standard_normal((8, 8)), cw.ShapeSpec.custom),
+    }
+
+    def run(self, name, j):
+        b, shape = self.shapes[name]
+        return cw.check_concentration(model(3, 8, shape(np.ldexp(b, j))), [0.6, 0.0, 0.8],
+                                      [math.ldexp(t, j) for t in self.grid], self.TRIALS, 5)
+
+    @pytest.mark.parametrize("name", ["diagonal", "custom"])
+    def test_concentration_scales_exactly(self, name):
+        b = self.shapes[name][0]
+        base = self.run(name, 0)
+        values = [abs(float(v)) for v in (*b.ravel(), *self.grid, base.lipschitz,
+                                          base.mean_bound, base.mean_value) if v != 0.0]
+        exps = [math.frexp(v)[1] for v in values]
+        # Every j at which all of them stay normal floats, with 2^9 to spare at
+        # the top for the Gaussian draws (|g| < 8) and the sum over 64 trials.
+        for j in range(-1021 - min(exps), 1016 - max(exps)):
+            got = self.run(name, j)
+            for field in ("lipschitz", "mean_bound", "mean_value", "mean_stderr"):
+                assert getattr(got, field) == math.ldexp(getattr(base, field), j), (j, field)
+            for field in ("theoretical_tails", "empirical_tails", "tail_stderr", "asserted",
+                          "mean_ok", "holds"):
+                assert getattr(got, field) == getattr(base, field), (j, field)
+
+
 class TestTrialCounts:
     """The block engine is the one reader of trials and workers."""
 
