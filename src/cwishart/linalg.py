@@ -121,6 +121,11 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp[..., 0, 0])
 
 
+def _triangular_factors(a: np.ndarray) -> np.ndarray:
+    """R of a = Q R (R^T R = a^T a) for each matrix of a (..., r, c) stack: (..., min(r, c), c)."""
+    return np.linalg.qr(a, mode="r")
+
+
 def spectral_norm(a) -> float:
     """Largest singular value of a rectangular matrix (``_spectral_norms`` of one)."""
     return float(_spectral_norms(as_matrix(a)))

@@ -245,7 +245,17 @@ def _whitened_sample(
     Serves one p x n draw and a (k, p, n) stack of draws alike.
     """
     yb = apply_shape(y_left, model.shape, model.n)
-    return root @ (yb @ y_right.swapaxes(-1, -2)) @ root / model.n
+    return _whiten(yb @ y_right.swapaxes(-1, -2), root, model.n)
+
+
+def _whiten(w: np.ndarray, root: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) root w root for a (..., p, p) stack, as two GEMMs over all its rows (root symmetric).
+
+    A broadcast matmul would run one tiny product per matrix.
+    """
+    p = root.shape[0]
+    v = (w.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2)
+    return (v.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2) / n
 
 
 def _gram_factor(rng: np.random.Generator, k: int, d: int, m: int) -> np.ndarray:

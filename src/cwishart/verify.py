@@ -25,7 +25,9 @@ draw that Gram matrix exactly instead of X (_wishart_draws): a factor with
 O(p^2) chi-square and normal variates per trial instead of p n normals, and
 exact in law, not in value.  A diagonal B draws X over its nonzero columns
 only (all n when no entry is zero); a custom B draws (k, p, n) Gaussian
-stacks.  The concentration and Lipschitz checks read X only through
+stacks.  The Wishart decoupling pair (W, W') shares Y, as the paper's
+X B X^T and X' B X^T share X, and W' = Z R for the factor R of B Y^T
+(_decoupled_pairs).  The concentration and Lipschitz checks read X only through
 g = X^T d ~ N(0, I_n) (theta = I, unit d), so they draw g, or for orthogonal
 B only ||g||, and for the Lipschitz distance one chi-square for the rest of
 ||X1 - X2||_F; ||B g|| never builds the n x n B (_conditional_stds).
@@ -38,7 +40,9 @@ runs.  Each check reports the trial count of the engine's summary.
 Acceptance margins, in standard errors of the compared statistic, with one
 comparison's false-failure probability under a normal approximation:
 INEQUALITY_MARGIN = 3, P(Z > 3) = 1.35e-3, for the one-sided checks (bound
-dominance, both decoupling checks, and the concentration tails and mean);
+dominance, both decoupling checks, as 3 (se_lhs + 2 se_rhs), which bounds 3
+standard deviations of mean lhs - 2 mean rhs however the sides correlate, and
+the concentration tails and mean);
 EQUALITY_MARGIN = 4, P(|Z| > 4) = 6.3e-5, for the entrywise expectation check;
 STD_MARGIN = 5, P(|Z| > 5) = 5.7e-7, for the linear-form standard deviation,
 whose standard error is the Gaussian-sample approximation s / sqrt(2 (N - 1)).
@@ -69,6 +73,7 @@ from .linalg import (
     Report,
     SpdMatrix,
     _spectral_norms,
+    _triangular_factors,
     as_matrix,
     canonical_dumps,
     check_floats,
@@ -82,7 +87,7 @@ from .model import (
     ShapeSpec,
     WishartModel,
     _gram_factor,
-    _whitened_sample,
+    _whiten,
     apply_shape,
     expected_wishart,
     shape_frobenius_norm,
@@ -262,64 +267,55 @@ class DeviationStats(Report):
 # ---------------------------------------------------------------------------
 
 def _gram_draws(
-    model: WishartModel, rng: np.random.Generator, k: int, decoupled: bool
-) -> np.ndarray:
-    """k draws of Y B Y^T (or, decoupled, Y' B Y^T) for identity or skew-block B, unwhitened.
+    model: WishartModel, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k draws of Y B Y^T for identity or skew-block B, unwhitened, with their Gram factors.
 
-    Both depend on the standard Gaussian p x n Y only through the Gram matrix
-    A A^T of A = Y for identity B (d = p rows, m = n columns), or of the column
-    halves of Y stacked as A = [Y1; Y2] for skew-block B (d = 2p, m = n/2),
-    where Y B Y^T = Y1 Y2^T - Y2 Y1^T.  So each draw takes one Gram factor F
-    (model._gram_factor), with F F^T equal in law to A A^T; the decoupled draw
-    also takes a standard Gaussian Z of F's shape, drawn after F, and Z F^T is
-    equal in law to A' A^T for an independent copy A' of A (A = F Q with Q's
-    rows orthonormal and independent of F, so A' Q^T is standard Gaussian).
+    Y B Y^T depends on the standard Gaussian p x n Y only through the Gram
+    matrix A A^T of A = Y for identity B (d = p rows, m = n columns), or of
+    the column halves of Y stacked as A = [Y1; Y2] for skew-block B (d = 2p,
+    m = n/2), where Y B Y^T = Y1 Y2^T - Y2 Y1^T.  So each draw takes one Gram
+    factor F (model._gram_factor), a (d, min(d, m)) matrix with F F^T equal
+    in law to A A^T.
     """
     p, skew = model.p, model.shape.variant == "skew_block"
     f = _gram_factor(rng, k, 2 * p if skew else p, model.n // 2 if skew else model.n)
-    ft = f.swapaxes(-1, -2)
     if not skew:
-        return (rng.standard_normal(f.shape) if decoupled else f) @ ft
-    if decoupled:
-        # With A' = [-Y2'; Y1'], Y' B Y^T is the sum of the diagonal blocks of A' A^T.
-        z = rng.standard_normal(f.shape)
-        return z[:, :p] @ ft[..., :p] + z[:, p:] @ ft[..., p:]
+        return f, f @ f.swapaxes(-1, -2)
     # The off-diagonal blocks of A A^T: Y1 Y2^T - Y2 Y1^T.
-    g = f[:, :p] @ ft[..., p:]
-    return g - g.swapaxes(-1, -2)
+    g = f[:, :p] @ f[:, p:].swapaxes(-1, -2)
+    return f, g - g.swapaxes(-1, -2)
+
+
+def _column_draws(
+    model: WishartModel, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k standard Gaussian Y for diagonal or custom B, with Y B: W = (Y B) Y^T, unwhitened.
+
+    One (k, p, n) stack; a diagonal B draws it over its nonzero columns only
+    (ShapeSpec._nonzero_entries): W is a sum over the columns j of b_j times
+    a product of column j, so a zero column adds nothing, and a diagonal with
+    no zero entry draws all n.
+    """
+    entries = model.shape._nonzero_entries
+    y = rng.standard_normal((k, model.p, model.n if entries is None else entries.size))
+    return y, apply_shape(y, model.shape, model.n) if entries is None else y * entries
 
 
 def _wishart_draws(
-    model: WishartModel,
-    root: np.ndarray,
-    rng: np.random.Generator,
-    k: int,
-    decoupled: bool = False,
+    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
 ) -> np.ndarray:
-    """k draws of W, or with ``decoupled`` of W', as a (k, p, p) stack.
+    """k draws of W as a (k, p, p) stack.
 
-    Identity and skew-block B take one Gram factor per draw, and for W' a
-    standard Gaussian Z after it (_gram_draws): p(p + 1)/2 variates per
-    factor once n >= p (p(2p + 1) once n >= 4p for skew-block B), and never
-    more than the p n of Y.  Every other B draws Y as one (k, p, n) stack, or
-    for W' the pair (Y, Y') as one (2, k, p, n) draw, so a decoupling check's
-    block stream stays one (3, k, p, n) draw: the coupled Y, then Y and Y'.
-    A diagonal B draws those stacks over its nonzero columns only
-    (ShapeSpec._nonzero_entries): W and W' are sums over the columns j of
-    b_j times a product of column j, so a zero column adds nothing, and a
-    diagonal with no zero entry draws all n.  All whiten as root (...) root / n.
+    Identity and skew-block B take one Gram factor per draw (_gram_draws):
+    p(p + 1)/2 variates per factor once n >= p (p(2p + 1) once n >= 4p for
+    skew-block B), and never more than the p n of Y.  Every other B draws Y
+    (_column_draws).  All whiten as (1/n) root (...) root (model._whiten).
     """
     if model.shape.variant in _ORTHOGONAL_VARIANTS:
-        return root @ _gram_draws(model, rng, k, decoupled) @ root / model.n
-    entries = model.shape._nonzero_entries
-    shape = (k, model.p, model.n if entries is None else entries.size)
-    if decoupled:
-        y, y_left = rng.standard_normal((2, *shape))
-    else:
-        y = y_left = rng.standard_normal(shape)
-    if entries is None:
-        return _whitened_sample(model, y_left, y, root)
-    return root @ ((y_left * entries) @ y.swapaxes(-1, -2)) @ root / model.n
+        return _whiten(_gram_draws(model, rng, k)[1], root, model.n)
+    y, yb = _column_draws(model, rng, k)
+    return _whiten(yb @ y.swapaxes(-1, -2), root, model.n)
 
 
 def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStats:
@@ -423,16 +419,46 @@ class DecouplingReport(Report):
         return cls(lhs, rhs, holds)
 
 
+def _decoupled_pairs(
+    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k draws of the pair (W, W') = (1/n) root (Y B Y^T, Y' B Y^T) root, as two (k, p, p) stacks.
+
+    Given Y, the rows of Y' M, M = B Y^T, are independent N(0, M^T M), so
+    Y' M equals Z R in law, jointly with W, for any R with R^T R = M^T M and a
+    standard Gaussian Z drawn after Y.  For identity and skew-block B,
+    M^T M = Y Y^T, and R^T is the Gram factor F of W (_gram_draws), or for
+    skew-block B its row halves side by side, [F1, F2].  Diagonal and custom B
+    draw Y and W as _wishart_draws does (_column_draws), and R is M itself
+    for m <= p columns drawn, else the p x p factor of M = Q R.
+    """
+    p, n = model.p, model.n
+    if model.shape.variant in _ORTHOGONAL_VARIANTS:
+        f, w = _gram_draws(model, rng, k)
+        r = np.concatenate(np.split(f, f.shape[1] // p, axis=1), axis=-1).swapaxes(-1, -2)
+    else:
+        y, yb = _column_draws(model, rng, k)
+        # M = C^T for C = Y B^T, which is Y B for a diagonal B.
+        c = yb if model.shape.variant == "diagonal" else (
+            (y.reshape(-1, n) @ model.shape.matrix.T).reshape(y.shape))
+        ct = c.swapaxes(-1, -2)
+        w, r = yb @ y.swapaxes(-1, -2), ct if ct.shape[-2] <= p else _triangular_factors(ct)
+    w_prime = rng.standard_normal(r.swapaxes(-1, -2).shape) @ r
+    return _whiten(w, root, n), _whiten(w_prime, root, n)
+
+
 def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingReport:
-    """Check mean||W - E(W)|| <= 2 mean||W'|| + 3 (se_lhs + 2 se_rhs)."""
+    """Check mean||W - E(W)|| <= 2 mean||W'|| + 3 (se_lhs + 2 se_rhs), W and W' sharing Y.
+
+    The margin holds for any correlation of the sides: the standard deviation
+    of mean lhs - 2 mean rhs is at most se_lhs + 2 se_rhs (Minkowski).
+    """
     model = cfg.model
     root, w0 = model.theta._root, expected_wishart(model)
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # The coupled draws, then the decoupled ones, all from the block's stream.
-        lhs = _spectral_norms(_wishart_draws(model, root, rng, k) - w0)
-        rhs = _spectral_norms(_wishart_draws(model, root, rng, k, decoupled=True))
-        return np.stack((lhs, rhs), axis=1)
+        w, w_prime = _decoupled_pairs(model, root, rng, k)
+        return np.stack((_spectral_norms(w - w0), _spectral_norms(w_prime)), axis=1)
 
     return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
 

@@ -116,20 +116,27 @@ class TestEstimateMeanDeviation:
             assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
 
 
-def _x_path_draws(m, root, rng, k, decoupled):
-    """W (or W') from (k, p, n) Gaussian stacks, the way diagonal and custom B draw them."""
+def _x_path_pairs(m, root, rng, k):
+    """(W, W') of the paper: one (k, p, n) Gaussian Y for both, and a fresh Y' for W'."""
     y = rng.standard_normal((k, m.p, m.n))
-    y_left = rng.standard_normal((k, m.p, m.n)) if decoupled else y
-    return model_module._whitened_sample(m, y_left, y, root)
+    y_prime = rng.standard_normal((k, m.p, m.n))
+    return (model_module._whitened_sample(m, y, y, root),
+            model_module._whitened_sample(m, y_prime, y, root))
 
 
-def _norm_summary(draws, m, trials, seed):
-    """Merged summary of the per-trial (||W - E(W)||, ||W'||) under ``draws``."""
+def _pair_summary(pairs, m, trials, seed):
+    """Merged summary of the per-trial (||W - E(W)||, ||W'||, ||W + W'||) under ``pairs``.
+
+    The third entry tells a pair drawn with the right marginals but the wrong
+    joint law (independent W and W', say) from the paper's.
+    """
     root, w0 = m.theta._root, cw.expected_wishart(m)
-    return verify._run_blocks(lambda rng, k: np.stack((
-        _spectral_norms(draws(m, root, rng, k, False) - w0),
-        _spectral_norms(draws(m, root, rng, k, True)),
-    ), axis=1), trials, seed)
+
+    def kernel(rng, k):
+        w, w_prime = pairs(m, root, rng, k)
+        return np.stack([_spectral_norms(a) for a in (w - w0, w_prime, w + w_prime)], axis=1)
+
+    return verify._run_blocks(kernel, trials, seed)
 
 
 def _max_z(a, b):
@@ -147,8 +154,10 @@ def _structured_model(p, n, variant, entries=None):
 
 
 class TestStructuredDraws:
-    """Identity and skew-block B draw Gram factors, and a diagonal B with a zero
-    entry draws its nonzero columns only; the laws match the (k, p, n) X path."""
+    """The decoupling pair (W, W') shares Y and draws W' as Z R: identity and
+    skew-block B from Gram factors, a diagonal B over its nonzero columns only,
+    a custom B from the factor of B Y^T; the joint law matches the X path of
+    (k, p, n) Gaussian stacks Y and Y'."""
 
     TRIALS = 20_000
 
@@ -156,8 +165,8 @@ class TestStructuredDraws:
     @pytest.mark.parametrize("p,n", STRUCTURED_SIZES)
     def test_norms_match_the_x_path(self, p, n, variant):
         m = _structured_model(p, n, variant)
-        structured = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(191, p * n))
-        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(193, p * n))
+        structured = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(191, p * n))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(193, p * n))
         assert _max_z(structured, direct) <= EQUALITY_MARGIN
 
     @pytest.mark.parametrize("p,n,variant", [
@@ -177,41 +186,66 @@ class TestStructuredDraws:
 
         monkeypatch.setattr(verify, "_gram_factor", wrong_factor)
         m = _structured_model(p, n, variant)
-        structured = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(191, p * n))
-        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(193, p * n))
+        structured = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(191, p * n))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(193, p * n))
         assert _max_z(structured, direct) > EQUALITY_MARGIN
 
     @pytest.mark.parametrize("p,n,entries", [
         (3, 10, [10.0] + [0.0] * 9),
         (2, 8, [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0]),
         (4, 6, [1.0, -2.0, 0.0, 0.0, 0.5, 0.0]),
-    ], ids=["rank-one", "half-zero", "signed"])
+        (3, 5, [1.5, -0.5, 0.25, 2.0, -1.0]),
+    ], ids=["rank-one", "half-zero", "signed", "no-zero"])
     def test_zero_columns_match_the_x_path(self, p, n, entries):
-        # W and W' from the nonzero columns only, against the full (k, p, n) draws.
+        # The nonzero columns only, against the full (k, p, n) draws.  Rank-one
+        # and signed draw m < p columns, so R is C^T itself; the others take the
+        # QR factor.
         m = _structured_model(p, n, "diagonal", entries)
-        reduced = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(223, p * n))
-        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(227, p * n))
+        reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, p * n))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, p * n))
         assert _max_z(reduced, direct) <= EQUALITY_MARGIN
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (4, 3)], ids=["n-above-p", "n-below-p"])
+    def test_custom_b_pairs_match_the_x_path(self, p, n):
+        # A non-symmetric B; with n <= p columns R is C^T itself, above p its QR factor.
+        b = cw.generator(229).standard_normal((n, n)) + np.triu(np.ones((n, n)))
+        m = model(p, n, cw.ShapeSpec.custom(b), _structured_model(p, n, "identity").theta)
+        pairs = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(233, p * n))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(239, p * n))
+        assert _max_z(pairs, direct) <= EQUALITY_MARGIN
 
     def test_dropping_a_nonzero_column_is_rejected(self):
         # The same comparison tells a draw over one nonzero column too few.
         m = _structured_model(2, 8, "diagonal", [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])
         vars(m.shape)["_nonzero_entries"] = np.array([2.0, 0.5, 1.5, 3.0])
-        reduced = _norm_summary(verify._wishart_draws, m, self.TRIALS, mix_seed(223, 16))
-        direct = _norm_summary(_x_path_draws, m, self.TRIALS, mix_seed(227, 16))
+        reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, 16))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, 16))
+        assert _max_z(reduced, direct) > EQUALITY_MARGIN
+
+    def test_factor_of_y_alone_is_rejected(self, monkeypatch):
+        # R from the QR of Y^T in place of B Y^T: W' = Y' Y^T, the right law
+        # only when every nonzero entry of the diagonal is 1.
+        entries = np.array([2.0, 0.5, 1.5, 3.0, 1.0])
+        factors = verify._triangular_factors
+        monkeypatch.setattr(verify, "_triangular_factors",
+                            lambda a: factors(a / entries[:, None]))
+        m = _structured_model(2, 8, "diagonal", [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])
+        reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, 16))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, 16))
         assert _max_z(reduced, direct) > EQUALITY_MARGIN
 
     def test_diagonal_and_custom_b_draw_the_x_path(self):
-        # Same stream, same arithmetic: byte-identical draws.  A diagonal with
-        # every entry nonzero, however small or negative, draws every column.
+        # Same stream, same arithmetic: byte-identical draws of W, also as the
+        # first of a decoupling pair.  A diagonal with every entry nonzero,
+        # however small or negative, draws every column.
         for shape in (cw.ShapeSpec.diagonal([1.5, 0.5, 1.0, 2.0]),
                       cw.ShapeSpec.diagonal([1.5, -0.5, 1e-300, 2.0]),
                       cw.ShapeSpec.custom(cw.generator(197).standard_normal((4, 4)))):
             m = model(2, 4, shape, cw.SpdMatrix.diagonal([2.0, 0.5]))
-            for decoupled in (False, True):
-                got = verify._wishart_draws(m, m.theta._root, cw.generator(199), 7, decoupled)
-                want = _x_path_draws(m, m.theta._root, cw.generator(199), 7, decoupled)
-                assert np.array_equal(got, want)
+            got = verify._wishart_draws(m, m.theta._root, cw.generator(199), 7)
+            want = _x_path_pairs(m, m.theta._root, cw.generator(199), 7)[0]
+            pair = verify._decoupled_pairs(m, m.theta._root, cw.generator(199), 7)[0]
+            assert np.array_equal(got, want) and np.array_equal(pair, want)
 
 
 class TestBoundDominance:
@@ -354,7 +388,8 @@ class TestThetaScaling:
 
 class TestShapeScaling:
     """2^j (B, t_grid) scales the concentration report's norms and statistics by
-    2^j, bit for bit, and leaves its tails and verdicts as they are."""
+    2^j, bit for bit, and leaves its tails and verdicts as they are; 2^j B
+    scales the decoupling statistics by 2^j and leaves the verdict."""
 
     TRIALS = 64
     grid = [0.0, 0.1, 0.3, 1.0]
@@ -385,6 +420,27 @@ class TestShapeScaling:
             for field in ("theoretical_tails", "empirical_tails", "tail_stderr", "asserted",
                           "mean_ok", "holds"):
                 assert getattr(got, field) == getattr(base, field), (j, field)
+
+    def run_decoupling(self, name, j):
+        b, shape = self.shapes[name]
+        return cw.check_wishart_decoupling(
+            TrialConfig(model(3, 8, shape(np.ldexp(b, j))), self.TRIALS, 5))
+
+    @pytest.mark.parametrize("name", ["diagonal", "custom"])
+    def test_decoupling_scales_exactly(self, name):
+        # W' = Z R takes R from a Householder QR of the scaled B Y^T.
+        b = self.shapes[name][0]
+        base = self.run_decoupling(name, 0)
+        stats = [getattr(side, f) for side in (base.lhs, base.rhs)
+                 for f in ("mean", "stderr", "max")]
+        exps = [math.frexp(abs(float(v)))[1] for v in (*b.ravel(), *stats) if v != 0.0]
+        for j in range(-1021 - min(exps), 1016 - max(exps)):
+            got = self.run_decoupling(name, j)
+            for side in ("lhs", "rhs"):
+                for field in ("mean", "stderr", "max"):
+                    want = math.ldexp(getattr(getattr(base, side), field), j)
+                    assert getattr(getattr(got, side), field) == want, (j, side, field)
+            assert got.holds == base.holds, j
 
 
 class TestTrialCounts:
