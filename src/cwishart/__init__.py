@@ -57,6 +57,7 @@ from .netcert import (
     NetCertificate,
     RegularVector,
     certify_norm_bound,
+    certify_norm_bounds,
     enumerate_regular,
     max_bilinear_over_regular,
     max_regular_response,

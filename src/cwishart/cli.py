@@ -37,7 +37,7 @@ from .model import (
     sample_wishart,
     skew_block_family,
 )
-from .netcert import certify_norm_bound
+from .netcert import certify_norm_bounds
 from .verify import (
     SweepRow,
     TrialConfig,
@@ -242,12 +242,18 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if payload.get("holds", True) else 1
 
 
+def _load_input(path):
+    if not isinstance(path, str) or not os.path.exists(path):
+        raise ConfigError(f"matrix file not found: {path!r:.80}")
+    return load_matrix(path)
+
+
 def cmd_netcert(cfg: dict) -> int:
-    certs = []
-    for path in _list(cfg, "inputs"):
-        if not isinstance(path, str) or not os.path.exists(path):
-            raise ConfigError(f"matrix file not found: {path!r:.80}")
-        certs.append(certify_norm_bound(load_matrix(path), matrix_id=os.path.basename(path)))
+    paths = _list(cfg, "inputs")
+    # The files are read lazily: certify_norm_bounds loads and checks each in list
+    # order before certifying any, so the first bad input decides the error (str()
+    # keeps a non-string entry from failing here, before its turn).
+    certs = certify_norm_bounds(map(_load_input, paths), [os.path.basename(str(p)) for p in paths])
     _emit(cfg, "certificates.jsonl", [canonical_dumps(c.to_dict()) for c in certs])
     return 0 if all(c.holds for c in certs) else 1
 

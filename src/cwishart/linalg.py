@@ -105,15 +105,24 @@ def frobenius_norm(a) -> float:
 
 
 def _spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a finite (..., r, c) stack.
+    """Largest singular value of each matrix in a (..., r, c) stack.
 
     The one spectral-norm rule: each matrix is scaled by a power of two (exact)
     so that its largest entry lies in [0.5, 1) and its Gram matrix can neither
     overflow nor underflow; the top eigenvalue of the smaller Gram matrix, from
     LAPACK ``eigvalsh``, is its squared norm.  Exact to rounding for every
-    size and every gap between the top singular values.
+    size and every gap between the top singular values.  A matrix with an inf
+    or NaN entry (an overflowed Monte Carlo draw) has norm inf, and never
+    reaches ``eigvalsh``.
     """
-    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))
+    peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    finite = np.isfinite(peak[..., 0, 0])
+    if not finite.all():
+        norms = np.full(finite.shape, np.inf)
+        if finite.any():
+            norms[finite] = _spectral_norms(a[finite])
+        return norms
+    _, exp = np.frexp(peak)
     s = np.ldexp(a, -exp)
     st = s.swapaxes(-1, -2)
     gram = s @ st if s.shape[-2] <= s.shape[-1] else st @ s

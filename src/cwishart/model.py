@@ -170,14 +170,21 @@ def build_shape(spec: ShapeSpec, n: int) -> np.ndarray:
 
 
 def shape_trace(spec: ShapeSpec, n: int) -> float:
+    """Tr(B); a trace that does not fit in a float raises ValueError."""
     _validate_shape(spec, n)
     if spec.variant == "identity":
         return float(n)
-    if spec.variant == "diagonal":
-        return float(math.fsum(spec.entries))
     if spec.variant == "skew_block":
         return 0.0
-    return float(np.trace(spec.matrix))
+    try:
+        with np.errstate(over="ignore"):
+            trace = (math.fsum(spec.entries) if spec.variant == "diagonal"
+                     else float(np.trace(spec.matrix)))
+    except OverflowError:
+        trace = math.inf
+    if not math.isfinite(trace):
+        raise ValueError("the trace of B overflows floating point; scale B down")
+    return trace
 
 
 def shape_spectral_norm(spec: ShapeSpec, n: int) -> float:

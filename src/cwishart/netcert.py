@@ -11,13 +11,19 @@ a pair (x_L, x_R) of {0, +-1} vectors over the first p // 2 and the last
 coordinates, scaled by 1/sqrt(s) for its support size s; two half tables of
 3^(p/2) rows or fewer and their partial responses P_L = A_L x_L and
 P_R = A_R x_R give every ||A x||^2 = (||P_L||^2 + 2 P_L.P_R + ||P_R||^2) / s,
-one GEMM per block of cells.  The cells come in blocks of a fixed size, so
-memory does not grow with p.  Since (u, y) <= ||u|| for a unit y, a cell whose
+one GEMM per block of cells.  Since (u, y) <= ||u|| for a unit y, a cell whose
 norm is below the running maximum (less a 1e-9 relative margin, far above the
 rounding of the expansion) cannot carry it, and its response is never built.
+
+The maximum works on a (k, p, p) stack, a single matrix being a stack of one,
+and :func:`certify_norm_bounds` certifies a list as one stack per size.  Each
+matrix has its own running maximum ``best`` and survivors, so each result is
+bit for bit that of the matrix alone.  A block holds at most ``_BLOCK_CELLS``
+(matrix, cell) pairs, so memory grows neither with p nor with k.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -28,7 +34,7 @@ import numpy as np
 
 from .bounds import log_factor
 from .errors import DimensionError, EnumerationCapError
-from .linalg import Report, as_matrix, spectral_norm
+from .linalg import Report, _spectral_norms, as_matrix
 
 __all__ = [
     "RegularVector",
@@ -38,6 +44,7 @@ __all__ = [
     "max_regular_response",
     "max_bilinear_over_regular",
     "certify_norm_bound",
+    "certify_norm_bounds",
 ]
 
 LEVEL_ENUM_CAP = 16     # single-level enumeration
@@ -114,12 +121,14 @@ def max_regular_response(v) -> tuple[float, RegularVector]:
     return float(values[best_s - 1]), RegularVector(p, best_s, tuple(chosen), signs)
 
 
-def _batch_response_max(u: np.ndarray) -> float:
-    # Rows of u are response vectors; the inner closed-form max, vectorized.
+def _response_maxima(u: np.ndarray) -> np.ndarray:
+    # Rows of u are response vectors; the inner closed-form max of each, vectorized.
     p = u.shape[1]
-    mags = np.sort(np.abs(u), axis=1)[:, ::-1]
-    prefix = np.cumsum(mags, axis=1)
-    return float((prefix / np.sqrt(np.arange(1, p + 1))).max(initial=-math.inf))
+    mags = np.abs(u)
+    mags.sort(axis=1)
+    prefix = np.cumsum(mags[:, ::-1], axis=1)
+    prefix /= np.sqrt(np.arange(1, p + 1))
+    return prefix.max(axis=1)
 
 
 def _ternary_rows(m: int, lo: int) -> np.ndarray:
@@ -132,61 +141,52 @@ def _ternary_rows(m: int, lo: int) -> np.ndarray:
     return (digits - 1).astype(np.float64)
 
 
-def _half_tables(p: int) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, slice]]]:
-    """The two half tables of x = (x_L, x_R) and the blocks of cells that pair them.
+@functools.cache
+def _half_tables(p: int, block_cells: int) -> tuple:
+    """The two half tables of x = (x_L, x_R), their support sizes, and the blocks of cells.
 
     The left table holds x_L = 0 (row 0) and one of each pair +-x_L; the right
     table holds every x_R, x_R = 0 at row (3^(p - p // 2) - 1) / 2.  The cells
     of row 0 past that row, and every cell of the other rows, are the regular
-    x whose first nonzero entry is +1, each once.  Blocks are rectangles of
-    at most ``_BLOCK_CELLS`` cells (one cell at least).
+    x whose first nonzero entry is +1, each once.  The support sizes s of the
+    rows are floats, ready to divide by.  Blocks are rectangles of at most
+    ``block_cells`` cells (one cell at least).  Cached per (p, block_cells),
+    with read-only tables.
     """
     h = p // 2
     top_r = (3 ** (p - h) - 1) // 2
     left, right = _ternary_rows(h, 0), _ternary_rows(p - h, -top_r)
     n_left, n_right = len(left), len(right)
-    cols = min(n_right, _BLOCK_CELLS)
-    rows = max(1, _BLOCK_CELLS // cols)
+    cols = min(n_right, block_cells)
+    rows = max(1, block_cells // cols)
     blocks = [(slice(0, 1), slice(j, j + cols)) for j in range(top_r + 1, n_right, cols)]
     blocks += [(slice(i, i + rows), slice(j, j + cols))
                for i in range(1, n_left, rows) for j in range(0, n_right, cols)]
-    return left, right, blocks
+    tables = left, right, np.abs(left).sum(axis=1), np.abs(right).sum(axis=1)
+    for table in tables:
+        table.setflags(write=False)
+    return *tables, tuple(blocks)
 
 
-def _responses(x: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    # A x for each row x, summed one column of A at a time: each row then has
-    # the same bits whichever rows it is computed with, which a GEMM's do not.
-    u = x[:, :1] * arr[:, 0]
-    for k in range(1, arr.shape[1]):
-        u += x[:, k:k + 1] * arr[:, k]
+def _responses(x: np.ndarray, columns: np.ndarray, which: np.ndarray) -> np.ndarray:
+    # A x for each row x, A the matrix which[row] of a stack whose column k is
+    # columns[k, which[row]].  Summed one column of A at a time, each row has the
+    # same bits whichever rows it is computed with, which a GEMM's do not.  Rows
+    # go _BLOCK_CELLS // p at a time, so a gather holds no more than x can.
+    p = x.shape[1]
+    u = np.empty_like(x)
+    step = max(1, _BLOCK_CELLS // p)
+    for lo in range(0, len(x), step):
+        cols = np.take(columns, which[lo:lo + step], axis=1)
+        xs, us = x[lo:lo + step], u[lo:lo + step]
+        np.multiply(xs[:, :1], cols[0], out=us)
+        for k in range(1, p):
+            us += xs[:, k:k + 1] * cols[k]
     return u
 
 
-def max_bilinear_over_regular(a) -> float:
-    """Maximum of (A x, y) over all pairs of regular vectors x, y.
-
-    The outer maximization is exhaustive over the regular x, up to sign; the
-    inner one over y is the closed form of :func:`max_regular_response`, which
-    depends only on |A x|.  The x are the cells of :func:`_half_tables`, and a
-    block of cells gets every s ||A x||^2 = ||P_L||^2 + 2 P_L.P_R + ||P_R||^2
-    from the partial responses of its two half-table rows, one GEMM per block.
-
-    ``best`` starts at m = max |a_ij|, the value of the regular pair
-    (e_j, +-e_i).  A block whose largest ||A x|| exceeds it seeds ``best`` with
-    that cell, then builds the response of every cell with
-    ||A x||^2 > best^2 (1 - 1e-9) and takes the closed form.  For a unit y,
-    (A x, y) <= ||A x||, so no other cell can carry the maximum, and the
-    result is the same, bit for bit, as the closed form over every cell.
-
-    Why the margin covers the rounding.  A is scaled by a power of two so that
-    m lies in [0.5, 1).  The entries of P_L and P_R are sums of at most s
-    signed entries of A: below s m, with errors below s^2 u m (u = 2^-53).
-    With the rounding of the three dot products over p coordinates, the
-    error of s ||A x||^2 is below about (2 p s^3 + (p + 3) p s^2) u m^2, so
-    that of ||A x||^2 is below 3 p^2 (p + 1) u best^2: 1e-12 best^2 at
-    p = 14, against the 1e-9 margin.  The closed form of a response rounds
-    within about 3 p ulps of its norm.
-    """
+def _square(a) -> np.ndarray:
+    # A finite square matrix within BILINEAR_CAP, else the error that says why not.
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"matrix must be square, got {arr.shape}")
@@ -196,35 +196,85 @@ def max_bilinear_over_regular(a) -> float:
             f"bilinear maximization supports p <= {BILINEAR_CAP}, got p={p}",
             count=3**p - 1,
         )
-    # Work on A scaled by a power of two (exact) so that its largest entry lies
-    # in [0.5, 1): no ||A x||^2 overflows or underflows.
-    m = float(np.abs(arr).max())
-    exp = math.frexp(m)[1]
-    arr = np.ldexp(arr, -exp)
-    best = math.ldexp(m, -exp)
-    left, right, blocks = _half_tables(p)
+    return arr
+
+
+def _bilinear_maxima(stack: np.ndarray) -> np.ndarray:
+    """Maximum of (A x, y) over all pairs of regular vectors x, y, for each A of a (k, p, p) stack.
+
+    The outer maximization is exhaustive over the regular x, up to sign; the
+    inner one over y is the closed form of :func:`max_regular_response`, which
+    depends only on |A x|.  The x are the cells of :func:`_half_tables`, and a
+    block of cells gets every s ||A x||^2 = ||P_L||^2 + 2 P_L.P_R + ||P_R||^2
+    from the partial responses of its two half-table rows, one batched GEMM
+    per block for a chunk of the stack: as many matrices as keep the (matrix,
+    cell) pairs within ``_BLOCK_CELLS``, one at least.
+
+    Each matrix has its own ``best``, which starts at m = max |a_ij|, the
+    value of the regular pair (e_j, +-e_i).  In a block where a matrix's
+    largest ||A x|| exceeds its best, that cell seeds best, and then the
+    response of every cell with ||A x||^2 > best^2 (1 - 1e-9) is built and
+    its closed form taken.  For a unit y, (A x, y) <= ||A x||, so no other
+    cell can carry the maximum, and each result is the same, bit for bit, as
+    the closed form over every cell of that matrix alone.
+
+    Why the margin covers the rounding.  Each A is scaled by a power of two
+    so that m lies in [0.5, 1).  The entries of P_L and P_R are sums of at
+    most s signed entries of A: below s m, with errors below s^2 u m
+    (u = 2^-53).  With the rounding of the three dot products over p
+    coordinates, the error of s ||A x||^2 is below about
+    (2 p s^3 + (p + 3) p s^2) u m^2, so that of ||A x||^2 is below
+    3 p^2 (p + 1) u best^2: 1e-12 best^2 at p = 14, against the 1e-9 margin.
+    The closed form of a response rounds within about 3 p ulps of its norm.
+    """
+    p = stack.shape[1]
+    # Work on each A scaled by a power of two (exact) so that its largest entry
+    # lies in [0.5, 1): no ||A x||^2 overflows or underflows.
+    m = np.abs(stack).max(axis=(1, 2))
+    exp = np.frexp(m)[1]
+    unit = np.ldexp(stack, -exp[:, None, None])
+    best = np.ldexp(m, -exp)
+    left, right, s_left, s_right, blocks = _half_tables(p, _BLOCK_CELLS)
     h = left.shape[1]
-    p_left, p_right = left @ arr[:, :h].T, right @ arr[:, h:].T
-    sq_left = np.einsum("ij,ij->i", p_left, p_left)
-    sq_right = np.einsum("ij,ij->i", p_right, p_right)
-    s_left, s_right = np.count_nonzero(left, axis=1), np.count_nonzero(right, axis=1)
-    for rows, cols in blocks:
-        s = s_left[rows, None] + s_right[cols]
-        sq = (2 * p_left[rows]) @ p_right[cols].T
-        sq += sq_left[rows, None]
-        sq += sq_right[cols]
-        sq /= s
+    chunk = max(1, _BLOCK_CELLS // ((3**p - 1) // 2))
+    for lo in range(0, len(unit), chunk):
+        arr, run = unit[lo:lo + chunk], best[lo:lo + chunk]
+        columns = np.ascontiguousarray(arr.transpose(2, 0, 1))
+        p_left = left @ arr[:, :, :h].transpose(0, 2, 1)
+        p_right = right @ arr[:, :, h:].transpose(0, 2, 1)
+        sq_left = np.einsum("kij,kij->ki", p_left, p_left)
+        sq_right = np.einsum("kij,kij->ki", p_right, p_right)
+        every = np.arange(len(arr))
+        for rows, cols in blocks:
+            s = s_left[rows, None] + s_right[cols]
+            sq = (2 * p_left[:, rows]) @ p_right[:, cols].transpose(0, 2, 1)
+            sq += sq_left[:, rows, None]
+            sq += sq_right[:, None, cols]
+            sq /= s
+            sq = sq.reshape(len(arr), -1)
 
-        def block_max(cells: np.ndarray) -> float:
-            i, j = np.unravel_index(cells, sq.shape)
-            x = np.concatenate((left[rows][i], right[cols][j]), axis=1) / np.sqrt(s[i, j])[:, None]
-            return _batch_response_max(_responses(x, arr))
+            def raise_best(which: np.ndarray, cells: np.ndarray) -> None:
+                # best = max(best, closed form of the cell) for each cell, of matrix which.
+                i, j = np.divmod(cells, s.shape[1])
+                x = np.concatenate((left[rows][i], right[cols][j]), axis=1)
+                x /= np.sqrt(s.ravel()[cells])[:, None]
+                np.maximum.at(run, which, _response_maxima(_responses(x, columns, which)))
 
-        top = int(np.argmax(sq))
-        if sq.flat[top] > best * best * (1.0 - _MARGIN):
-            best = max(best, block_max(np.array([top])))
-            best = max(best, block_max(np.flatnonzero(sq > best * best * (1.0 - _MARGIN))))
-    return math.ldexp(best, exp)
+            top = sq.argmax(axis=1)
+            lead = np.flatnonzero(sq[every, top] > run * run * (1.0 - _MARGIN))
+            if lead.size:
+                raise_best(lead, top[lead])
+                survivors = np.flatnonzero(sq > (run * run * (1.0 - _MARGIN))[:, None])
+                raise_best(*np.divmod(survivors, sq.shape[1]))
+    return np.ldexp(best, exp)
+
+
+def max_bilinear_over_regular(a) -> float:
+    """Maximum of (A x, y) over all pairs of regular vectors x, y.
+
+    Exact: :func:`_bilinear_maxima` of the stack of one.
+    """
+    return float(_bilinear_maxima(_square(a)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -239,16 +289,36 @@ class NetCertificate(Report):
     holds: bool
 
 
+def certify_norm_bounds(matrices, matrix_ids=None) -> list[NetCertificate]:
+    """Certify each matrix as :func:`certify_norm_bound` does, as one stack per size.
+
+    Each matrix of the iterable is checked (finite, square, p <= BILINEAR_CAP)
+    as it is drawn, before any is certified, so the first bad one raises.
+    ``matrix_ids`` holds one id per matrix; an id of None (or no list) is a
+    hash of the matrix bytes.  Each certificate is bit for bit its matrix's alone.
+    """
+    arrs = [_square(a) for a in matrices]
+    ids = [None] * len(arrs) if matrix_ids is None else list(matrix_ids)
+    if len(ids) != len(arrs):
+        raise ValueError(f"{len(arrs)} matrices but {len(ids)} matrix ids")
+    certs: list = [None] * len(arrs)
+    for p in dict.fromkeys(arr.shape[0] for arr in arrs):
+        members = [i for i, arr in enumerate(arrs) if arr.shape[0] == p]
+        stack = np.array([arrs[i] for i in members])
+        factor = 12 * log_factor(p)
+        for i, exact, reg_max in zip(members, _spectral_norms(stack).tolist(),
+                                     _bilinear_maxima(stack).tolist()):
+            matrix_id = ids[i]
+            if matrix_id is None:
+                digest = hashlib.sha256(np.ascontiguousarray(arrs[i]).tobytes())
+                matrix_id = digest.hexdigest()[:12]
+            certs[i] = NetCertificate(
+                p=p, matrix_id=matrix_id, exact_norm=exact, reg_max=reg_max, factor=factor,
+                holds=exact <= factor * reg_max * (1.0 + CERT_SLACK),
+            )
+    return certs
+
+
 def certify_norm_bound(a, matrix_id: str | None = None) -> NetCertificate:
-    """Check ||A|| <= 12 * ceil(ln 2p)^2 * max over regular pairs of (Ax, y)."""
-    arr = as_matrix(a)
-    p = arr.shape[0]
-    exact = spectral_norm(arr)
-    reg_max = max_bilinear_over_regular(arr)  # raises DimensionError unless A is square
-    factor = 12 * log_factor(p)
-    if matrix_id is None:
-        matrix_id = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:12]
-    return NetCertificate(
-        p=p, matrix_id=matrix_id, exact_norm=exact, reg_max=reg_max, factor=factor,
-        holds=exact <= factor * reg_max * (1.0 + CERT_SLACK),
-    )
+    """Check ||A|| <= 12 * ceil(ln 2p)^2 * max over regular pairs of (Ax, y) (a list of one)."""
+    return certify_norm_bounds([a], [matrix_id])[0]

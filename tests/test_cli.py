@@ -24,6 +24,12 @@ def identity_model_dict(p, n):
     }
 
 
+def huge_trace_model_dict():
+    # B = diag(1e308, 1e308): every entry fits in a float, their sum Tr(B) does not.
+    return {"p": 2, "n": 2, "theta": cw.matrix_to_dict(np.eye(2)),
+            "shape": {"variant": "diagonal", "entries": [1e308, 1e308]}}
+
+
 def zero_model_dict(p, n):
     return {
         "p": p,
@@ -121,6 +127,13 @@ class TestBound:
         assert captured.out == ""
         assert "inf or NaN" in captured.err
 
+    def test_trace_past_the_largest_float_exits_two(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "c.json", {"command": "bound", "model": huge_trace_model_dict()}
+        )
+        assert cli.main(["--config", config]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_model_file_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path, "c.json", {"command": "bound", "model_path": "no_such_file.json"}
@@ -185,6 +198,19 @@ class TestVerify:
         assert captured.out == ""
         assert "overflow" in captured.err
 
+    @pytest.mark.parametrize("check", ["decoupling", "dominance"])
+    def test_trace_past_the_largest_float_exits_two(self, tmp_path, capsys, check):
+        # E(W) needs Tr(B), whose exact sum overflows: a usage error naming it, not a traceback.
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "verify", "check": check, "model": huge_trace_model_dict(),
+             "trials": 100, "seed": 1},
+        )
+        assert cli.main(["--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace of B" in captured.err
+
     def test_failing_check_maps_to_exit_one(self, tmp_path, monkeypatch):
         config = write_config(
             tmp_path, "c.json",
@@ -240,6 +266,43 @@ class TestNetcert:
         assert len(lines) == 5
         assert all(json.loads(line)["holds"] for line in lines)
         assert (out / "certificates.jsonl").read_text().strip().splitlines() == lines
+
+    def matrix_files(self, tmp_path, shapes):
+        rng = cw.generator(98)
+        paths = []
+        for i, shape in enumerate(shapes):
+            path = tmp_path / f"m{i}.json"
+            path.write_text(dumps_matrix(rng.standard_normal(shape)))
+            paths.append(str(path))
+        return paths
+
+    def test_mixed_sizes_print_the_per_file_lines(self, tmp_path, capsys):
+        # One stack per size, and each line is the one that file alone prints.
+        paths = self.matrix_files(tmp_path, [(3, 3), (6, 6), (3, 3)])
+        alone = []
+        for path in paths:
+            config = write_config(tmp_path, "one.json", {"command": "netcert", "inputs": [path]})
+            assert cli.main(["--config", config]) == 0
+            alone.append(capsys.readouterr().out)
+        config = write_config(tmp_path, "all.json", {"command": "netcert", "inputs": paths})
+        assert cli.main(["--config", config]) == 0
+        assert capsys.readouterr().out == "".join(alone)
+
+    @pytest.mark.parametrize("shapes, code, message", [
+        ([(3, 3), (15, 15), None], 3, "p <= 14"),
+        ([(3, 3), (2, 3), (15, 15)], 2, "must be square"),
+        ([(3, 3), None, (15, 15)], 2, "not found"),
+    ], ids=["cap-before-missing", "non-square-before-cap", "missing-before-cap"])
+    def test_first_bad_input_decides_the_error(self, tmp_path, capsys, shapes, code, message):
+        # Every input is read before any is certified, in list order, so the
+        # first bad one sets the exit code and the message; nothing is printed.
+        paths = self.matrix_files(tmp_path, [s or (1, 1) for s in shapes])
+        paths = [p if s else str(tmp_path / "missing.json") for p, s in zip(paths, shapes)]
+        config = write_config(tmp_path, "c.json", {"command": "netcert", "inputs": paths})
+        assert cli.main(["--config", config]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestSweep:

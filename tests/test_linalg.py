@@ -49,6 +49,23 @@ class TestSpectralNorm:
         if a.ndim == 2:
             assert cw.spectral_norm(a) == float(norms)
 
+    def test_non_finite_matrix_is_inf_without_lapack(self, monkeypatch):
+        # An overflowed Monte Carlo draw holds inf, or NaN from inf - inf.  Its norm
+        # is inf, and eigvalsh, which fails to converge on it, never sees it; the
+        # finite matrices of the stack keep their norms.
+        good = cw.generator(330).standard_normal((3, 4))
+        bad_inf, bad_nan = good.copy(), good.copy()
+        bad_inf[1, 2], bad_nan[0, 0] = -np.inf, np.nan
+        norms = _spectral_norms(np.array([good, bad_inf, good, bad_nan]))
+        norm = float(_spectral_norms(good))
+        assert norms.tolist() == [norm, np.inf, norm, np.inf]
+
+        def eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert _spectral_norms(np.array([bad_inf, bad_nan])).tolist() == [np.inf, np.inf]
+
     def test_identity(self):
         assert cw.spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 

@@ -107,6 +107,14 @@ class TestBuildShape:
             )
             assert shape_trace(spec, 8) == pytest.approx(np.trace(b), abs=1e-12)
 
+    def test_trace_past_the_largest_float_is_rejected(self):
+        # Every entry fits in a float, their sum does not: fsum raises OverflowError
+        # and np.trace gives inf; both become the ValueError that names the trace.
+        huge = [1e308, 1e308]
+        for spec in (cw.ShapeSpec.diagonal(huge), cw.ShapeSpec.custom(np.diag(huge))):
+            with pytest.raises(ValueError, match="trace of B"):
+                shape_trace(spec, 2)
+
 
 class TestSampleWishart:
     def test_zero_shape_gives_zero(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,12 +33,14 @@ def unpruned_max(a):
     """Closed form over the response of every regular x, with nothing pruned.
 
     Computed as max_bilinear_over_regular computes it: at the unit scale, with
-    netcert._responses, whose rows have the same bits whatever rows they come
-    with.  So a pruned run must equal it bit for bit.
+    netcert._responses, whose rows have the same bits whatever rows (and
+    matrices) they come with.  So a pruned run, alone or in a stack, must equal
+    it bit for bit.
     """
     exp = int(np.frexp(np.abs(a).max())[1])
-    u = netcert._responses(regular_matrix(a.shape[0]), np.ldexp(a, -exp))
-    return math.ldexp(netcert._batch_response_max(u), exp)
+    x = regular_matrix(a.shape[0])
+    u = netcert._responses(x, np.ldexp(a, -exp).T[:, None], np.zeros(len(x), dtype=int))
+    return math.ldexp(float(netcert._response_maxima(u).max()), exp)
 
 
 def responses_max(a):
@@ -47,7 +50,7 @@ def responses_max(a):
         digits = np.arange(start, min(start + 2**15, 3**p))[:, None] // 3 ** np.arange(p) % 3
         t = np.where(digits == 2, -1.0, digits.astype(np.float64))
         x = t / np.sqrt(np.count_nonzero(t, axis=1))[:, None]
-        best = max(best, netcert._batch_response_max(x @ a.T))
+        best = max(best, float(netcert._response_maxima(x @ a.T).max()))
     return best
 
 
@@ -139,37 +142,50 @@ class TestMaxBilinear:
         # Brute force over all pairs, and bit for bit the maximum with nothing
         # pruned: a pruning rule that drops the maximizing row fails here.  The
         # Gaussians scaled by 1/64 have maxima below 1, where ||u||^2 < ||u||.
+        # Then every matrix again, all sizes in one list and Gaussians at 2^+-j
+        # scales among them, certified in one stack per size: each maximum is
+        # still the one of its matrix alone.
         rng, structured = cw.generator(909), cw.generator(919)
+        every = []
         for p in range(2, 8):
             mat = regular_matrix(p)
             gaussians = [rng.standard_normal((p, p)) for _ in range(20)]
             small = [g / 64 for g in gaussians]
+            scaled = [np.ldexp(g, j) for g, j in zip(gaussians, (-600, -40, -1, 1, 40, 600))]
             for a in gaussians + small + structured_matrices(p, structured):
                 brute = float((mat @ a @ mat.T).max())
                 value = cw.max_bilinear_over_regular(a)
                 assert abs(value - brute) <= 1e-12
                 assert value == unpruned_max(a)
+            every += gaussians + small + scaled + structured_matrices(p, structured)
+        order = rng.permutation(len(every))
+        certs = cw.certify_norm_bounds([every[i] for i in order])
+        assert [c.reg_max for c in certs] == [unpruned_max(every[i]) for i in order]
 
     def test_best_carries_across_batches(self, monkeypatch):
         # 64-cell blocks split p = 7 into dozens, so pruning uses a running
-        # maximum from earlier blocks.
+        # maximum from earlier blocks: alone, and for each matrix of a stack.
         monkeypatch.setattr(netcert, "_BLOCK_CELLS", 64)
         rng = cw.generator(920)
         mat = regular_matrix(7)
-        assert len(netcert._half_tables(7)[2]) > 20
-        for a in [rng.standard_normal((7, 7)) for _ in range(10)] + structured_matrices(7, rng):
+        assert len(netcert._half_tables(7, 64)[-1]) > 20
+        stack = [rng.standard_normal((7, 7)) for _ in range(10)] + structured_matrices(7, rng)
+        for a in stack:
             value = cw.max_bilinear_over_regular(a)
             assert abs(value - float((mat @ a @ mat.T).max())) <= 1e-12
             assert value == unpruned_max(a)
+        stacked = netcert._bilinear_maxima(np.array(stack))
+        assert stacked.tolist() == [unpruned_max(a) for a in stack]
 
-    def test_one_response_per_sign_pair(self, monkeypatch):
+    def test_one_response_per_sign_pair(self):
         # The cells of the blocks are the regular x whose first nonzero entry is
         # +1: one of each pair +-x, and never x = 0.  Each block has at most
-        # _BLOCK_CELLS cells.
+        # block_cells cells.
         for cells, p in itertools.product((netcert._BLOCK_CELLS, 64, 5, 1), range(1, 8)):
-            monkeypatch.setattr(netcert, "_BLOCK_CELLS", cells)
-            left, right, blocks = netcert._half_tables(p)
+            left, right, s_left, s_right, blocks = netcert._half_tables(p, cells)
             assert left.shape[1] == p // 2 and right.shape[1] == p - p // 2
+            assert np.array_equal(s_left, np.count_nonzero(left, axis=1))
+            assert np.array_equal(s_right, np.count_nonzero(right, axis=1))
             xs = []
             for rows, cols in blocks:
                 block = [np.concatenate((xl, xr)) for xl in left[rows] for xr in right[cols]]
@@ -189,7 +205,7 @@ class TestMaxBilinear:
         # the wrong way, column 1 (the maximum) would be pruned.
         t = 0.6571445789601502
         u = np.array([[0.0, t, t, t]])
-        value = netcert._batch_response_max(u)
+        value = float(netcert._response_maxima(u)[0])
         a = np.zeros((4, 4))
         a[:, 0] = (np.nextafter(value, 0.0), 1e-4, 0.0, 0.0)
         a[:, 1] = u
@@ -220,15 +236,21 @@ class TestMaxBilinear:
         # one ulp above column 0's, a_00, but its ||A x||^2 from the expansion is
         # not above a_00^2.  best holds a_00 when column 1's cell is tested (it is
         # the largest entry, and column 0 has the largest norm in the block), so
-        # a rule without the margin prunes the maximum.
+        # a rule without the margin prunes the maximum: alone, and in a stack,
+        # where the other matrices have their own best.
         t = 0.6571445789601502
-        value = netcert._batch_response_max(np.array([[0.0, t, t, t, 0.0]]))
+        value = float(netcert._response_maxima(np.array([[0.0, t, t, t, 0.0]]))[0])
         a = np.zeros((5, 5))
         a[:, 0] = (np.nextafter(value, 0.0), 0.0, 0.0, 0.0, 1e-4)
         a[:, 1] = (0.0, t, t, t, 0.0)
+        rng = cw.generator(926)
+        stack = np.array([rng.standard_normal((5, 5)) for _ in range(3)] + [a]
+                         + structured_matrices(5, rng))
         assert cw.max_bilinear_over_regular(a) == value == unpruned_max(a)
+        assert netcert._bilinear_maxima(stack)[3] == value
         monkeypatch.setattr(netcert, "_MARGIN", 0.0)
         assert cw.max_bilinear_over_regular(a) == np.nextafter(value, 0.0)
+        assert netcert._bilinear_maxima(stack)[3] == np.nextafter(value, 0.0)
 
     @pytest.mark.parametrize("p", [10, 12])
     def test_matches_every_response(self, p):
@@ -323,4 +345,61 @@ class TestCertifyNormBound:
     def test_dict_fields(self):
         d = cw.certify_norm_bound(np.eye(3)).to_dict()
         assert set(d) == {"p", "matrix_id", "exact_norm", "reg_max", "factor", "holds"}
+
+
+class TestCertifyNormBounds:
+    def test_each_certificate_is_that_of_its_matrix_alone(self):
+        # Sizes mixed in the list, ids given or hashed: the stack per size gives
+        # every field of every certificate, in list order, bit for bit.
+        rng = cw.generator(927)
+        mats = [rng.standard_normal((p, p)) * 2.0 ** rng.integers(-8, 9)
+                for p in (3, 6, 3, 1, 6, 9, 3)]
+        ids = ["a", None, "c", "d", None, "f", "g"]
+        certs = cw.certify_norm_bounds(mats, ids)
+        assert [c.to_dict() for c in certs] == [
+            cw.certify_norm_bound(a, i).to_dict() for a, i in zip(mats, ids)]
+        assert [c.to_dict() for c in cw.certify_norm_bounds(mats)] == [
+            cw.certify_norm_bound(a).to_dict() for a in mats]
+        assert cw.certify_norm_bounds([]) == []
+
+    def test_first_bad_matrix_raises_before_any_is_certified(self, monkeypatch):
+        # Each matrix is checked as it is drawn, so an error later in the list,
+        # here one the iterable itself raises, never masks an earlier one.
+        def matrices(*items):
+            for item in items:
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+
+        monkeypatch.setattr(netcert, "_bilinear_maxima", None)  # never reached
+        missing = LookupError("no such matrix")
+        with pytest.raises(EnumerationCapError):
+            cw.certify_norm_bounds(matrices(np.eye(3), np.eye(15), missing))
+        with pytest.raises(DimensionError, match="must be square"):
+            cw.certify_norm_bounds(matrices(np.eye(3), np.zeros((2, 3)), np.eye(15)))
+        with pytest.raises(LookupError):
+            cw.certify_norm_bounds(matrices(np.eye(3), missing, np.eye(15)))
+
+    def test_ids_must_match_the_matrices(self):
+        with pytest.raises(ValueError, match="2 matrices but 1 matrix ids"):
+            cw.certify_norm_bounds([np.eye(2), np.eye(2)], ["only"])
+
+    def test_memory_does_not_grow_with_the_list(self):
+        # The stack is worked in chunks of at most _BLOCK_CELLS (matrix, cell)
+        # pairs, so 64 matrices at p = 10 peak near the most that one of them
+        # does alone (its survivors set that), not at 64 blocks' worth.
+        rng = cw.generator(928)
+        mats = [rng.standard_normal((10, 10)) for _ in range(64)]
+
+        def peak(matrices):
+            tracemalloc.start()
+            try:
+                cw.certify_norm_bounds(matrices)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cw.certify_norm_bounds(mats[:1])  # the half tables are cached on first use
+        one, many = max(peak([a]) for a in mats), peak(mats)
+        assert many <= 1.5 * one, (one, many)
 

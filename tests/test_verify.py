@@ -478,6 +478,14 @@ class TestTrialCounts:
             with pytest.raises(ValueError, match="overflow"):
                 check(TrialConfig(m, 2048, 1))
 
+    def test_overflowing_draws_are_rejected(self):
+        # B near 2^1021: some draws of W overflow to inf (inf - inf to NaN) before
+        # any sum.  Their norms are inf, not a LAPACK failure to converge, and the
+        # engine's finite check reports the overflow.
+        b = cw.ShapeSpec.diagonal([math.ldexp(v, 1019) for v in (2, 0, 1, 1, 0.5, 1.5, 0, 2)])
+        with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
+            cw.check_wishart_decoupling(TrialConfig(model(3, 8, shape=b), 64, 5))
+
     @staticmethod
     def assert_statistics_scale_exactly(scale):
         """Every statistic of B = 2^scale I (as a diagonal) is B = I's scaled by 2^scale."""
