@@ -193,12 +193,15 @@ def cmd_sample(cfg: dict) -> int:
     trials = check_int(cfg.get("trials", 1), "trials")
     if trials < 1:
         raise ConfigError(f"sample needs at least 1 draw, got trials = {trials}")
+    decoupled = cfg.get("decoupled", False)
+    if not isinstance(decoupled, bool):
+        raise ConfigError(f"\"decoupled\" must be true or false, got {decoupled!r:.80}")
     seed = _seed(cfg)
     out = _out_dir(cfg)
     for i in range(trials):
         trial_seed = mix_seed(seed, i)
         save_matrix(out / f"W.{i:03d}.json", sample_wishart(model, trial_seed))
-        if cfg.get("decoupled"):
+        if decoupled:
             save_matrix(out / f"Wprime.{i:03d}.json", sample_decoupled(model, trial_seed))
     return 0
 

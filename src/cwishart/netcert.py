@@ -13,7 +13,9 @@ coordinates, scaled by 1/sqrt(s) for its support size s; two half tables of
 P_R = A_R x_R give every ||A x||^2 = (||P_L||^2 + 2 P_L.P_R + ||P_R||^2) / s,
 one GEMM per block of cells.  Since (u, y) <= ||u|| for a unit y, a cell whose
 norm is below the running maximum (less a 1e-9 relative margin, far above the
-rounding of the expansion) cannot carry it, and its response is never built.
+rounding of the expansion) cannot carry it.  A surviving cell's response
+A x = (P_L + P_R) / sqrt(s) is read from the same stored partials, so the
+pruning test and the maximum take A x from one computation.
 
 The maximum works on a (k, p, p) stack, a single matrix being a stack of one,
 and :func:`certify_norm_bounds` certifies a list as one stack per size.  Each
@@ -168,23 +170,6 @@ def _half_tables(p: int, block_cells: int) -> tuple:
     return *tables, tuple(blocks)
 
 
-def _responses(x: np.ndarray, columns: np.ndarray, which: np.ndarray) -> np.ndarray:
-    # A x for each row x, A the matrix which[row] of a stack whose column k is
-    # columns[k, which[row]].  Summed one column of A at a time, each row has the
-    # same bits whichever rows it is computed with, which a GEMM's do not.  Rows
-    # go _BLOCK_CELLS // p at a time, so a gather holds no more than x can.
-    p = x.shape[1]
-    u = np.empty_like(x)
-    step = max(1, _BLOCK_CELLS // p)
-    for lo in range(0, len(x), step):
-        cols = np.take(columns, which[lo:lo + step], axis=1)
-        xs, us = x[lo:lo + step], u[lo:lo + step]
-        np.multiply(xs[:, :1], cols[0], out=us)
-        for k in range(1, p):
-            us += xs[:, k:k + 1] * cols[k]
-    return u
-
-
 def _square(a) -> np.ndarray:
     # A finite square matrix within BILINEAR_CAP, else the error that says why not.
     arr = as_matrix(a)
@@ -212,20 +197,21 @@ def _bilinear_maxima(stack: np.ndarray) -> np.ndarray:
 
     Each matrix has its own ``best``, which starts at m = max |a_ij|, the
     value of the regular pair (e_j, +-e_i).  In a block where a matrix's
-    largest ||A x|| exceeds its best, that cell seeds best, and then the
-    response of every cell with ||A x||^2 > best^2 (1 - 1e-9) is built and
-    its closed form taken.  For a unit y, (A x, y) <= ||A x||, so no other
-    cell can carry the maximum, and each result is the same, bit for bit, as
-    the closed form over every cell of that matrix alone.
+    largest ||A x|| exceeds its best, that cell seeds best, and then every
+    cell with ||A x||^2 > best^2 (1 - 1e-9) has the closed form taken of its
+    u = (P_L + P_R) / sqrt(s), from the stored partials.  For a unit y,
+    (A x, y) <= ||A x||, so no other cell can carry the maximum.  A matrix's
+    partials are its own GEMMs in any chunk, and u is elementwise, so each
+    result is bit for bit the closed form over every u of that matrix alone.
 
     Why the margin covers the rounding.  Each A is scaled by a power of two
-    so that m lies in [0.5, 1).  The entries of P_L and P_R are sums of at
-    most s signed entries of A: below s m, with errors below s^2 u m
-    (u = 2^-53).  With the rounding of the three dot products over p
-    coordinates, the error of s ||A x||^2 is below about
-    (2 p s^3 + (p + 3) p s^2) u m^2, so that of ||A x||^2 is below
-    3 p^2 (p + 1) u best^2: 1e-12 best^2 at p = 14, against the 1e-9 margin.
-    The closed form of a response rounds within about 3 p ulps of its norm.
+    so that m lies in [0.5, 1).  The test and u read the same P_L and P_R,
+    so the partials' own rounding needs no margin.  Their entries are below
+    s m (s <= p), so the three dot products over p coordinates, their two
+    sums and the division by s put ||A x||^2 within (p^3 + 2 p^2 + 1)
+    u best^2 (u = 2^-53) of ||P_L + P_R||^2 / s: 3.5e-13 best^2 at p = 14,
+    against the 1e-9 margin.  The entries of u round within two ulps, and
+    its closed form within about 3 p ulps of its norm.
     """
     p = stack.shape[1]
     # Work on each A scaled by a power of two (exact) so that its largest entry
@@ -239,7 +225,6 @@ def _bilinear_maxima(stack: np.ndarray) -> np.ndarray:
     chunk = max(1, _BLOCK_CELLS // ((3**p - 1) // 2))
     for lo in range(0, len(unit), chunk):
         arr, run = unit[lo:lo + chunk], best[lo:lo + chunk]
-        columns = np.ascontiguousarray(arr.transpose(2, 0, 1))
         p_left = left @ arr[:, :, :h].transpose(0, 2, 1)
         p_right = right @ arr[:, :, h:].transpose(0, 2, 1)
         sq_left = np.einsum("kij,kij->ki", p_left, p_left)
@@ -251,21 +236,19 @@ def _bilinear_maxima(stack: np.ndarray) -> np.ndarray:
             sq += sq_left[:, rows, None]
             sq += sq_right[:, None, cols]
             sq /= s
-            sq = sq.reshape(len(arr), -1)
 
-            def raise_best(which: np.ndarray, cells: np.ndarray) -> None:
-                # best = max(best, closed form of the cell) for each cell, of matrix which.
-                i, j = np.divmod(cells, s.shape[1])
-                x = np.concatenate((left[rows][i], right[cols][j]), axis=1)
-                x /= np.sqrt(s.ravel()[cells])[:, None]
-                np.maximum.at(run, which, _response_maxima(_responses(x, columns, which)))
+            def raise_best(which: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+                # best = max(best, closed form of cell (i, j)) for each cell, of matrix which.
+                u = p_left[which, rows.start + i] + p_right[which, cols.start + j]
+                u /= np.sqrt(s[i, j])[:, None]
+                np.maximum.at(run, which, _response_maxima(u))
 
-            top = sq.argmax(axis=1)
-            lead = np.flatnonzero(sq[every, top] > run * run * (1.0 - _MARGIN))
+            top = sq.reshape(len(arr), -1).argmax(axis=1)
+            i, j = np.unravel_index(top, s.shape)
+            lead = np.flatnonzero(sq[every, i, j] > run * run * (1.0 - _MARGIN))
             if lead.size:
-                raise_best(lead, top[lead])
-                survivors = np.flatnonzero(sq > (run * run * (1.0 - _MARGIN))[:, None])
-                raise_best(*np.divmod(survivors, sq.shape[1]))
+                raise_best(lead, i[lead], j[lead])
+                raise_best(*np.nonzero(sq > (run * run * (1.0 - _MARGIN))[:, None, None]))
     return np.ldexp(best, exp)
 
 

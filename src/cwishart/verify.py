@@ -46,6 +46,14 @@ the concentration tails and mean);
 EQUALITY_MARGIN = 4, P(|Z| > 4) = 6.3e-5, for the entrywise expectation check;
 STD_MARGIN = 5, P(|Z| > 5) = 5.7e-7, for the linear-form standard deviation,
 whose standard error is the Gaussian-sample approximation s / sqrt(2 (N - 1)).
+The dominance margin lies against its claim (mean + 3 se <= bound): a mean
+above the bound passes, and one 6 se below it fails, with probability at most
+1.35e-3.  Family-wise false-failure bounds per acceptance criterion (Bonferroni
+over its comparisons, each claim at its boundary): 1, 9 entries at 4 se,
+5.7e-4; 2, 27 cells (means 6 se below the bound), 3.6e-2; 3, 27 cells, 3.6e-2;
+4, 20 runs, 2.7e-2; 7, 5 tails and the mean, 8.1e-3; 9, one at 5 se, 5.7e-7;
+0.11 over the suite.  Criteria 5, 6 and 10 make no Monte Carlo comparison, and
+criterion 8's slope range is no standard-error margin.
 """
 from __future__ import annotations
 

@@ -90,6 +90,19 @@ class TestSample:
         assert cli.main(["--config", config]) == 0
         assert (out / "Wprime.000.json").exists()
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, [True]])
+    def test_decoupled_must_be_a_bool(self, tmp_path, capsys, flag):
+        # A truthy non-bool such as "no" must not draw W'; nothing is written.
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "sample", "model": identity_model_dict(2, 4),
+             "trials": 1, "seed": 5, "out": str(out), "decoupled": flag},
+        )
+        assert cli.main(["--config", config]) == 2
+        assert '"decoupled"' in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBound:
     def test_scalar_model_value(self, tmp_path, capsys):

@@ -30,16 +30,21 @@ def structured_matrices(p, rng):
 
 
 def unpruned_max(a):
-    """Closed form over the response of every regular x, with nothing pruned.
+    """Closed form over every cell's response (P_L[i] + P_R[j]) / sqrt(s), with nothing pruned.
 
-    Computed as max_bilinear_over_regular computes it: at the unit scale, with
-    netcert._responses, whose rows have the same bits whatever rows (and
-    matrices) they come with.  So a pruned run, alone or in a stack, must equal
-    it bit for bit.
+    P_L and P_R are the partial responses of the full netcert._half_tables at
+    the unit scale, in one piece: no blocks, no stack, x = 0 the one cell left
+    out.  A pruned run reads its survivors' responses from the same partials,
+    so alone or in a stack it must equal this bit for bit.
     """
+    p = a.shape[0]
     exp = int(np.frexp(np.abs(a).max())[1])
-    x = regular_matrix(a.shape[0])
-    u = netcert._responses(x, np.ldexp(a, -exp).T[:, None], np.zeros(len(x), dtype=int))
+    unit = np.ldexp(a, -exp)
+    left, right, s_left, s_right, _ = netcert._half_tables(p, netcert._BLOCK_CELLS)
+    h = left.shape[1]
+    u = (left @ unit[:, :h].T)[:, None] + (right @ unit[:, h:].T)[None]
+    s = s_left[:, None] + s_right
+    u = u[s > 0] / np.sqrt(s[s > 0])[:, None]
     return math.ldexp(float(netcert._response_maxima(u).max()), exp)
 
 
@@ -200,9 +205,11 @@ class TestMaxBilinear:
 
     def test_margin_covers_rounding(self):
         # The closed form of the flat response (t, t, t) rounds above its own
-        # computed norm.  Column 0 has the larger norm, seeds the batch, and
-        # is one ulp below column 1's value: without the margin, or with it
-        # the wrong way, column 1 (the maximum) would be pruned.
+        # computed norm.  The response of x = e_1, read from the partials (the
+        # P_L row of e_1 plus the zero P_R row), is column 1 exactly.  Column 0
+        # has the larger norm, seeds the batch, and is one ulp below column 1's
+        # value: without the margin, or with it the wrong way, column 1 (the
+        # maximum) would be pruned.
         t = 0.6571445789601502
         u = np.array([[0.0, t, t, t]])
         value = float(netcert._response_maxima(u)[0])
@@ -232,12 +239,13 @@ class TestMaxBilinear:
                 cw.max_bilinear_over_regular(a), j)
 
     def test_margin_is_needed(self, monkeypatch):
-        # Negative control.  Column 1's response (0, t, t, t, 0) has a closed form
-        # one ulp above column 0's, a_00, but its ||A x||^2 from the expansion is
-        # not above a_00^2.  best holds a_00 when column 1's cell is tested (it is
-        # the largest entry, and column 0 has the largest norm in the block), so
-        # a rule without the margin prunes the maximum: alone, and in a stack,
-        # where the other matrices have their own best.
+        # Negative control.  Column 1's response (0, t, t, t, 0), read exactly from
+        # the partials, has a closed form one ulp above column 0's, a_00, but its
+        # ||A x||^2 from the expansion is not above a_00^2.  best holds a_00 when
+        # column 1's cell is tested (it is the largest entry, and column 0 has the
+        # largest norm in the block), so a rule without the margin prunes the
+        # maximum: alone, and in a stack, where the other matrices have their own
+        # best.
         t = 0.6571445789601502
         value = float(netcert._response_maxima(np.array([[0.0, t, t, t, 0.0]]))[0])
         a = np.zeros((5, 5))
