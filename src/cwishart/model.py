@@ -109,6 +109,11 @@ class ShapeSpec:
         return spectral_norm(self.matrix)
 
     @cached_property
+    def _custom_frobenius(self) -> float:
+        """Frobenius norm of the custom matrix, computed once per spec."""
+        return frobenius_norm(self.matrix)
+
+    @cached_property
     def _nonzero_entries(self) -> np.ndarray | None:
         """The nonzero diagonal entries, in order, for a diagonal; else None."""
         if self.variant != "diagonal":
@@ -205,7 +210,7 @@ def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
         entries = np.asarray(spec.entries, dtype=np.float64)
         _, exp = np.frexp(np.abs(entries).max())
         return float(np.ldexp(np.linalg.norm(np.ldexp(entries, -exp)), exp))
-    return frobenius_norm(spec.matrix)
+    return spec._custom_frobenius
 
 
 def apply_shape(y: np.ndarray, spec: ShapeSpec, n: int) -> np.ndarray:

@@ -29,8 +29,10 @@ stacks.  The Wishart decoupling pair (W, W') shares Y, as the paper's
 X B X^T and X' B X^T share X, and W' = Z R for the factor R of B Y^T
 (_decoupled_pairs).  The concentration and Lipschitz checks read X only through
 g = X^T d ~ N(0, I_n) (theta = I, unit d), so they draw g, or for orthogonal
-B only ||g||, and for the Lipschitz distance one chi-square for the rest of
-||X1 - X2||_F; ||B g|| never builds the n x n B (_conditional_stds).
+B only ||g||; a Lipschitz pair for orthogonal B takes three variates for
+||g1||, ||g2|| and ||g1 - g2||, and one chi-square for the rest of
+||X1 - X2||_F (_lipschitz_pairs); ||B g|| never builds the n x n B
+(_conditional_stds).  Concentration tails count sigma > mean_bound + t.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -481,7 +483,10 @@ def check_chaos_decoupling(
     """Check E sup|(BZ, Z) - E(BZ, Z)| <= 2 E sup|(BZ, Z')| over a matrix list.
 
     The supremum over the finite list is computed exactly per draw, and
-    E(BZ, Z) = Tr(B theta) in closed form.
+    E(BZ, Z) = Tr(B theta) in closed form.  A block forms every B_m z as one
+    product of the stacked family rows with z^T, an (M, p, k) array with the
+    trials on the last axis, so both quadratic forms and the maxima over the
+    family run along contiguous rows of length k.
     """
     mats = [as_matrix(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
     if not mats or len(mats) > 16:
@@ -491,16 +496,21 @@ def check_chaos_decoupling(
         if m.shape != (p, p):
             raise DimensionError(f"matrices[{i}] is {m.shape}, expected {(p, p)}")
     stack = np.stack(mats)
-    traces = np.einsum("kij,ji->k", stack, theta.array)
+    rows = stack.reshape(-1, p)
+    traces = np.einsum("kij,ji->k", stack, theta.array)[:, None]
     root = theta._root
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Rows z and z' of N(0, theta): standard rows times the symmetric root.
         z, z_prime = rng.standard_normal((2, k, p)) @ root
-        bz = np.einsum("mij,tj->tmi", stack, z)
-        lhs = np.abs(np.einsum("tmi,ti->tm", bz, z) - traces).max(axis=1)
-        rhs = np.abs(np.einsum("tmi,ti->tm", bz, z_prime)).max(axis=1)
-        return np.stack((lhs, rhs), axis=1)
+        bz = (rows @ z.T).reshape(len(stack), p, k)
+        lhs = np.einsum("mik,ik->mk", bz, z.T)
+        lhs -= traces
+        lhs = np.abs(lhs, out=lhs).max(axis=0)
+        rhs = np.einsum("mik,ik->mk", bz, z_prime.T)
+        rhs = np.abs(rhs, out=rhs).max(axis=0)
+        # (k, 2) with the trials contiguous, as the engine's summary reads them.
+        return np.stack((lhs, rhs)).T
 
     return DecouplingReport.from_summary(_run_blocks(kernel, trials, seed, workers))
 
@@ -613,9 +623,12 @@ def check_concentration(
     """Verify the sub-Gaussian tail of the conditional standard deviation.
 
     Requires theta = I (whiten first otherwise: replace theta by I and absorb
-    theta^{1/2} into the deviation being studied).  Holds when the empirical
-    tail stays below the theoretical one plus 3 binomial standard errors at
-    every grid point with theoretical mass >= 10 / trials.
+    theta^{1/2} into the deviation being studied).  The empirical tail at t
+    is the share of trials with sigma > mean_bound + t, counted strictly, so
+    a sigma that sits at mean_bound (every trial of B = 0) is in no tail.
+    Holds when the empirical tail stays below the theoretical one plus 3
+    binomial standard errors at every grid point with theoretical mass
+    >= 10 / trials.
 
     With theta = I and a unit d, the std depends on X only through
     g = X^T d ~ N(0, I_n), so each trial draws g alone.  For identity and
@@ -647,7 +660,7 @@ def check_concentration(
             s = math.sqrt(p) / n * np.sqrt(rng.chisquare(n, k))
         else:
             s = _conditional_stds(model.shape, rng.standard_normal((k, n)), p)
-        return np.column_stack((s, s[:, None] >= thresholds))
+        return np.column_stack((s, s[:, None] > thresholds))
 
     summary = _run_blocks(kernel, trials, seed, workers)
     stats, trials = summary.stats(0), summary.trials
@@ -680,6 +693,37 @@ def check_concentration(
     )
 
 
+def _lipschitz_pairs(
+    model: WishartModel, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k draws of (s(X1), s(X2), ||X1 - X2||_F^2) for independent X1, X2, theta = I, unit d.
+
+    s(X) depends on X only through g = X^T d ~ N(0, I_n), and
+    ||X1 - X2||_F^2 splits into ||g1 - g2||^2 plus the squared norm of the
+    part of X1 - X2 orthogonal to d, which is 2 chi-square((p - 1) n) and
+    independent of (g1, g2); for p > 1 it is drawn last, one variate per pair.
+    For identity and skew-block B, ||B g|| = ||g||, so a pair is drawn in a
+    basis whose first vector is g1 / ||g1||: g1 = (sqrt(a), 0) and
+    g2 = (c, h) with a ~ chi-square(n), c ~ N(0, 1) and ||h||^2 = b ~
+    chi-square(n - 1) (b = 0 for n = 1), all independent, so ||g2||^2 = c^2 + b
+    and ||g1 - g2||^2 = (sqrt(a) - c)^2 + b: three variates per pair, exact in
+    law.  Diagonal and custom B draw (g1, g2) as one (2, k, n) stack.
+    """
+    p, n = model.p, model.n
+    if model.shape.variant in _ORTHOGONAL_VARIANTS:
+        root_a, c = np.sqrt(rng.chisquare(n, k)), rng.standard_normal(k)
+        b = rng.chisquare(n - 1, k) if n > 1 else np.zeros(k)
+        scale = math.sqrt(p) / n
+        s1, s2, dist_sq = scale * root_a, scale * np.sqrt(c * c + b), np.square(root_a - c) + b
+    else:
+        g1, g2 = rng.standard_normal((2, k, n))
+        s1, s2 = _conditional_stds(model.shape, g1, p), _conditional_stds(model.shape, g2, p)
+        dist_sq = np.square(g1 - g2).sum(axis=-1)
+    if p > 1:
+        dist_sq += 2.0 * rng.chisquare((p - 1) * n, k)
+    return s1, s2, dist_sq
+
+
 def count_lipschitz_violations(
     model: WishartModel,
     direction,
@@ -689,13 +733,11 @@ def count_lipschitz_violations(
 ) -> int:
     """Count pairs violating |s(X1) - s(X2)| <= (sqrt(p) ||B|| / n) ||X1 - X2||_F.
 
-    s(X) depends on X only through g = X^T d, and ||X1 - X2||_F^2 splits
-    into ||g1 - g2||^2 plus the squared norm R^2 of the part of X1 - X2
-    orthogonal to d, which is 2 chi-square((p - 1) n) and independent of
-    (g1, g2).  So each block draws the (g1, g2) pairs as one (2, k, n) stack,
-    then, for p > 1, the k values of R^2: 2n + 1 variates per pair.  The
-    left-hand sides go through the engine as well, so a pair whose s does
-    not fit in a float raises ValueError as the concentration check does.
+    Each block draws its pairs with _lipschitz_pairs: three variates per
+    pair for identity and skew-block B, 2n for diagonal and custom B, and
+    one more for p > 1.  The left-hand sides go through the engine as well,
+    so a pair whose s does not fit in a float raises ValueError as the
+    concentration check does.
     """
     _unit_direction(direction, model.p)
     p, n = model.p, model.n
@@ -703,11 +745,8 @@ def count_lipschitz_violations(
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         # Column 0 is |s(X1) - s(X2)|, column 1 its 0/1 indicator of a violation.
-        g1, g2 = rng.standard_normal((2, k, n))
-        dist_sq = np.square(g1 - g2).sum(axis=-1)
-        if p > 1:
-            dist_sq += 2.0 * rng.chisquare((p - 1) * n, k)
-        lhs = np.abs(_conditional_stds(model.shape, g1, p) - _conditional_stds(model.shape, g2, p))
+        s1, s2, dist_sq = _lipschitz_pairs(model, rng, k)
+        lhs = np.abs(s1 - s2)
         return np.column_stack((lhs, lhs > lipschitz * np.sqrt(dist_sq)))
 
     return int(_run_blocks(kernel, pairs, seed, workers).total[1])

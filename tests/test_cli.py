@@ -224,6 +224,18 @@ class TestVerify:
         assert captured.out == ""
         assert "trace of B" in captured.err
 
+    def test_concentration_of_zero_shape_exits_zero(self, tmp_path, capsys):
+        # B = 0: every sigma equals mean_bound = 0, so no trial is in the t = 0 tail.
+        zero = dict(identity_model_dict(2, 4), shape={"variant": "diagonal", "entries": [0.0] * 4})
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "verify", "check": "concentration", "model": zero,
+             "direction": [1.0, 0.0], "t_grid": [0.0, 0.5], "trials": 2000, "seed": 3},
+        )
+        assert cli.main(["--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["empirical_tails"] == [0.0, 0.0] and report["holds"] is True
+
     def test_failing_check_maps_to_exit_one(self, tmp_path, monkeypatch):
         config = write_config(
             tmp_path, "c.json",
@@ -388,17 +400,30 @@ class TestUsage:
         assert cli.main(["--config", config]) == 2
 
     def test_workers_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        config = write_config(
-            tmp_path, "c.json",
-            {"command": "verify", "check": "decoupling",
-             "model": identity_model_dict(2, 8), "trials": 200, "seed": 31},
-        )
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("WISHART_THREADS", threads)
-            assert cli.main(["--config", config]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        # 2500 trials are three blocks, the last one partial, so two threads do run.
+        rng = cw.generator(37)
+        configs = [
+            write_config(
+                tmp_path, "c.json",
+                {"command": "verify", "check": "decoupling",
+                 "model": identity_model_dict(2, 8), "trials": 2500, "seed": 31},
+            ),
+            write_config(
+                tmp_path, "chaos.json",
+                {"command": "verify", "check": "chaos",
+                 "theta": cw.matrix_to_dict(np.diag([1.0, 2.0, 3.0])),
+                 "matrices": [cw.matrix_to_dict(rng.standard_normal((3, 3))) for _ in range(8)],
+                 "trials": 2500, "seed": 41},
+            ),
+        ]
+        for config in configs:
+            outputs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("WISHART_THREADS", threads)
+                assert cli.main(["--config", config]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["lhs"]["trials"] == 2500
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_workers_env_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):

@@ -311,6 +311,64 @@ class TestChaosDecoupling:
         )
         assert report.holds
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["identity", "dense"])
+    @pytest.mark.parametrize("size", [1, 16])
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_per_trial_sides_match_a_per_matrix_loop(self, p, size, dense, monkeypatch):
+        rng = cw.generator(mix_seed(263, 100 * p + size))
+        mats = list(rng.standard_normal((size, p, p)))
+        g = rng.standard_normal((p, p))
+        theta = cw.SpdMatrix(g @ g.T + np.eye(p)) if dense else cw.SpdMatrix.identity(p)
+        kernels, run = [], verify._run_blocks
+        monkeypatch.setattr(verify, "_run_blocks",
+                            lambda kernel, *a: kernels.append(kernel) or run(kernel, *a))
+        cw.check_chaos_decoupling(mats, theta, 2, 0)
+        k = 300
+        got = kernels[0](cw.generator(269), k)
+        z, z_prime = cw.generator(269).standard_normal((2, k, p)) @ theta._root
+        want, scale = np.zeros((k, 2)), np.zeros((k, 2))
+        for b in mats:
+            trace = float(np.trace(b @ theta.array))
+            sides = (np.abs((z @ b.T * z).sum(axis=1) - trace),
+                     np.abs((z @ b.T * z_prime).sum(axis=1)))
+            # The sums of absolute terms, the scale of each side's rounding error.
+            terms = (np.abs(z) @ np.abs(b).T * np.abs(z)).sum(axis=1) + abs(trace), (
+                np.abs(z) @ np.abs(b).T * np.abs(z_prime)).sum(axis=1)
+            want = np.maximum(want, np.column_stack(sides))
+            scale = np.maximum(scale, np.column_stack(terms))
+        assert got.shape == (k, 2)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_block_memory_of_a_large_family(self, monkeypatch):
+        # p = 60, M = 16: B_m z for one block of the whole family is 7.9 MB.
+        # The reference is the same kernel with the trials first, (t, m, i).
+        mats = list(cw.generator(5).standard_normal((16, 60, 60)))
+        theta = cw.SpdMatrix.identity(60)
+        stack, root = np.stack(mats), theta._root
+        traces = np.einsum("kij,ji->k", stack, theta.array)
+
+        def trials_first(rng, k):
+            z, z_prime = rng.standard_normal((2, k, 60)) @ root
+            bz = np.einsum("mij,tj->tmi", stack, z)
+            lhs = np.abs(np.einsum("tmi,ti->tm", bz, z) - traces).max(axis=1)
+            rhs = np.abs(np.einsum("tmi,ti->tm", bz, z_prime)).max(axis=1)
+            return np.stack((lhs, rhs), axis=1)
+
+        kernels, run = [trials_first], verify._run_blocks
+        monkeypatch.setattr(verify, "_run_blocks",
+                            lambda kernel, *a: kernels.append(kernel) or run(kernel, *a))
+        cw.check_chaos_decoupling(mats, theta, 2, 1)
+        peaks, results = [], []
+        for kernel in kernels:
+            tracemalloc.start()
+            try:
+                results.append(kernel(cw.generator(3), BLOCK_TRIALS))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
+        assert peaks[1] <= peaks[0]
+
     def test_list_size_validated(self):
         with pytest.raises(ValueError):
             cw.check_chaos_decoupling([], cw.SpdMatrix.identity(2), 10, 0)
@@ -597,6 +655,16 @@ class TestConcentration:
         assert report.theoretical_tails == (0.5,)
         assert report.holds
 
+    @pytest.mark.parametrize("shape", [cw.ShapeSpec.diagonal([0.0] * 4),
+                                       cw.ShapeSpec.custom(np.zeros((4, 4)))],
+                             ids=["diagonal", "custom"])
+    def test_zero_shape(self, shape):
+        # sigma = mean_bound = 0 in every trial, so no trial is past mean_bound + t.
+        report = cw.check_concentration(model(2, 4, shape), [1.0, 0.0], [0.0, 0.5], 2000, 59)
+        assert report.mean_bound == 0.0 and report.mean_value == 0.0
+        assert report.empirical_tails == (0.0, 0.0) and report.theoretical_tails == (0.5, 0.0)
+        assert report.holds
+
     def test_tail_dominance_and_mean(self):
         report = cw.check_concentration(
             self.cfgmodel(), [1, 0, 0], [0.0, 0.1, 0.2, 0.3, 0.4], 2 * 10**4, 61
@@ -675,14 +743,18 @@ class TestConcentration:
                 assert cw.count_lipschitz_violations(model(1, n), d, 5000, 71) == 0
 
 
+def _x_path_sigma(m, b, x, d):
+    """sigma = (sqrt(p) / n) ||B X^T d|| of each X in a (k, p, n) stack, B dense."""
+    return math.sqrt(m.p) / m.n * np.linalg.norm(np.einsum("lj,tij,i->tl", b, x, d), axis=-1)
+
+
 def _x_path_concentration(m, d, thresholds, trials, seed):
     """Summary of (sigma, tail indicators) per trial from full p x n draws of X."""
     b = model_module.build_shape(m.shape, m.n)
 
     def kernel(rng, k):
-        x = rng.standard_normal((k, m.p, m.n))
-        s = math.sqrt(m.p) / m.n * np.linalg.norm(np.einsum("lj,tij,i->tl", b, x, d), axis=-1)
-        return np.column_stack((s, s[:, None] >= thresholds))
+        s = _x_path_sigma(m, b, rng.standard_normal((k, m.p, m.n)), d)
+        return np.column_stack((s, s[:, None] > thresholds))
 
     return verify._run_blocks(kernel, trials, seed)
 
@@ -693,6 +765,19 @@ CONCENTRATION_SHAPES = {
     "diagonal-with-zero": (2, 8, cw.ShapeSpec.diagonal([0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])),
     "custom": (3, 8, cw.ShapeSpec.custom(cw.generator(233).standard_normal((8, 8)))),
 }
+
+
+class _OneDegreeShort:
+    """A generator whose chi-square variates have one degree of freedom too few."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def chisquare(self, df, size):
+        return self.rng.chisquare(df - 1, size)
 
 
 class TestConcentrationDraws:
@@ -723,19 +808,60 @@ class TestConcentrationDraws:
 
     def test_chi_with_one_degree_too_few_is_rejected(self, monkeypatch):
         # ||g|| drawn as sqrt(chi-square(n - 1)) at n = 16: |z| from 7.5 to 18.
-        class OneDegreeShort:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def chisquare(self, df, size):
-                return self.rng.chisquare(df - 1, size)
-
         exact = verify.generator
-        monkeypatch.setattr(verify, "generator", lambda seed: OneDegreeShort(exact(seed)))
+        monkeypatch.setattr(verify, "generator", lambda seed: _OneDegreeShort(exact(seed)))
         assert self.compare("identity", monkeypatch) > EQUALITY_MARGIN
+
+
+def _lipschitz_row(s1, s2, dist_sq):
+    """Per pair: |s1 - s2|, ||X1 - X2||_F^2, their Lipschitz ratio, and (s1^2 + s2^2) ||X1 - X2||_F^2.
+
+    The last one tells the joint law from one with the same marginals at any
+    n: ||g1 - g2||^2 and ||g1||^2 + ||g2||^2 have covariance 4n, and
+    independent draws of the two would have none.
+    """
+    lhs = np.abs(s1 - s2)
+    return np.column_stack((lhs, dist_sq, lhs / np.sqrt(dist_sq), (s1 * s1 + s2 * s2) * dist_sq))
+
+
+def _x_path_lipschitz(m, d, trials, seed):
+    """Summary of _lipschitz_row per pair from full p x n draws of X1 and X2."""
+    b = model_module.build_shape(m.shape, m.n)
+
+    def kernel(rng, k):
+        x1, x2 = rng.standard_normal((2, k, m.p, m.n))
+        return _lipschitz_row(_x_path_sigma(m, b, x1, d), _x_path_sigma(m, b, x2, d),
+                              np.square(x1 - x2).sum(axis=(1, 2)))
+
+    return verify._run_blocks(kernel, trials, seed)
+
+
+class TestLipschitzDraws:
+    """A Lipschitz pair for orthogonal B is three variates; its law matches two full X draws."""
+
+    TRIALS = 20_000
+    CASES = [("identity", 1), ("identity", 2), ("identity", 16), ("skew_block", 2),
+             ("skew_block", 16)]
+
+    def compare(self, variant, n):
+        """Max two-sample |z| of the _lipschitz_row means against the X path (p = 2)."""
+        m, d = model(2, n, cw.ShapeSpec(variant)), np.array([0.6, 0.8])
+        seed = mix_seed(271, self.CASES.index((variant, n)))
+        drawn = verify._run_blocks(
+            lambda rng, k: _lipschitz_row(*verify._lipschitz_pairs(m, rng, k)), self.TRIALS, seed)
+        direct = _x_path_lipschitz(m, d, self.TRIALS, mix_seed(277, seed))
+        return _max_z(drawn, direct)
+
+    @pytest.mark.parametrize("variant,n", CASES)
+    def test_pairs_match_the_x_path(self, variant, n):
+        assert self.compare(variant, n) <= EQUALITY_MARGIN
+
+    def test_chi_square_one_degree_short_is_rejected(self, monkeypatch):
+        # Every chi-square of the pair and of the rest of ||X1 - X2||_F one
+        # degree short at n = 16: ||X1 - X2||_F^2 has mean 60, not 64.
+        exact = verify.generator
+        monkeypatch.setattr(verify, "generator", lambda seed: _OneDegreeShort(exact(seed)))
+        assert self.compare("identity", 16) > EQUALITY_MARGIN
 
 
 class TestSweepScaling:
