@@ -11,6 +11,7 @@ Exit codes: 0 success with all checks holding, 1 at least one check failing,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,7 +80,9 @@ def _workers() -> int:
         raise ConfigError(f"WISHART_THREADS must be an integer, got {raw!r}") from exc
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cwishart",
         description="Simulate compound Wishart matrices, evaluate the deviation "

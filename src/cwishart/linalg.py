@@ -285,7 +285,8 @@ def matrix_from_dict(d: dict) -> np.ndarray:
 def dumps_matrix(a) -> str:
     """Serialize a matrix with all floats at 17 significant digits."""
     arr = as_matrix(a)
-    entries = ", ".join(f"{float(v):.17g}" for v in arr.ravel(order="C"))
+    # tolist() gives the Python floats at once, not one numpy scalar per entry.
+    entries = ", ".join(f"{v:.17g}" for v in arr.ravel().tolist())
     return (
         f'{{"rows": {arr.shape[0]}, "cols": {arr.shape[1]}, '
         f'"entries": [{entries}]}}'

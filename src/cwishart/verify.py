@@ -2,21 +2,30 @@
 
 Determinism contract: every check is a pure function of its inputs including
 the master seed.  Trials run in fixed blocks of BLOCK_TRIALS; block b draws
-every variate it needs from generator(mix_seed(master_seed, b)), computes its
-trials as one vectorized kernel, and reduces its per-trial results to a
-summary: the count, and per result entry the sum, the sum of squared
-deviations from the mean (at the power-of-two scale of the entry's largest
-|value|, see _Summary) and the max.  Summaries merge in block order (the
-pairwise update of Chan, Golub and LeVeque, 1979), so memory holds one block
-per worker whatever the trial count.  Block boundaries and the merge order do
-not depend on the worker count, which only sets how many threads run blocks at
-once, so reports are bit-identical for any worker count.  Every check reads
-its statistics from the merged summary; tail frequencies and violation counts
-are sums of 0/1 indicators, so they are exact.  Statistics of values scaled by
-2**j are scaled by 2**j, bit for bit; they overflow (ValueError) only when a
-per-trial value, or a sum over the trials, does not fit in a float.  Spectral
-norms of the per-trial matrices come from linalg's one exact rule, applied to a
-block's whole stack.  A concentration check takes at most MAX_T_GRID tail points.
+every variate it needs from generator(mix_seed(master_seed, b)) and computes
+its trials as one vectorized kernel.  Kernel contract: a kernel returns a
+C-contiguous float64 (..., k) array with the block's k trials on the last
+axis: (k,) for a scalar result, (2, k) for the two sides of a decoupling check
+or a Lipschitz count, (1 + T, k) for a concentration sigma and its T tail
+indicators, (p, p, k) for the expectation.  The block's summary reduces each
+contiguous row of k trials where it lies (_Summary.of_block): the count, and
+per result entry the sum, the sum of squared deviations from the mean (at the
+power-of-two scale of the entry's largest |value|, see _Summary) and the max.
+Summaries merge in block order (the pairwise update of Chan, Golub and
+LeVeque, 1979), so memory holds one block per worker whatever the trial
+count.  Block boundaries and the merge order do not depend on the worker
+count, which only sets how many threads run blocks at once, so reports are
+bit-identical for any worker count.  Every check reads its statistics from the
+merged summary; tail frequencies and violation counts are sums of 0/1
+indicators, so they are exact.  Statistics of values scaled by 2**j are
+scaled by 2**j, bit for bit; they overflow (ValueError) only when a per-trial
+value, or a sum over the trials, does not fit in a float.  Spectral norms of
+the per-trial matrices come from linalg's one exact rule, applied to a block's
+whole stack.  A concentration check takes at most MAX_T_GRID tail points.
+Fixed costs (2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a 2-trial
+chaos check takes about 150 us; a 1024-trial block spends 40-80 us in its
+summary and merge (scalar to (3, 3) results) and 15-25 us building its
+generator.
 
 The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
 the identity or the skew block, so the norm checks (mean deviation, bound
@@ -26,13 +35,14 @@ O(p^2) chi-square and normal variates per trial instead of p n normals, and
 exact in law, not in value.  A diagonal B draws X over its nonzero columns
 only (all n when no entry is zero); a custom B draws (k, p, n) Gaussian
 stacks.  The Wishart decoupling pair (W, W') shares Y, as the paper's
-X B X^T and X' B X^T share X, and W' = Z R for the factor R of B Y^T
-(_decoupled_pairs).  The concentration and Lipschitz checks read X only through
-g = X^T d ~ N(0, I_n) (theta = I, unit d), so they draw g, or for orthogonal
-B only ||g||; a Lipschitz pair for orthogonal B takes three variates for
-||g1||, ||g2|| and ||g1 - g2||, and one chi-square for the rest of
-||X1 - X2||_F (_lipschitz_pairs); ||B g|| never builds the n x n B
-(_conditional_stds).  Concentration tails count sigma > mean_bound + t.
+X B X^T and X' B X^T share X, and W' = Z R for a factor R of B Y^T, which
+is B Y^T itself up to 4p columns of Y (_decoupled_pairs).  The concentration
+and Lipschitz checks read X only through g = X^T d ~ N(0, I_n) (theta = I,
+unit d), so they draw g, or for orthogonal B only ||g||; a Lipschitz pair for
+orthogonal B takes three variates for ||g1||, ||g2|| and ||g1 - g2||, and one
+chi-square for the rest of ||X1 - X2||_F (_lipschitz_pairs); ||B g|| never
+builds the n x n B (_conditional_stds).  Concentration tails count
+sigma > mean_bound + t.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -164,26 +174,34 @@ class _Summary(NamedTuple):
     exp: np.ndarray
 
     @classmethod
-    def of_block(cls, results: np.ndarray) -> "_Summary":
-        """Summary of a (k, ...) array of per-trial results."""
-        # Trials on the last, contiguous axis: reducing a leading axis is several times slower.
-        x = np.ascontiguousarray(np.moveaxis(np.asarray(results, dtype=np.float64), 0, -1))
+    def of_block(cls, x: np.ndarray) -> "_Summary":
+        """Summary of a kernel's result: a C-contiguous float64 (..., k) array, trials last.
+
+        Every reduction runs along a contiguous row of k trials, and the
+        scaled deviations reuse one temporary.
+        """
+        k = x.shape[-1]
         total, high = x.sum(axis=-1), x.max(axis=-1)
         exp = np.frexp(np.maximum(high, -x.min(axis=-1)))[1]
-        dev = np.ldexp(x - (total / x.shape[-1])[..., None], -exp[..., None])
-        return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), high, exp)
+        dev = x - (total / k)[..., None]
+        np.ldexp(dev, -exp[..., None], out=dev)
+        dev *= dev
+        return cls(k, total, dev.sum(axis=-1), high, exp)
 
     def merge(self, other: "_Summary") -> "_Summary":
-        """Summary of both samples: the Chan-Golub-LeVeque pairwise update."""
+        """Summary of both samples: the Chan-Golub-LeVeque pairwise update.
+
+        Runs inside the engine's error state: an overflow leaves inf or NaN
+        for its finite check.
+        """
         trials = self.trials + other.trials
         exp = np.maximum(self.exp, other.exp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta = np.ldexp(other.total / other.trials - self.total / self.trials, -exp)
-            sq_dev = (np.ldexp(self.sq_dev, 2 * (self.exp - exp))
-                      + np.ldexp(other.sq_dev, 2 * (other.exp - exp))
-                      + delta * delta * (self.trials * other.trials / trials))
-            total = self.total + other.total
-        return _Summary(trials, total, sq_dev, np.maximum(self.max, other.max), exp)
+        delta = np.ldexp(other.total / other.trials - self.total / self.trials, -exp)
+        sq_dev = np.ldexp(self.sq_dev, 2 * (self.exp - exp))
+        sq_dev += np.ldexp(other.sq_dev, 2 * (other.exp - exp))
+        sq_dev += delta * delta * (self.trials * other.trials / trials)
+        return _Summary(trials, self.total + other.total, sq_dev,
+                        np.maximum(self.max, other.max), exp)
 
     @property
     def mean(self) -> np.ndarray:
@@ -195,12 +213,14 @@ class _Summary(NamedTuple):
         return np.ldexp(np.sqrt(self.sq_dev / (self.trials - 1)), self.exp)
 
     def stats(self, entry=()) -> DeviationStats:
-        """DeviationStats of one result entry (the only one for scalar results)."""
+        """DeviationStats of one result entry (the only one for scalar results), read alone."""
+        trials = self.trials
+        std = np.ldexp(np.sqrt(self.sq_dev[entry] / (trials - 1)), self.exp[entry])
         return DeviationStats(
-            mean=float(self.mean[entry]),
-            stderr=float(self.std[entry] / math.sqrt(self.trials)),
+            mean=float(self.total[entry] / trials),
+            stderr=float(std / math.sqrt(trials)),
             max=float(self.max[entry]),
-            trials=self.trials,
+            trials=trials,
         )
 
 
@@ -213,15 +233,16 @@ def _run_blocks(
     """The merged summary of ``kernel(rng, k)`` over all blocks, in block order.
 
     Block b holds k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) trials and
-    draws from generator(mix_seed(master_seed, b)); the kernel returns an
-    array whose first axis has length k, which the thread that ran it reduces
-    to a _Summary.  workers > 1 runs blocks on a thread pool (numpy releases
-    the GIL in its RNG and BLAS calls), submitted at most 4 * workers blocks
-    ahead of the merge so that pending work stays bounded; kernels must only
-    read shared inputs.  The one check of trials and workers (see the module
-    docstring) runs before any block.  A merged summary holding inf or NaN
-    (a per-trial value, or a sum over the trials, that does not fit in a
-    float) raises ValueError rather than being reported.
+    draws from generator(mix_seed(master_seed, b)); the kernel returns a
+    C-contiguous float64 (..., k) array, its trials on the last axis, which
+    the thread that ran it reduces to a _Summary.  workers > 1 runs blocks on
+    a thread pool (numpy releases the GIL in its RNG and BLAS calls),
+    submitted at most 4 * workers blocks ahead of the merge so that pending
+    work stays bounded; kernels must only read shared inputs.  The one check
+    of trials and workers (see the module docstring) runs before any block.
+    A merged summary holding inf or NaN (a per-trial value, or a sum over the
+    trials, that does not fit in a float) raises ValueError rather than being
+    reported.
     """
     trials, workers = check_int(trials, "trials"), check_int(workers, "workers")
     if not 2 <= trials <= MAX_TRIALS:
@@ -231,22 +252,30 @@ def _run_blocks(
     blocks = -(-trials // BLOCK_TRIALS)
 
     def block(b: int) -> _Summary:
-        # Overflow leaves inf or NaN for the finite check below (error state is per thread).
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _Summary.of_block(kernel(generator(mix_seed(master_seed, b)),
-                                            min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)))
+        return _Summary.of_block(kernel(generator(mix_seed(master_seed, b)),
+                                        min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)))
 
-    if workers == 1 or blocks < 2:
-        summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            window = deque(ex.submit(block, b) for b in range(min(blocks, 4 * workers)))
-            summary = window.popleft().result()
-            for b in range(4 * workers, blocks):
-                window.append(ex.submit(block, b))
-                summary = summary.merge(window.popleft().result())
-            summary = functools.reduce(_Summary.merge, (f.result() for f in window), summary)
-    if not all(np.isfinite(a).all() for a in summary[1:]):
+    def pooled_block(b: int) -> _Summary:
+        # The error state is per thread: a pool thread sets its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return block(b)
+
+    # Overflow leaves inf or NaN for the finite check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if workers == 1 or blocks < 2:
+            summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                window = deque(ex.submit(pooled_block, b) for b in range(min(blocks, 4 * workers)))
+                summary = window.popleft().result()
+                for b in range(4 * workers, blocks):
+                    window.append(ex.submit(pooled_block, b))
+                    summary = summary.merge(window.popleft().result())
+                summary = functools.reduce(_Summary.merge, (f.result() for f in window), summary)
+    # Every non-finite per-trial value, and every overflowed sum, reaches the
+    # total (inf and NaN propagate through sums), and every overflowed square
+    # the squared deviations; the max and the integer exponents need no check.
+    if not (np.isfinite(summary.total).all() and np.isfinite(summary.sq_dev).all()):
         raise ValueError(
             "Monte Carlo statistics overflow floating point; scale theta or B down and rerun"
         )
@@ -356,9 +385,12 @@ def check_expectation(cfg: TrialConfig, workers: int = 1) -> ExpectationReport:
     """Verify E(W) = (Tr B / n) theta entrywise within 4 standard errors."""
     model = cfg.model
     root = model.theta._root
-    summary = _run_blocks(
-        lambda rng, k: _wishart_draws(model, root, rng, k), cfg.trials, cfg.master_seed, workers
-    )
+
+    def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
+        # The (k, p, p) draws moved once, to (p, p, k) with the trials last.
+        return np.ascontiguousarray(np.moveaxis(_wishart_draws(model, root, rng, k), 0, -1))
+
+    summary = _run_blocks(kernel, cfg.trials, cfg.master_seed, workers)
     mean = summary.mean
     stderr = summary.std / math.sqrt(summary.trials)
     expected = expected_wishart(model)
@@ -440,7 +472,9 @@ def _decoupled_pairs(
     M^T M = Y Y^T, and R^T is the Gram factor F of W (_gram_draws), or for
     skew-block B its row halves side by side, [F1, F2].  Diagonal and custom B
     draw Y and W as _wishart_draws does (_column_draws), and R is M itself
-    for m <= p columns drawn, else the p x p factor of M = Q R.
+    for m <= 4p columns drawn, else the p x p factor of M = Q R: below 4p
+    the batched QR costs more than the p (m - p) normals of Z it saves (1.1
+    to 3.5 times as long at p = 2..8, m = p..4p, one BLAS thread).
     """
     p, n = model.p, model.n
     if model.shape.variant in _ORTHOGONAL_VARIANTS:
@@ -452,7 +486,7 @@ def _decoupled_pairs(
         c = yb if model.shape.variant == "diagonal" else (
             (y.reshape(-1, n) @ model.shape.matrix.T).reshape(y.shape))
         ct = c.swapaxes(-1, -2)
-        w, r = yb @ y.swapaxes(-1, -2), ct if ct.shape[-2] <= p else _triangular_factors(ct)
+        w, r = yb @ y.swapaxes(-1, -2), ct if ct.shape[-2] <= 4 * p else _triangular_factors(ct)
     w_prime = rng.standard_normal(r.swapaxes(-1, -2).shape) @ r
     return _whiten(w, root, n), _whiten(w_prime, root, n)
 
@@ -468,9 +502,32 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingRe
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
         w, w_prime = _decoupled_pairs(model, root, rng, k)
-        return np.stack((_spectral_norms(w - w0), _spectral_norms(w_prime)), axis=1)
+        return np.stack((_spectral_norms(w - w0), _spectral_norms(w_prime)))
 
     return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
+
+
+def _chaos_family(matrices: Sequence, p: int) -> np.ndarray:
+    """The family as one (M, p, p) float64 stack, 1 <= M <= 16, every entry finite.
+
+    A valid family is checked as one array; any other goes member by member,
+    so that the error names the first bad ``matrices[i]``.
+    """
+    matrices = list(matrices)
+    try:
+        stack = np.asarray(matrices, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if (stack is not None and 1 <= len(matrices) <= 16
+            and stack.shape == (len(matrices), p, p) and np.isfinite(stack).all()):
+        return stack
+    mats = [as_matrix(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
+    if not mats or len(mats) > 16:
+        raise ValueError(f"matrix list must have 1..16 members, got {len(mats)}")
+    for i, m in enumerate(mats):
+        if m.shape != (p, p):
+            raise DimensionError(f"matrices[{i}] is {m.shape}, expected {(p, p)}")
+    return np.stack(mats)
 
 
 def check_chaos_decoupling(
@@ -488,14 +545,8 @@ def check_chaos_decoupling(
     trials on the last axis, so both quadratic forms and the maxima over the
     family run along contiguous rows of length k.
     """
-    mats = [as_matrix(m, f"matrices[{i}]") for i, m in enumerate(matrices)]
-    if not mats or len(mats) > 16:
-        raise ValueError(f"matrix list must have 1..16 members, got {len(mats)}")
     p = theta.p
-    for i, m in enumerate(mats):
-        if m.shape != (p, p):
-            raise DimensionError(f"matrices[{i}] is {m.shape}, expected {(p, p)}")
-    stack = np.stack(mats)
+    stack = _chaos_family(matrices, p)
     rows = stack.reshape(-1, p)
     traces = np.einsum("kij,ji->k", stack, theta.array)[:, None]
     root = theta._root
@@ -504,13 +555,14 @@ def check_chaos_decoupling(
         # Rows z and z' of N(0, theta): standard rows times the symmetric root.
         z, z_prime = rng.standard_normal((2, k, p)) @ root
         bz = (rows @ z.T).reshape(len(stack), p, k)
+        # Row 0 is the lhs, row 1 the rhs: each the family maximum of |form|.
+        sides = np.empty((2, k))
         lhs = np.einsum("mik,ik->mk", bz, z.T)
         lhs -= traces
-        lhs = np.abs(lhs, out=lhs).max(axis=0)
+        np.abs(lhs, out=lhs).max(axis=0, out=sides[0])
         rhs = np.einsum("mik,ik->mk", bz, z_prime.T)
-        rhs = np.abs(rhs, out=rhs).max(axis=0)
-        # (k, 2) with the trials contiguous, as the engine's summary reads them.
-        return np.stack((lhs, rhs)).T
+        np.abs(rhs, out=rhs).max(axis=0, out=sides[1])
+        return sides
 
     return DecouplingReport.from_summary(_run_blocks(kernel, trials, seed, workers))
 
@@ -652,15 +704,17 @@ def check_concentration(
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
     mean_bound = math.sqrt(p) * shape_frobenius_norm(model.shape, n) / n
 
-    thresholds = mean_bound + np.array(t_grid)
+    thresholds = (mean_bound + np.array(t_grid))[:, None]
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # Column 0 is the conditional std, column 1 + i its 0/1 indicator of tail i.
+        # Row 0 is the conditional std, row 1 + i its 0/1 indicator of tail i.
+        rows = np.empty((1 + thresholds.size, k))
         if orthogonal:
-            s = math.sqrt(p) / n * np.sqrt(rng.chisquare(n, k))
+            np.multiply(math.sqrt(p) / n, np.sqrt(rng.chisquare(n, k)), out=rows[0])
         else:
-            s = _conditional_stds(model.shape, rng.standard_normal((k, n)), p)
-        return np.column_stack((s, s[:, None] > thresholds))
+            rows[0] = _conditional_stds(model.shape, rng.standard_normal((k, n)), p)
+        np.greater(rows[0], thresholds, out=rows[1:])
+        return rows
 
     summary = _run_blocks(kernel, trials, seed, workers)
     stats, trials = summary.stats(0), summary.trials
@@ -744,10 +798,12 @@ def count_lipschitz_violations(
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # Column 0 is |s(X1) - s(X2)|, column 1 its 0/1 indicator of a violation.
+        # Row 0 is |s(X1) - s(X2)|, row 1 its 0/1 indicator of a violation.
         s1, s2, dist_sq = _lipschitz_pairs(model, rng, k)
-        lhs = np.abs(s1 - s2)
-        return np.column_stack((lhs, lhs > lipschitz * np.sqrt(dist_sq)))
+        rows = np.empty((2, k))
+        np.abs(s1 - s2, out=rows[0])
+        np.greater(rows[0], lipschitz * np.sqrt(dist_sq), out=rows[1])
+        return rows
 
     return int(_run_blocks(kernel, pairs, seed, workers).total[1])
 

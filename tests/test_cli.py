@@ -383,6 +383,29 @@ class TestUsage:
         assert cli.main([]) == 2
         assert "command" in capsys.readouterr().err
 
+    def test_back_to_back_calls_do_not_share_flags(self, tmp_path, capsys):
+        # One parser serves every call: flags of one call must not reach the next.
+        model = {"p": 2, "n": 2, "theta": cw.matrix_to_dict(np.eye(2)),
+                 "shape": {"variant": "diagonal", "entries": [2.0, 0.0]}}
+        bound = write_config(tmp_path, "bound.json", {"command": "bound", "model": model})
+        stddev = write_config(
+            tmp_path, "stddev.json",
+            {"command": "verify", "check": "stddev", "theta": cw.matrix_to_dict(np.eye(2)),
+             "a": [1.0, 0.0], "trials": 100, "seed": 3},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["--config", bound, "--convention", "ratio", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == pytest.approx(1.0)
+        assert cli.main(["--config", bound]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == pytest.approx(2.0)
+        assert cli.main(["--config", stddev, "--seed", "44", "--trials", "50"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert (first["master_seed"], first["trials"]) == (44, 50)
+        assert cli.main(["--config", stddev]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (second["master_seed"], second["trials"]) == (3, 100)
+        assert sorted(f.name for f in out.iterdir()) == ["bound.json"]
+
     def test_command_from_positional(self, tmp_path, capsys):
         config = write_config(
             tmp_path, "c.json", {"model": identity_model_dict(1, 2)}

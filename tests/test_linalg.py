@@ -315,6 +315,20 @@ class TestMatrixJson:
         text = dumps_matrix(np.array([[1.0 / 3.0]]))
         assert "0.33333333333333331" in text
 
+    @pytest.mark.parametrize("arr", [
+        np.array([[-0.0, 0.0], [5e-324, -5e-324]]),
+        np.array([[1.7976931348623157e308, -1.7976931348623157e308], [0.1, -0.1]]),
+        np.array([[1.0, -2.0, 3.0], [1e16, 2.0**53, 12345678.0]]),
+        cw.generator(59).standard_normal((5, 7)) * np.logspace(-300, 295, 35).reshape(5, 7),
+        cw.generator(61).standard_normal((3, 4)).T,
+    ], ids=["zeros-and-subnormals", "extremes", "integral", "random", "transposed"])
+    def test_text_equals_the_per_scalar_format(self, arr):
+        # Byte for byte the text of formatting float(v) for each numpy scalar.
+        entries = ", ".join(f"{float(v):.17g}" for v in arr.ravel(order="C"))
+        want = f'{{"rows": {arr.shape[0]}, "cols": {arr.shape[1]}, "entries": [{entries}]}}'
+        assert dumps_matrix(arr) == want
+        assert dumps_matrix(arr.tolist()) == want
+
     def test_row_major_layout(self):
         d = cw.matrix_to_dict(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert d["entries"] == [1.0, 2.0, 3.0, 4.0]

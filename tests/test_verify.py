@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import cwishart as cw
 from cwishart import linalg, verify
 from cwishart import model as model_module
-from cwishart.errors import DimensionError, NotAchievableError
+from cwishart.errors import DimensionError, InvalidMatrixError, NotAchievableError
 from cwishart.linalg import _spectral_norms, canonical_dumps, mix_seed
 from cwishart.verify import (
     BLOCK_TRIALS,
@@ -134,7 +136,7 @@ def _pair_summary(pairs, m, trials, seed):
 
     def kernel(rng, k):
         w, w_prime = pairs(m, root, rng, k)
-        return np.stack([_spectral_norms(a) for a in (w - w0, w_prime, w + w_prime)], axis=1)
+        return np.stack([_spectral_norms(a) for a in (w - w0, w_prime, w + w_prime)])
 
     return verify._run_blocks(kernel, trials, seed)
 
@@ -146,6 +148,8 @@ def _max_z(a, b):
 
 
 STRUCTURED_SIZES = [(2, 8), (3, 10), (8, 8), (4, 256)]
+# A diagonal B with 9 nonzero entries: at p = 2 they are past 4p = 8 columns.
+PAST_4P_ENTRIES = [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0, 2.5, 0.25, 1.75, 0.5]
 
 
 def _structured_model(p, n, variant, entries=None):
@@ -195,19 +199,21 @@ class TestStructuredDraws:
         (2, 8, [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0]),
         (4, 6, [1.0, -2.0, 0.0, 0.0, 0.5, 0.0]),
         (3, 5, [1.5, -0.5, 0.25, 2.0, -1.0]),
-    ], ids=["rank-one", "half-zero", "signed", "no-zero"])
+        (2, 12, PAST_4P_ENTRIES),
+    ], ids=["rank-one", "half-zero", "signed", "no-zero", "past-4p"])
     def test_zero_columns_match_the_x_path(self, p, n, entries):
-        # The nonzero columns only, against the full (k, p, n) draws.  Rank-one
-        # and signed draw m < p columns, so R is C^T itself; the others take the
-        # QR factor.
+        # The nonzero columns only, against the full (k, p, n) draws.  Up to
+        # m = 4p columns drawn R is C^T itself; past-4p (m = 9) takes the QR
+        # factor.
         m = _structured_model(p, n, "diagonal", entries)
         reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, p * n))
         direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, p * n))
         assert _max_z(reduced, direct) <= EQUALITY_MARGIN
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (4, 3)], ids=["n-above-p", "n-below-p"])
+    @pytest.mark.parametrize("p,n", [(3, 8), (4, 3), (2, 12)],
+                             ids=["n-above-p", "n-below-p", "n-above-4p"])
     def test_custom_b_pairs_match_the_x_path(self, p, n):
-        # A non-symmetric B; with n <= p columns R is C^T itself, above p its QR factor.
+        # A non-symmetric B; with n <= 4p columns R is C^T itself, above 4p its QR factor.
         b = cw.generator(229).standard_normal((n, n)) + np.triu(np.ones((n, n)))
         m = model(p, n, cw.ShapeSpec.custom(b), _structured_model(p, n, "identity").theta)
         pairs = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(233, p * n))
@@ -224,14 +230,15 @@ class TestStructuredDraws:
 
     def test_factor_of_y_alone_is_rejected(self, monkeypatch):
         # R from the QR of Y^T in place of B Y^T: W' = Y' Y^T, the right law
-        # only when every nonzero entry of the diagonal is 1.
-        entries = np.array([2.0, 0.5, 1.5, 3.0, 1.0])
+        # only when every nonzero entry of the diagonal is 1.  Nine columns
+        # drawn at p = 2 are past 4p, so R is the QR factor.
+        entries = np.array([v for v in PAST_4P_ENTRIES if v != 0.0])
         factors = verify._triangular_factors
         monkeypatch.setattr(verify, "_triangular_factors",
                             lambda a: factors(a / entries[:, None]))
-        m = _structured_model(2, 8, "diagonal", [0.0, 2.0, 0.0, 0.5, 1.5, 0.0, 3.0, 1.0])
-        reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, 16))
-        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, 16))
+        m = _structured_model(2, 12, "diagonal", PAST_4P_ENTRIES)
+        reduced = _pair_summary(verify._decoupled_pairs, m, self.TRIALS, mix_seed(223, 24))
+        direct = _pair_summary(_x_path_pairs, m, self.TRIALS, mix_seed(227, 24))
         assert _max_z(reduced, direct) > EQUALITY_MARGIN
 
     def test_diagonal_and_custom_b_draw_the_x_path(self):
@@ -336,8 +343,8 @@ class TestChaosDecoupling:
                 np.abs(z) @ np.abs(b).T * np.abs(z_prime)).sum(axis=1)
             want = np.maximum(want, np.column_stack(sides))
             scale = np.maximum(scale, np.column_stack(terms))
-        assert got.shape == (k, 2)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert got.shape == (2, k)
+        assert np.all(np.abs(got.T - want) <= 1e-13 * scale)
 
     def test_block_memory_of_a_large_family(self, monkeypatch):
         # p = 60, M = 16: B_m z for one block of the whole family is 7.9 MB.
@@ -366,7 +373,7 @@ class TestChaosDecoupling:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
+        np.testing.assert_allclose(results[1], results[0].T, rtol=1e-12)
         assert peaks[1] <= peaks[0]
 
     def test_list_size_validated(self):
@@ -374,6 +381,40 @@ class TestChaosDecoupling:
             cw.check_chaos_decoupling([], cw.SpdMatrix.identity(2), 10, 0)
         with pytest.raises(DimensionError):
             cw.check_chaos_decoupling([np.eye(3)], cw.SpdMatrix.identity(2), 10, 0)
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (lambda fam: fam.__setitem__(2, np.full((2, 2), np.nan)), InvalidMatrixError,
+         "matrices[2] contains non-finite entries"),
+        (lambda fam: fam.__setitem__(1, [[1.0, math.inf], [0.0, 1.0]]), InvalidMatrixError,
+         "matrices[1] contains non-finite entries"),
+        (lambda fam: fam.__setitem__(1, np.eye(3)), DimensionError,
+         "matrices[1] is (3, 3), expected (2, 2)"),
+        (lambda fam: fam.__setitem__(3, np.ones((2, 3))), DimensionError,
+         "matrices[3] is (2, 3), expected (2, 2)"),
+        (lambda fam: fam.__setitem__(0, [1.0, 2.0]), InvalidMatrixError,
+         "matrices[0] must be 2-dimensional, got ndim=1"),
+        (lambda fam: fam.__setitem__(1, "ab"), ValueError, "could not convert string"),
+        (lambda fam: fam.clear(), ValueError, "1..16 members, got 0"),
+        (lambda fam: fam.extend([np.eye(2)] * 13), ValueError, "1..16 members, got 17"),
+        # A bad member of an overlong list is named first, as it always was.
+        (lambda fam: fam.extend([np.eye(2)] * 12 + [np.full((2, 2), np.inf)]),
+         InvalidMatrixError, "matrices[16] contains non-finite entries"),
+        (lambda fam: fam.extend([np.eye(3)] * 13), ValueError, "1..16 members, got 17"),
+    ], ids=["nan", "inf-in-a-list", "wrong-size", "ragged", "one-dimensional", "string",
+            "empty", "seventeen", "seventeen-with-inf", "seventeen-and-wrong-size"])
+    def test_bad_family_names_its_member(self, bad, error, message):
+        family = [cw.generator(281).standard_normal((2, 2)) for _ in range(4)]
+        bad(family)
+        with pytest.raises(error, match=re.escape(message)):
+            cw.check_chaos_decoupling(family, cw.SpdMatrix.identity(2), 10, 0)
+
+    def test_family_as_one_array_or_as_members(self):
+        # A (M, p, p) array, a list of lists and a list of arrays are one family.
+        family = cw.generator(283).standard_normal((5, 3, 3))
+        theta = cw.SpdMatrix.diagonal([1.0, 2.0, 3.0])
+        reports = {canonical_dumps(cw.check_chaos_decoupling(f, theta, 1500, 7).to_dict())
+                   for f in (family, family.tolist(), list(family))}
+        assert len(reports) == 1
 
 
 class TestLinearFormStd:
@@ -754,7 +795,7 @@ def _x_path_concentration(m, d, thresholds, trials, seed):
 
     def kernel(rng, k):
         s = _x_path_sigma(m, b, rng.standard_normal((k, m.p, m.n)), d)
-        return np.column_stack((s, s[:, None] > thresholds))
+        return np.vstack((s, s > thresholds[:, None]), dtype=np.float64)
 
     return verify._run_blocks(kernel, trials, seed)
 
@@ -821,7 +862,7 @@ def _lipschitz_row(s1, s2, dist_sq):
     independent draws of the two would have none.
     """
     lhs = np.abs(s1 - s2)
-    return np.column_stack((lhs, dist_sq, lhs / np.sqrt(dist_sq), (s1 * s1 + s2 * s2) * dist_sq))
+    return np.stack((lhs, dist_sq, lhs / np.sqrt(dist_sq), (s1 * s1 + s2 * s2) * dist_sq))
 
 
 def _x_path_lipschitz(m, d, trials, seed):
@@ -1010,15 +1051,15 @@ class TestReports:
     def test_merged_summary_matches_one_pass(self):
         # The block-order merge against numpy over all trials at once, on
         # uneven blocks (the last one a single trial) with a nonzero mean.
-        x = 3.0 + cw.generator(167).standard_normal((2 * BLOCK_TRIALS + 1, 2, 3))
-        parts = (x[:BLOCK_TRIALS], x[BLOCK_TRIALS:-1], x[-1:])
-        merged = verify._Summary.of_block(parts[0])
+        x = 3.0 + cw.generator(167).standard_normal((2, 3, 2 * BLOCK_TRIALS + 1))
+        parts = (x[..., :BLOCK_TRIALS], x[..., BLOCK_TRIALS:-1], x[..., -1:])
+        merged = verify._Summary.of_block(np.ascontiguousarray(parts[0]))
         for part in parts[1:]:
-            merged = merged.merge(verify._Summary.of_block(part))
-        assert merged.trials == len(x)
-        np.testing.assert_allclose(merged.mean, x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(merged.std, x.std(axis=0, ddof=1), rtol=1e-12)
-        assert np.array_equal(merged.max, x.max(axis=0))
+            merged = merged.merge(verify._Summary.of_block(np.ascontiguousarray(part)))
+        assert merged.trials == x.shape[-1]
+        np.testing.assert_allclose(merged.mean, x.mean(axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(merged.std, x.std(axis=-1, ddof=1), rtol=1e-12)
+        assert np.array_equal(merged.max, x.max(axis=-1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_trials(self, workers):
@@ -1042,6 +1083,139 @@ class TestReports:
         assert reports[0] == reports[1]
 
 
+class _TrialsFirstSummary(NamedTuple):
+    """The summary of per-trial results with the trials first, kept as the reference.
+
+    The engine's summary reads kernels' results with the trials last; its
+    statistics must equal these bit for bit.
+    """
+
+    trials: int
+    total: np.ndarray
+    sq_dev: np.ndarray
+    max: np.ndarray
+    exp: np.ndarray
+
+    @classmethod
+    def of_block(cls, results):
+        x = np.ascontiguousarray(np.moveaxis(np.asarray(results, dtype=np.float64), 0, -1))
+        total, high = x.sum(axis=-1), x.max(axis=-1)
+        exp = np.frexp(np.maximum(high, -x.min(axis=-1)))[1]
+        dev = np.ldexp(x - (total / x.shape[-1])[..., None], -exp[..., None])
+        return cls(x.shape[-1], total, (dev * dev).sum(axis=-1), high, exp)
+
+    def merge(self, other):
+        trials = self.trials + other.trials
+        exp = np.maximum(self.exp, other.exp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = np.ldexp(other.total / other.trials - self.total / self.trials, -exp)
+            sq_dev = (np.ldexp(self.sq_dev, 2 * (self.exp - exp))
+                      + np.ldexp(other.sq_dev, 2 * (other.exp - exp))
+                      + delta * delta * (self.trials * other.trials / trials))
+            total = self.total + other.total
+        return _TrialsFirstSummary(trials, total, sq_dev, np.maximum(self.max, other.max), exp)
+
+
+def _trials_first_run(draw, trials, seed):
+    """The reference summary of ``draw(rng, k)``, a (k, ...) array, merged in block order."""
+    summary = None
+    for b in range(-(-trials // BLOCK_TRIALS)):
+        k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = _TrialsFirstSummary.of_block(draw(cw.generator(mix_seed(seed, b)), k))
+        summary = part if summary is None else summary.merge(part)
+    return summary
+
+
+def _trials_last(draw):
+    """The engine kernel of ``draw``: its (k, ...) result with the trials moved last."""
+    return lambda rng, k: np.ascontiguousarray(np.moveaxis(draw(rng, k), 0, -1))
+
+
+def _scaled_normals(shape, scale, offset=0.0):
+    return lambda rng, k: offset + scale * rng.standard_normal((k,) + shape)
+
+
+class TestTrialsLastSummary:
+    """The engine's trials-last summary equals the trials-first reference bit for bit."""
+
+    SHAPES = [(), (2,), (6,), (3, 3)]
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert got.trials == want.trials
+        for field in ("total", "sq_dev", "max", "exp"):
+            g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), field
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("values", [
+        (1.0, 3.0), (2.0**1000, 0.0), (2.0**-1000, 2.0**-999), (0.0, 0.0), (0.0, -7.25),
+    ], ids=["unit", "near-2^1000", "near-2^-1000", "all-zero", "constant"])
+    @pytest.mark.parametrize("trials", [2, BLOCK_TRIALS + 1, 3 * BLOCK_TRIALS + 5],
+                             ids=["two", "partial-last-block", "four-blocks"])
+    def test_statistics_equal_the_trials_first_reference(self, shape, values, trials):
+        draw = _scaled_normals(shape, *values)
+        want = _trials_first_run(draw, trials, 293)
+        self.assert_bit_equal(verify._run_blocks(_trials_last(draw), trials, 293), want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_worker_counts_equal_the_reference(self, shape, workers):
+        # Four blocks, the last a partial one, with one to three threads.
+        draw = _scaled_normals(shape, 2.0, 1.0)
+        want = _trials_first_run(draw, 3 * BLOCK_TRIALS + 5, 307)
+        got = verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS + 5, 307, workers)
+        self.assert_bit_equal(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_blocks_with_distant_means(self, shape):
+        # Each block is shifted by its own offset, so the merge's term in the
+        # difference of the means dominates the squared deviations.
+        def draw(rng, k):
+            return 1e3 * rng.standard_normal() + rng.standard_normal((k,) + shape)
+
+        want = _trials_first_run(draw, 5 * BLOCK_TRIALS + 7, 317)
+        self.assert_bit_equal(
+            verify._run_blocks(_trials_last(draw), 5 * BLOCK_TRIALS + 7, 317, 2), want)
+
+    def test_zero_and_constant_rows_have_no_spread(self):
+        def draw(rng, k):
+            x = rng.standard_normal((k, 3, 3))
+            x[:, 0] = 0.0
+            x[:, 1] = -2.5
+            return x
+
+        trials = 2 * BLOCK_TRIALS + 3
+        got = verify._run_blocks(_trials_last(draw), trials, 311, 2)
+        self.assert_bit_equal(got, _trials_first_run(draw, trials, 311))
+        assert not got.sq_dev[:2].any() and not got.std[:2].any()
+        assert np.array_equal(got.mean[:2], [[0.0] * 3, [-2.5] * 3])
+
+    @staticmethod
+    def deviation_past_the_largest_float(rng, k):
+        # One trial at the largest float, the rest pulling the mean to about
+        # -0.2 * 1.8e308 / k: every sum is finite, that trial's deviation is not.
+        x = np.full(k, -1.2 / (k - 1) * np.finfo(float).max)
+        x[0] = np.finfo(float).max
+        return x
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("draw,total_finite", [
+        (_scaled_normals((2,), 2.0**1022, 2.0**1023), False),
+        (_scaled_normals((), 1.0, math.inf), False),
+        (deviation_past_the_largest_float, True),
+    ], ids=["block-sum", "inf-value", "deviation-only"])
+    def test_overflow_raises_where_the_reference_is_not_finite(self, draw, total_finite, workers):
+        draw = getattr(draw, "__func__", draw)
+        want = _trials_first_run(draw, 3 * BLOCK_TRIALS, 313)
+        assert np.isfinite(want.total).all() == total_finite
+        assert not np.isfinite(want.sq_dev).all() or not total_finite
+        assert not all(np.isfinite(a).all() for a in want[1:])
+        with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
+            verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS, 313, workers)
+
+
 class TestNegativeControls:
     """Each check returns holds: false when its claim is false by a known amount."""
 
@@ -1050,7 +1224,7 @@ class TestNegativeControls:
 
         def report(lhs):
             return DecouplingReport.from_summary(
-                verify._Summary.of_block(np.column_stack((lhs, rhs))))
+                verify._Summary.of_block(np.stack((lhs, rhs))))
 
         assert report(1.5 * rhs).holds
         assert not report(3.0 * rhs).holds
