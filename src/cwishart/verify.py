@@ -34,15 +34,17 @@ draw that Gram matrix exactly instead of X (_wishart_draws): a factor with
 O(p^2) chi-square and normal variates per trial instead of p n normals, and
 exact in law, not in value.  A diagonal B draws X over its nonzero columns
 only (all n when no entry is zero); a custom B draws (k, p, n) Gaussian
-stacks.  The Wishart decoupling pair (W, W') shares Y, as the paper's
-X B X^T and X' B X^T share X, and W' = Z R for a factor R of B Y^T, which
-is B Y^T itself up to 4p columns of Y (_decoupled_pairs).  The concentration
-and Lipschitz checks read X only through g = X^T d ~ N(0, I_n) (theta = I,
-unit d), so they draw g, or for orthogonal B only ||g||; a Lipschitz pair for
-orthogonal B takes three variates for ||g1||, ||g2|| and ||g1 - g2||, and one
-chi-square for the rest of ||X1 - X2||_F (_lipschitz_pairs); ||B g|| never
-builds the n x n B (_conditional_stds).  Concentration tails count
-sigma > mean_bound + t.
+stacks.  The Wishart decoupling pair (W, W') shares Y, as the paper's X B X^T
+and X' B X^T share X, and W' = Z R for a factor R of B Y^T, which is B Y^T
+itself up to 4p columns of Y (_decoupled_pairs).  W is drawn as
+_wishart_draws draws it, and Z after it, so decoupling's lhs equals
+estimate_mean_deviation on the same (model, trials, seed), bit for bit.  The
+concentration and Lipschitz checks read X only through g = X^T d ~ N(0, I_n)
+(theta = I, unit d), so they draw g, or for orthogonal B only ||g||; a
+Lipschitz pair for orthogonal B takes three variates for ||g1||, ||g2|| and
+||g1 - g2||, and one chi-square for the rest of ||X1 - X2||_F
+(_lipschitz_pairs); ||B g|| never builds the n x n B (_conditional_stds).
+Concentration tails count sigma > mean_bound + t.
 
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
@@ -58,13 +60,15 @@ the concentration tails and mean);
 EQUALITY_MARGIN = 4, P(|Z| > 4) = 6.3e-5, for the entrywise expectation check;
 STD_MARGIN = 5, P(|Z| > 5) = 5.7e-7, for the linear-form standard deviation,
 whose standard error is the Gaussian-sample approximation s / sqrt(2 (N - 1)).
-The dominance margin lies against its claim (mean + 3 se <= bound): a mean
-above the bound passes, and one 6 se below it fails, with probability at most
-1.35e-3.  Family-wise false-failure bounds per acceptance criterion (Bonferroni
-over its comparisons, each claim at its boundary): 1, 9 entries at 4 se,
-5.7e-4; 2, 27 cells (means 6 se below the bound), 3.6e-2; 3, 27 cells, 3.6e-2;
-4, 20 runs, 2.7e-2; 7, 5 tails and the mean, 8.1e-3; 9, one at 5 se, 5.7e-7;
-0.11 over the suite.  Criteria 5, 6 and 10 make no Monte Carlo comparison, and
+The dominance margin lies against its claim (mean + 3 se <= bound): a true
+mean above the bound passes with probability at most 1.35e-3, and a true mean
+6 se or more below it fails with probability at most 1.35e-3.  Family-wise
+false-failure bounds per acceptance criterion (Bonferroni over its
+comparisons, each claim at its boundary; a union bound needs no independence,
+so criteria 2 and 3 may read one draw per cell): 1, 9 entries at 4 se, 5.7e-4;
+2, 27 cells (means 6 se below the bound), 3.6e-2; 3, 27 cells, 3.6e-2; 4, 20
+runs, 2.7e-2; 7, 5 tails and the mean, 8.1e-3; 9, one at 5 se, 5.7e-7; 0.11
+over the suite.  Criteria 5, 6 and 10 make no Monte Carlo comparison, and
 criterion 8's slope range is no standard-error margin.
 """
 from __future__ import annotations
@@ -420,10 +424,12 @@ class DominanceReport(Report):
     ratio: float
     holds: bool
 
-
-def _ratio(mean: float, bound: float) -> float:
-    """Empirical mean over the bound; 0 for a zero bound."""
-    return mean / bound if bound > 0 else 0.0
+    @classmethod
+    def from_stats(cls, stats: DeviationStats, bound: BoundReport) -> "DominanceReport":
+        """Holds when mean + 3 stderr <= bound_value; ratio mean / bound_value, 0 for a zero bound."""
+        value = bound.bound_value
+        holds = stats.mean + INEQUALITY_MARGIN * stats.stderr <= value
+        return cls(stats, bound, stats.mean / value if value > 0 else 0.0, holds)
 
 
 def check_bound_dominance(
@@ -432,10 +438,8 @@ def check_bound_dominance(
     workers: int = 1,
 ) -> DominanceReport:
     """Check empirical mean + 3 stderr <= bound_value."""
-    stats = estimate_mean_deviation(cfg, workers)
-    bound = deviation_bound(cfg.model, convention)
-    holds = stats.mean + INEQUALITY_MARGIN * stats.stderr <= bound.bound_value
-    return DominanceReport(stats, bound, _ratio(stats.mean, bound.bound_value), holds)
+    return DominanceReport.from_stats(estimate_mean_deviation(cfg, workers),
+                                      deviation_bound(cfg.model, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +827,9 @@ class SweepRow(DeviationStats):
 
 
 def _sweep_row(model: WishartModel, stats: DeviationStats) -> SweepRow:
-    bound = deviation_bound(model).bound_value
-    return SweepRow(**vars(stats), p=model.p, n=model.n, bound=bound,
-                    ratio=_ratio(stats.mean, bound))
+    dom = DominanceReport.from_stats(stats, deviation_bound(model))
+    return SweepRow(**vars(stats), p=model.p, n=model.n, bound=dom.bound.bound_value,
+                    ratio=dom.ratio)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 import cwishart as cw
 from cwishart import linalg, verify
 from cwishart import model as model_module
+from cwishart.bounds import KappaConvention
 from cwishart.errors import DimensionError, InvalidMatrixError, NotAchievableError
 from cwishart.linalg import _spectral_norms, canonical_dumps, mix_seed
 from cwishart.verify import (
@@ -18,6 +19,7 @@ from cwishart.verify import (
     EQUALITY_MARGIN,
     MAX_TRIALS,
     DecouplingReport,
+    DominanceReport,
     TrialConfig,
     check_expectation,
     emit_report,
@@ -116,6 +118,49 @@ class TestEstimateMeanDeviation:
             assert stats.mean == pytest.approx(dev.mean(), rel=1e-12)
             assert stats.max == pytest.approx(dev.max(), rel=1e-12)
             assert stats.stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(k), rel=1e-9)
+
+
+def _mean_abs_chi_square_deviation(n):
+    """E|chi2_n - n| / n = 2^(2 - n/2) n^(n/2) e^(-n/2) / (Gamma(n/2) n), through logs."""
+    return math.exp((2 - n / 2) * math.log(2) + (n / 2 - 1) * math.log(n) - n / 2
+                    - math.lgamma(n / 2))
+
+
+class TestExactMeanDeviation:
+    """estimate_mean_deviation against E||W - E(W)|| in closed form, two-sided at 4 se.
+
+    At p = 1, theta = 1 and B = I_n, W = chi2_n / n and E(W) = 1.  Identity B
+    takes the Gram path (one chi-square variate per trial); a diagonal of ones
+    draws X itself.
+    """
+
+    TRIALS = 10**5
+
+    def z(self, n, ones):
+        shape = cw.ShapeSpec.diagonal([1.0] * n) if ones else cw.ShapeSpec.identity()
+        stats = cw.estimate_mean_deviation(
+            TrialConfig(model(1, n, shape), self.TRIALS, mix_seed(277, n)))
+        return (stats.mean - _mean_abs_chi_square_deviation(n)) / stats.stderr
+
+    @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_matches_the_closed_form(self, n, ones):
+        assert abs(self.z(n, ones)) <= EQUALITY_MARGIN
+
+    def test_gram_factor_one_degree_short_is_rejected(self, monkeypatch):
+        # chi-square(n - 1) for the 1 x 1 Gram factor.  A lost degree shifts and
+        # narrows W, and the two nearly cancel in E|W - 1|: |z| = 9.5 at n = 4
+        # (8.5 expected), but 3.6 at n = 16 (2.2 expected), inside the margin.
+        exact = verify.generator
+        monkeypatch.setattr(verify, "generator", lambda seed: _OneDegreeShort(exact(seed)))
+        assert abs(self.z(4, ones=False)) > EQUALITY_MARGIN
+
+    @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
+    def test_whitening_by_n_minus_one_is_rejected(self, ones, monkeypatch):
+        # W = chi2_16 / 15 on either path: |z| = 24.3 (Gram) and 22.5 (X path).
+        exact = verify._whiten
+        monkeypatch.setattr(verify, "_whiten", lambda w, root, n: exact(w, root, n - 1))
+        assert abs(self.z(16, ones)) > EQUALITY_MARGIN
 
 
 def _x_path_pairs(m, root, rng, k):
@@ -285,6 +330,35 @@ class TestWishartDecoupling:
         m = model(2, 8, shape=cw.ShapeSpec.skew_block())
         report = cw.check_wishart_decoupling(TrialConfig(m, 5000, 19))
         assert report.holds
+
+
+class TestDecouplingLhsContract:
+    """Decoupling's lhs is estimate_mean_deviation on the same config, bit for bit.
+
+    A block draws W as _wishart_draws does and Z after it, so one decoupling
+    run gives the dominance statistics too (the acceptance grid relies on it).
+    Custom B is taken at m <= 4p (R = M) and at m > 4p (the QR factor).
+    """
+
+    SHAPES = {
+        "identity": (3, 16, cw.ShapeSpec.identity()),
+        "skew": (3, 16, cw.ShapeSpec.skew_block()),
+        "diagonal-with-zeros": (3, 8, cw.ShapeSpec.diagonal(
+            [2.0, 0.0, 1.0, 0.0, -1.0, 3.0, 0.0, 1.0])),
+        "custom": (3, 8, cw.ShapeSpec.custom(cw.generator(283).standard_normal((8, 8)))),
+        "custom-qr": (2, 12, cw.ShapeSpec.custom(cw.generator(293).standard_normal((12, 12)))),
+    }
+
+    @pytest.mark.parametrize("trials", [2, BLOCK_TRIALS, 2500])
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_lhs_is_the_mean_deviation(self, name, trials):
+        p, n, shape = self.SHAPES[name]
+        theta = cw.SpdMatrix.diagonal([1.0, 2.0, 0.5][:p])
+        cfg = TrialConfig(model(p, n, shape, theta), trials, mix_seed(281, trials))
+        for workers in (1, 2, 3):
+            lhs = cw.check_wishart_decoupling(cfg, workers).lhs
+            stats = cw.estimate_mean_deviation(cfg, workers)
+            assert canonical_dumps(lhs.to_dict()) == canonical_dumps(stats.to_dict())
 
 
 class TestChaosDecoupling:
@@ -1238,20 +1312,36 @@ class TestNegativeControls:
         assert 0.05 > EQUALITY_MARGIN * report.max_stderr
         assert not report.holds
 
-    def test_dominance_rejects_bound_below_empirical_mean(self, monkeypatch):
-        cfg = TrialConfig(model(2, 8), 2000, 149)
-        honest = cw.check_bound_dominance(cfg)
+    def test_dominance_rejects_bound_below_empirical_mean(self):
+        honest = cw.check_bound_dominance(TrialConfig(model(2, 8), 2000, 149))
         assert honest.holds
-        exact = verify.deviation_bound
-        monkeypatch.setattr(
-            verify, "deviation_bound",
-            lambda m, conv: dataclasses.replace(
-                exact(m, conv), bound_value=honest.empirical.mean / 2
-            ),
-        )
-        report = cw.check_bound_dominance(cfg)
-        assert report.empirical == honest.empirical
+        halved = dataclasses.replace(honest.bound, bound_value=honest.empirical.mean / 2)
+        report = DominanceReport.from_stats(honest.empirical, halved)
+        assert report.ratio == 2.0
         assert not report.holds
+
+    def test_dominance_refutes_the_ratio_convention(self):
+        # The ratio form's kappa = ||B||_F / ||B|| does not grow with B, but the
+        # deviation does: W(c B) = c W(B) in law.  Statistics of identity B
+        # scaled by c = 2^20 (exact, a power of two) are those of B = c I_n:
+        # mean 4342 +- 133 against a ratio-form bound of 2173, and against
+        # the Frobenius form's 4.95e5.
+        p, n, c = 2, 2**18, 2.0**20
+        stats = cw.estimate_mean_deviation(TrialConfig(model(p, n), 200, 7))
+        scaled = dataclasses.replace(stats, mean=c * stats.mean, stderr=c * stats.stderr,
+                                     max=c * stats.max)
+        big = model(p, n, cw.ShapeSpec.diagonal([c] * n))
+        ratio_form = cw.deviation_bound(big, KappaConvention.RATIO)
+        report = DominanceReport.from_stats(scaled, ratio_form)
+        assert not report.holds
+        # Refuted, not just unconfirmed: the mean is 3 se above the bound.
+        assert scaled.mean - 3 * scaled.stderr > ratio_form.bound_value
+        assert DominanceReport.from_stats(scaled, cw.deviation_bound(big)).holds
+        # At c = 1 the two forms agree, and both hold.
+        unit = model(p, n, cw.ShapeSpec.diagonal([1.0] * n))
+        forms = [cw.deviation_bound(unit, conv) for conv in KappaConvention]
+        assert forms[0].bound_value == pytest.approx(forms[1].bound_value, rel=1e-12)
+        assert all(DominanceReport.from_stats(stats, b).holds for b in forms)
 
     def test_concentration_rejects_shrunk_lipschitz_constant(self, monkeypatch):
         # Identity B, p=3, n=16: at t = L/2 the empirical tail is about 0.21;
