@@ -6,7 +6,6 @@ through regular-vector maxima, and verifies every probabilistic ingredient of
 the bound by seeded Monte Carlo.
 """
 from .bounds import (
-    BoundInputs,
     BoundReport,
     KappaConvention,
     deviation_bound,
@@ -33,7 +32,6 @@ from .linalg import (
     matrix_from_dict,
     matrix_to_dict,
     mix_seed,
-    sample_standard_gaussian_matrix,
     save_matrix,
     spd_sqrt,
     spectral_norm,

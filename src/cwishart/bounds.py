@@ -9,7 +9,8 @@ Frobenius norm or the Frobenius-to-spectral ratio, depending on the chosen
 convention.  Both conventions are exposed; reports label which one was used.
 
 Sample-complexity searches double n through a shape family's domain; the walk
-stops past the cap or at the first window of 64 n values with no feasible member.
+stops past SEARCH_CAP = 2**20 or at the first window of 64 n values with no
+feasible member.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .model import (
 
 __all__ = [
     "KappaConvention",
-    "BoundInputs",
     "BoundReport",
     "log_factor",
     "deviation_bound",
@@ -65,15 +65,28 @@ class KappaConvention(str, Enum):
         return frob / spec
 
 
+def log_factor(p: int) -> int:
+    """ceil(ln(2p))^2 with the natural logarithm."""
+    if p < 1:
+        raise DimensionError(f"p must be positive, got {p}")
+    return math.ceil(math.log(2 * p)) ** 2
+
+
 @dataclass(frozen=True)
-class BoundInputs:
-    """Scalar inputs of the bound formula."""
+class BoundReport(Report):
+    """Evaluated bound together with everything needed to recompute it.
+
+    Construction checks the inputs and computes ``log_factor`` and ``bound_value`` unless given.
+    """
 
     p: int
     n: int
     sigma: float
     kappa: float
     theta_norm: float
+    convention: KappaConvention
+    log_factor: int | None = None
+    bound_value: float | None = None
 
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
@@ -82,44 +95,14 @@ class BoundInputs:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
-
-
-def log_factor(p: int) -> int:
-    """ceil(ln(2p))^2 with the natural logarithm."""
-    if p < 1:
-        raise DimensionError(f"p must be positive, got {p}")
-    return math.ceil(math.log(2 * p)) ** 2
-
-
-def _formula(inputs: BoundInputs, log_fac: int) -> float:
-    return (
-        24.0
-        * log_fac
-        * math.sqrt(inputs.p)
-        * (4.0 * inputs.sigma + inputs.kappa * math.sqrt(math.pi))
-        / inputs.n
-        * inputs.theta_norm
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport(BoundInputs, Report):
-    """Evaluated bound together with everything needed to recompute it."""
-
-    convention: KappaConvention
-    log_factor: int
-    bound_value: float
+        if self.log_factor is None:
+            object.__setattr__(self, "log_factor", log_factor(self.p))
+        if self.bound_value is None:
+            object.__setattr__(self, "bound_value", self.recompute())
 
     def recompute(self) -> float:
-        return _formula(self, self.log_factor)
-
-
-def _report(p: int, n: int, sigma: float, kappa: float, theta_norm: float,
-            convention: KappaConvention) -> BoundReport:
-    inputs = BoundInputs(p=p, n=n, sigma=sigma, kappa=kappa, theta_norm=theta_norm)
-    log_fac = log_factor(p)
-    return BoundReport(**vars(inputs), convention=convention, log_factor=log_fac,
-                       bound_value=_formula(inputs, log_fac))
+        return (24.0 * self.log_factor * math.sqrt(self.p)
+                * (4.0 * self.sigma + self.kappa * math.sqrt(math.pi)) / self.n * self.theta_norm)
 
 
 def deviation_bound(
@@ -130,8 +113,8 @@ def deviation_bound(
     convention = KappaConvention(convention)
     sigma = shape_spectral_norm(model.shape, model.n)
     frob = shape_frobenius_norm(model.shape, model.n)
-    return _report(model.p, model.n, sigma, convention.kappa(frob, sigma), model.theta._norm,
-                   convention)
+    return BoundReport(model.p, model.n, sigma, convention.kappa(frob, sigma), model.theta._norm,
+                       convention)
 
 
 def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
@@ -145,7 +128,7 @@ def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
     specs = [(seq.shape_family(m), m) for m in seq.index_set]
     sigma = max(shape_spectral_norm(spec, m) for spec, m in specs)
     kappa = max(shape_frobenius_norm(spec, m) for spec, m in specs)
-    return _report(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
+    return BoundReport(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
 
 
 def _feasible(shape_family: Callable[[int], ShapeSpec],
@@ -161,19 +144,18 @@ def _feasible(shape_family: Callable[[int], ShapeSpec],
     return None
 
 
-def _doubling(shape_family: Callable[[int], ShapeSpec],
-              cap: int) -> Iterator[tuple[int, ShapeSpec]]:
+def _doubling(shape_family: Callable[[int], ShapeSpec]) -> Iterator[tuple[int, ShapeSpec]]:
     """``(n, spec)`` at the first feasible n, then at the first feasible n from twice the last.
 
-    Stops past ``cap`` or at a window of 64 n values with no feasible member;
+    Stops past SEARCH_CAP or at a window of 64 n values with no feasible member;
     raises when the family has no feasible n at all.
     """
-    found = _feasible(shape_family, range(1, cap + 1))
+    found = _feasible(shape_family, range(1, SEARCH_CAP + 1))
     if found is None:
         raise ValueError("shape family has no feasible n below the cap")
     while found is not None:
         yield found
-        found = _feasible(shape_family, range(2 * found[0], cap + 1))
+        found = _feasible(shape_family, range(2 * found[0], SEARCH_CAP + 1))
 
 
 def _check_tolerance(tolerance) -> float:
@@ -190,7 +172,6 @@ def invert_bound_for_n(
     theta_norm: float,
     tolerance: float,
     shape_family: Callable[[int], ShapeSpec],
-    cap: int = SEARCH_CAP,
 ) -> int:
     """Minimal n in the family's domain with bound <= tolerance.
 
@@ -201,18 +182,18 @@ def invert_bound_for_n(
     tolerance = _check_tolerance(tolerance)
 
     def bound(n: int, spec: ShapeSpec) -> float:
-        return _report(p, n, shape_spectral_norm(spec, n), shape_frobenius_norm(spec, n),
-                       theta_norm, KappaConvention.FROBENIUS).bound_value
+        return BoundReport(p, n, shape_spectral_norm(spec, n), shape_frobenius_norm(spec, n),
+                           theta_norm, KappaConvention.FROBENIUS).bound_value
 
     lo = None
-    for hi, spec in _doubling(shape_family, cap):
+    for hi, spec in _doubling(shape_family):
         value = bound(hi, spec)
         if value <= tolerance:
             break
         lo = hi
     else:
-        raise NotAchievableError(f"bound stays above tolerance {tolerance!r} up to the cap {cap}",
-                                 at_cap=value)
+        raise NotAchievableError(
+            f"bound stays above tolerance {tolerance!r} up to the cap {SEARCH_CAP}", at_cap=value)
 
     # Invariant: bound(hi) <= tolerance, and lo < hi was evaluated above it.
     while lo is not None and hi - lo > 1:

@@ -182,9 +182,10 @@ def _out_dir(cfg: dict) -> Path:
 def _emit(cfg: dict, filename: str, lines: list[str]) -> None:
     """Print ``lines`` and, when the config names an output directory, write them there."""
     text = "\n".join(lines) + "\n"
+    out = _out_dir(cfg) if cfg.get("out") else None  # first: an unusable one prints nothing
     sys.stdout.write(text)
-    if cfg.get("out"):
-        (_out_dir(cfg) / filename).write_text(text)
+    if out is not None:
+        (out / filename).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +297,10 @@ def cmd_sweep(cfg: dict) -> int:
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")
 
+    # The envelope first: a config JSON cannot hold raises before any file is written.
+    text = canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))
     (out / "sweep.csv").write_text(_csv_text(rows))
-    _emit(cfg, "summary.json",
-          [canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))])
+    _emit(cfg, "summary.json", [text])
     return 0
 
 

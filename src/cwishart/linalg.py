@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels, seeded Gaussian sampling, and matrix JSON IO.
+"""Dense linear algebra kernels, seeded random generators, and matrix JSON IO.
 
 Everything downstream (models, bounds, certificates, Monte Carlo checks) is
 built on the functions in this module.  All values are immutable after
@@ -30,7 +30,6 @@ __all__ = [
     "splitmix64",
     "mix_seed",
     "generator",
-    "sample_standard_gaussian_matrix",
     "matrix_to_dict",
     "matrix_from_dict",
     "dumps_matrix",
@@ -209,7 +208,7 @@ def spd_sqrt(s: SpdMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Seeding and Gaussian sampling
+# Seeds and generators
 # ---------------------------------------------------------------------------
 
 def check_seed(seed: int) -> int:
@@ -243,13 +242,6 @@ def mix_seed(seed: int, tag: int) -> int:
 def generator(seed: int) -> np.random.Generator:
     """PCG64 generator for ``seed``; the sample stream is a release-level contract."""
     return np.random.Generator(np.random.PCG64(check_seed(seed)))
-
-
-def sample_standard_gaussian_matrix(p: int, n: int, seed: int) -> np.ndarray:
-    """p x n matrix of i.i.d. standard normal draws, deterministic given seed."""
-    if p < 1 or n < 1:
-        raise DimensionError(f"matrix dimensions must be positive, got {p} x {n}")
-    return generator(seed).standard_normal((p, n))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from .linalg import (
     check_floats,
     check_int,
     frobenius_norm,
+    generator,
     matrix_from_dict,
     matrix_to_dict,
     mix_seed,
-    sample_standard_gaussian_matrix,
     spectral_norm,
 )
 
@@ -249,17 +249,6 @@ class WishartModel:
         _validate_shape(self.shape, self.n)
 
 
-def _whitened_sample(
-    model: WishartModel, y_left: np.ndarray, y_right: np.ndarray, root: np.ndarray
-) -> np.ndarray:
-    """(1/n) root Y_left B Y_right^T root over the last two axes, root = theta^{1/2}.
-
-    Serves one p x n draw and a (k, p, n) stack of draws alike.
-    """
-    yb = apply_shape(y_left, model.shape, model.n)
-    return _whiten(yb @ y_right.swapaxes(-1, -2), root, model.n)
-
-
 def _whiten(w: np.ndarray, root: np.ndarray, n: int) -> np.ndarray:
     """(1/n) root w root for a (..., p, p) stack, as two GEMMs over all its rows (root symmetric).
 
@@ -290,8 +279,8 @@ def _gram_factor(rng: np.random.Generator, k: int, d: int, m: int) -> np.ndarray
 
 def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
-    y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_COUPLED_Y))
-    return _whitened_sample(model, y, y, model.theta._root)
+    y = generator(mix_seed(seed, STREAM_COUPLED_Y)).standard_normal((model.p, model.n))
+    return _whiten(apply_shape(y, model.shape, model.n) @ y.T, model.theta._root, model.n)
 
 
 def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
@@ -301,11 +290,9 @@ def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
     coupled sampler's stream, so coupled and decoupled draws for one seed are
     mutually independent.
     """
-    y = sample_standard_gaussian_matrix(model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_Y))
-    y_prime = sample_standard_gaussian_matrix(
-        model.p, model.n, mix_seed(seed, STREAM_DECOUPLED_YPRIME)
-    )
-    return _whitened_sample(model, y_prime, y, model.theta._root)
+    y, y_prime = (generator(mix_seed(seed, tag)).standard_normal((model.p, model.n))
+                  for tag in (STREAM_DECOUPLED_Y, STREAM_DECOUPLED_YPRIME))
+    return _whiten(apply_shape(y_prime, model.shape, model.n) @ y.T, model.theta._root, model.n)
 
 
 def expected_wishart(model: WishartModel) -> np.ndarray:
@@ -375,7 +362,10 @@ class normalized_diagonal_family:
     seed: int
 
     def __call__(self, n: int) -> ShapeSpec:
-        g = sample_standard_gaussian_matrix(1, n, mix_seed(self.seed, n))[0]
+        rng = generator(mix_seed(self.seed, n))
+        if n < 1:
+            raise DimensionError(f"matrix dimensions must be positive, got 1 x {n}")
+        g = rng.standard_normal((1, n))[0]
         return ShapeSpec.diagonal(1.0 + (g - g.mean()))
 
 

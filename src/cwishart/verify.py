@@ -629,8 +629,15 @@ def _conditional_stds(shape: ShapeSpec, g: np.ndarray, p: int) -> np.ndarray:
     return np.ldexp(math.sqrt(p) / n * np.linalg.norm(np.ldexp(bg, -exp), axis=-1), exp)
 
 
-def _unit_direction(direction, p: int) -> np.ndarray:
-    """``direction``, a list of finite numbers, checked to have length p and unit norm."""
+def _standard_direction(model: WishartModel, direction, check: str) -> np.ndarray:
+    """``direction``, a list of finite numbers, checked to have length p and unit norm.
+
+    The guard of the checks that draw g = X^T d ~ N(0, I_n): theta must be I.
+    """
+    if not model.theta.is_identity():
+        raise ValueError(f"{check} requires theta = I; whiten the model first "
+                         "(conjugate by theta^{-1/2}) and rerun")
+    p = model.p
     d = check_floats(direction, "direction")
     if d.size != p:
         raise DimensionError(f"direction has length {d.size} but p = {p}")
@@ -691,12 +698,7 @@ def check_concentration(
     skew-block B, which are orthogonal, ||B g|| = ||g||, and each trial draws
     only ||g|| = sqrt(chi-square(n)).
     """
-    if not model.theta.is_identity():
-        raise ValueError(
-            "concentration check requires theta = I; whiten the model first "
-            "(conjugate by theta^{-1/2}) and rerun"
-        )
-    d = _unit_direction(direction, model.p)
+    d = _standard_direction(model, direction, "concentration check")
     t_grid = tuple(check_floats(t_grid, "t_grid").tolist())
     if len(t_grid) > MAX_T_GRID:
         raise ValueError(f"t_grid must have at most {MAX_T_GRID} points, got {len(t_grid)}")
@@ -795,9 +797,10 @@ def count_lipschitz_violations(
     pair for identity and skew-block B, 2n for diagonal and custom B, and
     one more for p > 1.  The left-hand sides go through the engine as well,
     so a pair whose s does not fit in a float raises ValueError as the
-    concentration check does.
+    concentration check does.  Requires theta = I, as the concentration
+    check does.
     """
-    _unit_direction(direction, model.p)
+    _standard_direction(model, direction, "Lipschitz count")
     p, n = model.p, model.n
     lipschitz = math.sqrt(p) * shape_spectral_norm(model.shape, n) / n
 
@@ -900,7 +903,6 @@ def empirical_sample_complexity(
     trials: int,
     seed: int,
     workers: int = 1,
-    cap: int = SEARCH_CAP,
 ) -> ComplexityTable:
     """Doubling search for the smallest n with empirical mean + 2 stderr <= tolerance.
 
@@ -913,7 +915,7 @@ def empirical_sample_complexity(
     rows = []
     for p in p_grid:
         theta = theta_rule(p)
-        for n, spec in _doubling(shape_family, cap):
+        for n, spec in _doubling(shape_family):
             model = WishartModel(p, n, theta, spec)
             stats = estimate_mean_deviation(
                 TrialConfig(model, trials, mix_seed(mix_seed(seed, p), n)), workers
@@ -923,10 +925,10 @@ def empirical_sample_complexity(
         else:
             raise NotAchievableError(
                 f"empirical deviation stays above tolerance {tolerance!r} "
-                f"up to the cap {cap} at p = {p}",
+                f"up to the cap {SEARCH_CAP} at p = {p}",
                 at_cap=stats.mean,
             )
-        theoretical = invert_bound_for_n(p, theta._norm, tolerance, shape_family, cap)
+        theoretical = invert_bound_for_n(p, theta._norm, tolerance, shape_family)
         rows.append(ComplexityRow(p, n, theoretical, _sweep_row(model, stats)))
     return ComplexityTable(tuple(rows), tolerance)
 
@@ -939,9 +941,14 @@ def emit_report(check_name: str, config: dict, master_seed: int, payload: dict) 
     """Wrap a check result in the standard report envelope.
 
     The config digest is the truncated SHA-256 of the canonical JSON text of
-    ``config``, so identical configurations always produce identical reports.
+    ``config``, so identical configurations always produce identical reports;
+    a config holding inf or NaN, which JSON cannot represent, raises ValueError.
     """
-    digest = hashlib.sha256(canonical_dumps(config).encode("utf-8")).hexdigest()[:16]
+    try:
+        text = canonical_dumps(config)
+    except ValueError as exc:
+        raise ValueError("config holds inf or NaN, which JSON cannot represent") from exc
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     report = {"check_name": check_name, "config_digest": digest, "master_seed": master_seed}
     report.update(payload)
     return report

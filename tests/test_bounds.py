@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import cwishart as cw
 from cwishart import bounds, linalg
 from cwishart import model as model_module
-from cwishart.bounds import BoundInputs, KappaConvention
+from cwishart.bounds import KappaConvention
 from cwishart.errors import (
     DimensionError,
     NotAchievableError,
@@ -107,18 +109,43 @@ class TestDeviationBound:
         assert d["convention"] == "frobenius"
 
     def test_monotonicity(self):
-        base = BoundInputs(p=3, n=10, sigma=1.0, kappa=2.0, theta_norm=1.5)
+        base = dict(p=3, n=10, sigma=1.0, kappa=2.0, theta_norm=1.5)
 
         def value(**kw):
-            inputs = BoundInputs(**{**base.__dict__, **kw})
-            report = cw.BoundReport(**inputs.__dict__, convention=KappaConvention.FROBENIUS,
-                                    log_factor=cw.log_factor(inputs.p), bound_value=0.0)
+            report = cw.BoundReport(**{**base, **kw}, convention=KappaConvention.FROBENIUS,
+                                    log_factor=cw.log_factor(3), bound_value=0.0)
             return report.recompute()
 
         assert value(n=20) < value()
         assert value(sigma=1.1) > value()
         assert value(kappa=2.1) > value()
         assert value(theta_norm=1.6) > value()
+
+    @pytest.mark.parametrize(
+        "kw,error,message",
+        [
+            (dict(p=0), DimensionError, "p and n must be positive, got p=0, n=10"),
+            (dict(n=0), DimensionError, "p and n must be positive, got p=3, n=0"),
+            (dict(p=0, sigma=-1.0), DimensionError, "p and n must be positive"),
+            (dict(sigma=-1.0), ValueError, "sigma must be finite and nonnegative, got -1.0"),
+            (dict(sigma=math.nan, kappa=-1.0), ValueError, "sigma must be finite"),
+            (dict(kappa=math.inf), ValueError, "kappa must be finite and nonnegative, got inf"),
+            (dict(kappa=-1.0, theta_norm=-1.0), ValueError, "kappa must be finite"),
+            (dict(theta_norm=math.nan), ValueError, "theta_norm must be finite and nonnegative"),
+        ],
+        ids=["p", "n", "p-before-sigma", "sigma", "sigma-before-kappa", "kappa",
+             "kappa-before-theta-norm", "theta-norm"])
+    def test_inputs_are_checked_in_order(self, kw, error, message):
+        args = {**dict(p=3, n=10, sigma=1.0, kappa=2.0, theta_norm=1.5), **kw}
+        with pytest.raises(error, match=re.escape(message)):
+            cw.BoundReport(**args, convention=KappaConvention.FROBENIUS)
+
+    def test_report_computes_what_it_is_not_given(self):
+        report = cw.BoundReport(3, 10, 1.0, 2.0, 1.5, KappaConvention.FROBENIUS)
+        assert report.log_factor == cw.log_factor(3)
+        assert report.bound_value == report.recompute()
+        # replace() passes both, so a negative control can set a wrong bound_value.
+        assert dataclasses.replace(report, bound_value=1.0).bound_value == 1.0
 
     def test_norms_are_computed_once_per_model(self, monkeypatch):
         # The SVDs of B and theta run on the first call only; later calls reuse them.
@@ -250,8 +277,8 @@ class TestInvertBound:
             assert cw.deviation_bound(prev).bound_value > 7.0
 
     def test_cap_exceeded(self):
-        with pytest.raises(NotAchievableError) as exc:
-            cw.invert_bound_for_n(2, 1.0, 1e-9, cw.identity_family, cap=2**12)
+        with pytest.raises(NotAchievableError, match="up to the cap 1048576") as exc:
+            cw.invert_bound_for_n(2, 1.0, 1e-9, cw.identity_family)
         assert exc.value.at_cap > 1e-9
 
     @pytest.mark.parametrize(
@@ -290,13 +317,15 @@ class TestInvertBound:
         assert len(calls) > 10 and len(set(calls)) == len(calls)
 
     def test_at_cap_is_the_bound_at_the_last_doubling_point(self):
-        # Defined at multiples of 3 only: the doubling walks 3, 6, ..., 3072 and
-        # stops there, since 6144 is past the cap.
+        # Defined at multiples of 3 only: the doubling walks 3, 6, ..., 3 * 2^18 and
+        # stops there, since 3 * 2^19 is past SEARCH_CAP = 2^20.
         def thirds(n):
             if n % 3:
                 raise DimensionError(f"defined at multiples of 3 only, got {n}")
             return cw.ShapeSpec.identity()
 
         with pytest.raises(NotAchievableError) as exc:
-            cw.invert_bound_for_n(2, 1.0, 1e-9, thirds, cap=4096)
-        assert exc.value.at_cap == cw.deviation_bound(identity_model(2, 3072)).bound_value
+            cw.invert_bound_for_n(2, 1.0, 1e-9, thirds)
+        last = 3 * 2**18
+        assert last <= bounds.SEARCH_CAP < 2 * last
+        assert exc.value.at_cap == cw.deviation_bound(identity_model(2, last)).bound_value

@@ -586,3 +586,36 @@ class TestMalformedConfig:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bound", "--config", config, "--format", "json"])
         assert exc.value.code == 2
+
+
+class TestExitTwoLeavesNoReport:
+    """A run that exits 2 prints no report and writes none."""
+
+    @pytest.mark.parametrize("command", ["verify", "bound", "netcert"])
+    def test_out_naming_a_file_prints_nothing(self, tmp_path, capsys, command):
+        matrix = tmp_path / "a.json"
+        matrix.write_text(dumps_matrix(np.eye(2)))
+        base = {"verify": STDDEV, "bound": BOUND,
+                "netcert": {"command": "netcert", "inputs": [str(matrix)]}}[command]
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        cfg = dict(base, out=str(out))
+        assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "File exists" in captured.err
+        assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "base,report", [(STDDEV, "verify_stddev.json"), (SCALING, "sweep.csv")],
+        ids=["verify", "sweep"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_unread_key_json_cannot_hold_blames_the_config(self, tmp_path, capsys, base, report,
+                                                           value):
+        out = tmp_path / "out"
+        cfg = dict(base, note=value, out=str(out))
+        assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config holds inf or NaN" in captured.err
+        assert not (out / report).exists()

@@ -166,7 +166,7 @@ class TestSampleWishart:
         # The coupled draw uses substream tag 0 of the seed.
         m = cw.WishartModel(2, 4, cw.SpdMatrix.identity(2), cw.ShapeSpec.identity())
         seed = 2024
-        y = cw.sample_standard_gaussian_matrix(2, 4, mix_seed(seed, STREAM_COUPLED_Y))
+        y = cw.generator(mix_seed(seed, STREAM_COUPLED_Y)).standard_normal((2, 4))
         assert np.allclose(cw.sample_wishart(m, seed), y @ y.T / 4, atol=1e-14)
 
 
@@ -188,7 +188,7 @@ class TestSampleDecoupled:
         # Decoupled Y-substream differs from the coupled sampler's Y stream.
         seed = 31337
         tags = (STREAM_COUPLED_Y, STREAM_DECOUPLED_Y, STREAM_DECOUPLED_YPRIME)
-        mats = [cw.sample_standard_gaussian_matrix(3, 5, mix_seed(seed, t)) for t in tags]
+        mats = [cw.generator(mix_seed(seed, t)).standard_normal((3, 5)) for t in tags]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert np.any(mats[i] != mats[j])
@@ -196,9 +196,53 @@ class TestSampleDecoupled:
     def test_decoupled_stream_contract(self):
         m = cw.WishartModel(2, 4, cw.SpdMatrix.identity(2), cw.ShapeSpec.identity())
         seed = 555
-        y = cw.sample_standard_gaussian_matrix(2, 4, mix_seed(seed, STREAM_DECOUPLED_Y))
-        yp = cw.sample_standard_gaussian_matrix(2, 4, mix_seed(seed, STREAM_DECOUPLED_YPRIME))
+        y = cw.generator(mix_seed(seed, STREAM_DECOUPLED_Y)).standard_normal((2, 4))
+        yp = cw.generator(mix_seed(seed, STREAM_DECOUPLED_YPRIME)).standard_normal((2, 4))
         assert np.allclose(cw.sample_decoupled(m, seed), yp @ y.T / 4, atol=1e-14)
+
+
+class TestSamplerContract:
+    """The documented streams for every shape variant, under a dense theta.
+
+    W = (1/n) theta^{1/2} Y_l B Y_r^T theta^{1/2} with the dense B of
+    build_shape: Y_l = Y_r from tag 0 for sample_wishart, Y_l from tag 2 and
+    Y_r from tag 1 for sample_decoupled, each from generator(mix_seed(seed, tag)).
+    """
+
+    THETA = cw.SpdMatrix(np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]]))
+    SHAPES = {
+        "identity": cw.ShapeSpec.identity(),
+        "diagonal-with-zeros": cw.ShapeSpec.diagonal([1.5, 0.0, -0.5, 0.0, 2.0, 0.0]),
+        "skew-block": cw.ShapeSpec.skew_block(),
+        "custom": cw.ShapeSpec.custom(cw.generator(11).standard_normal((6, 6))),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
+    @pytest.mark.parametrize("variant", SHAPES)
+    def test_draws_follow_the_tag_streams(self, variant, seed):
+        p, n, spec = 3, 6, self.SHAPES[variant]
+        m = cw.WishartModel(p, n, self.THETA, spec)
+        root, b = cw.spd_sqrt(self.THETA), cw.build_shape(spec, n)
+        y = {tag: cw.generator(mix_seed(seed, tag)).standard_normal((p, n))
+             for tag in (STREAM_COUPLED_Y, STREAM_DECOUPLED_Y, STREAM_DECOUPLED_YPRIME)}
+        for got, left, right in (
+            (cw.sample_wishart(m, seed), STREAM_COUPLED_Y, STREAM_COUPLED_Y),
+            (cw.sample_decoupled(m, seed), STREAM_DECOUPLED_YPRIME, STREAM_DECOUPLED_Y),
+        ):
+            want = root @ (y[left] @ b @ y[right].T) @ root / n
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed,n", [(123, 1), (123, 17), (2**64 - 1, 1024)])
+    def test_diagonal_family_follows_its_stream(self, seed, n):
+        g = cw.generator(mix_seed(seed, n)).standard_normal(n)
+        assert cw.normalized_diagonal_family(seed)(n).entries == tuple(1.0 + (g - g.mean()))
+
+    def test_diagonal_family_rejects_nonpositive_n(self):
+        with pytest.raises(DimensionError, match="must be positive"):
+            cw.normalized_diagonal_family(123)(0)
+        # A negative n is no stream tag.
+        with pytest.raises(ValueError, match="stream tag must be nonnegative"):
+            cw.normalized_diagonal_family(123)(-3)
 
 
 class TestGramFactor:

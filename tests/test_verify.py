@@ -167,8 +167,9 @@ def _x_path_pairs(m, root, rng, k):
     """(W, W') of the paper: one (k, p, n) Gaussian Y for both, and a fresh Y' for W'."""
     y = rng.standard_normal((k, m.p, m.n))
     y_prime = rng.standard_normal((k, m.p, m.n))
-    return (model_module._whitened_sample(m, y, y, root),
-            model_module._whitened_sample(m, y_prime, y, root))
+    y_t = y.swapaxes(-1, -2)
+    return tuple(model_module._whiten(model_module.apply_shape(a, m.shape, m.n) @ y_t, root, m.n)
+                 for a in (y, y_prime))
 
 
 def _pair_summary(pairs, m, trials, seed):
@@ -717,12 +718,12 @@ class TestTrialCounts:
 
 class TestConditionalStd:
     def test_zero_shape(self):
-        x = cw.sample_standard_gaussian_matrix(2, 4, 1)
+        x = cw.generator(1).standard_normal((2, 4))
         zero = cw.ShapeSpec.diagonal([0.0] * 4)
         assert verify._conditional_stds(zero, np.array([1.0, 0.0]) @ x, 2) == 0.0
 
     def test_identity_shape_row_norm(self):
-        x = cw.sample_standard_gaussian_matrix(3, 8, 2)
+        x = cw.generator(2).standard_normal((3, 8))
         expected = math.sqrt(3) / 8 * float(np.linalg.norm(x[0]))
         d = np.array([1.0, 0.0, 0.0])
         identity = cw.ShapeSpec.identity()
@@ -759,6 +760,15 @@ class TestConditionalStd:
                 cw.check_concentration(m, direction, [0.0], 10, 0)
             with pytest.raises(ValueError, match=message):
                 cw.count_lipschitz_violations(m, direction, 1000, 67)
+
+    def test_theta_must_be_identity(self):
+        # Both checks draw g = X^T d ~ N(0, I_n), which needs theta = I; drawn so
+        # at theta = diag(4, 1), the Lipschitz count read 0 for a law it never sampled.
+        m = model(2, 8, theta=cw.SpdMatrix.diagonal([4.0, 1.0]))
+        with pytest.raises(ValueError, match="^concentration check requires theta = I"):
+            cw.check_concentration(m, [1.0, 0.0], [0.0], 2000, 5)
+        with pytest.raises(ValueError, match="^Lipschitz count requires theta = I"):
+            cw.count_lipschitz_violations(m, [1.0, 0.0], 2000, 5)
 
 
 class TestConcentration:
@@ -1034,9 +1044,10 @@ class TestSampleComplexity:
         assert ns == sorted(ns)
 
     def test_cap_exceeded(self):
-        with pytest.raises(NotAchievableError):
+        # The doubling reaches SEARCH_CAP = 2^20 in 21 cheap Gram-factor estimates.
+        with pytest.raises(NotAchievableError, match="up to the cap 1048576 at p = 2"):
             empirical_sample_complexity(
-                [2], 1e-6, cw.identity_family, identity_theta_rule, 50, 101, cap=2**8
+                [2], 1e-6, cw.identity_family, identity_theta_rule, 50, 101
             )
 
     def test_each_n_builds_its_shape_once(self, monkeypatch):
