@@ -27,7 +27,7 @@ from .errors import (
     ShapeParityError,
     ZeroSpectralNormError,
 )
-from .linalg import Report
+from .linalg import Report, check_int
 from .model import (
     ShapeSpec,
     WishartModel,
@@ -76,7 +76,8 @@ def log_factor(p: int) -> int:
 class BoundReport(Report):
     """Evaluated bound together with everything needed to recompute it.
 
-    Construction checks the inputs and computes ``log_factor`` and ``bound_value`` unless given.
+    Construction checks the inputs (p and n under ``check_int``'s rule) and
+    computes ``log_factor`` and ``bound_value`` unless given.
     """
 
     p: int
@@ -89,11 +90,14 @@ class BoundReport(Report):
     bound_value: float | None = None
 
     def __post_init__(self):
+        for name in ("p", "n"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.p < 1 or self.n < 1:
             raise DimensionError(f"p and n must be positive, got p={self.p}, n={self.n}")
         for name in ("sigma", "kappa", "theta_norm"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            # copysign also rejects -0.0, which a bound would carry into its sign.
+            if not math.isfinite(v) or math.copysign(1.0, v) < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
         if self.log_factor is None:
             object.__setattr__(self, "log_factor", log_factor(self.p))

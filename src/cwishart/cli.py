@@ -27,6 +27,7 @@ from .linalg import (
     matrix_from_dict,
     mix_seed,
     save_matrix,
+    _write_text,
 )
 from .model import (
     WishartModel,
@@ -180,12 +181,14 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _emit(cfg: dict, filename: str, lines: list[str]) -> None:
-    """Print ``lines`` and, when the config names an output directory, write them there."""
+    """Print ``lines`` and, when the config names an output directory, write them there.
+
+    The file is written first, so an output that cannot be written prints nothing.
+    """
     text = "\n".join(lines) + "\n"
-    out = _out_dir(cfg) if cfg.get("out") else None  # first: an unusable one prints nothing
+    if cfg.get("out"):
+        _write_text(_out_dir(cfg) / filename, text)
     sys.stdout.write(text)
-    if out is not None:
-        (out / filename).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     # The envelope first: a config JSON cannot hold raises before any file is written.
     text = canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))
-    (out / "sweep.csv").write_text(_csv_text(rows))
+    _write_text(out / "sweep.csv", _csv_text(rows))
     _emit(cfg, "summary.json", [text])
     return 0
 

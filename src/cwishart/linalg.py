@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
@@ -277,18 +278,38 @@ def matrix_from_dict(d: dict) -> np.ndarray:
 def dumps_matrix(a) -> str:
     """Serialize a matrix with all floats at 17 significant digits."""
     arr = as_matrix(a)
-    # tolist() gives the Python floats at once, not one numpy scalar per entry.
-    entries = ", ".join(f"{v:.17g}" for v in arr.ravel().tolist())
+    # One %-format over the Python floats (tolist()), not one format call per entry.
+    entries = ", ".join(["%.17g"] * arr.size) % tuple(arr.ravel().tolist())
     return (
         f'{{"rows": {arr.shape[0]}, "cols": {arr.shape[1]}, '
         f'"entries": [{entries}]}}'
     )
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` (UTF-8) to ``path``, rewriting an existing file in place.
+
+    The one way the package writes a file.  It is opened without O_TRUNC and
+    cut at the end of the new text, so an existing file is never emptied on
+    the way (on ext4, truncating a file to zero frees its blocks and can force
+    a flush on close); it shrinks only when the old file was longer.  The write
+    is not atomic.  A new file gets mode 0o666 less the umask, as with
+    ``open(path, "w")``, and symlinks are followed.  Raw fd writes: a file
+    object around the fd costs more than writing a small report.
+    """
+    data = memoryview(text.encode("utf-8"))
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:  # os.write may write fewer bytes than asked
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 def save_matrix(path, a) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_matrix(a))
-        fh.write("\n")
+    _write_text(path, dumps_matrix(a) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:

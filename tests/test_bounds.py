@@ -140,6 +140,34 @@ class TestDeviationBound:
         with pytest.raises(error, match=re.escape(message)):
             cw.BoundReport(**args, convention=KappaConvention.FROBENIUS)
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(p=2.5), "p must be an integer, got 2.5"),
+            (dict(n=10.5), "n must be an integer, got 10.5"),
+            (dict(p=True), "p must be an integer, got True"),
+            (dict(n="10"), "n must be an integer, got '10'"),
+            (dict(p=2.5, n=0), "p must be an integer"),
+            (dict(n=0.5, sigma=-1.0), "n must be an integer"),
+            (dict(sigma=-0.0), "sigma must be finite and nonnegative, got -0.0"),
+            (dict(kappa=-0.0), "kappa must be finite and nonnegative, got -0.0"),
+            (dict(theta_norm=-0.0), "theta_norm must be finite and nonnegative, got -0.0"),
+        ],
+        ids=["fractional-p", "fractional-n", "bool-p", "string-n", "p-before-range",
+             "n-before-sigma", "negative-zero-sigma", "negative-zero-kappa",
+             "negative-zero-theta-norm"])
+    def test_fractional_dimensions_and_negative_zeros_are_rejected(self, kw, message):
+        args = {**dict(p=3, n=10, sigma=1.0, kappa=2.0, theta_norm=1.5), **kw}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cw.BoundReport(**args, convention=KappaConvention.FROBENIUS)
+
+    def test_integral_float_dimensions_are_read_as_ints(self):
+        report = cw.BoundReport(3.0, np.int64(10), 1.0, 2.0, 0.0, KappaConvention.FROBENIUS)
+        assert (report.p, report.n) == (3, 10)
+        assert type(report.p) is int and type(report.n) is int
+        assert report == cw.BoundReport(3, 10, 1.0, 2.0, 0.0, KappaConvention.FROBENIUS)
+        assert math.copysign(1.0, report.bound_value) == 1.0
+
     def test_report_computes_what_it_is_not_given(self):
         report = cw.BoundReport(3, 10, 1.0, 2.0, 1.5, KappaConvention.FROBENIUS)
         assert report.log_factor == cw.log_factor(3)

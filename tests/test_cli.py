@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -619,3 +620,98 @@ class TestExitTwoLeavesNoReport:
         assert captured.out == ""
         assert "config holds inf or NaN" in captured.err
         assert not (out / report).exists()
+
+
+def _netcert_config(tmp_path):
+    inputs = []
+    for i, p in enumerate((2, 3)):
+        path = tmp_path / f"input{i}.json"
+        path.write_text(dumps_matrix(cw.generator(80 + i).standard_normal((p, p))))
+        inputs.append(str(path))
+    return {"command": "netcert", "inputs": inputs}
+
+
+def _run_into(tmp_path, cfg, out):
+    config = write_config(tmp_path, f"{out.name}.json", dict(cfg, out=str(out)))
+    return cli.main(["--config", config])
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestOutputsRewrittenInPlace:
+    """An existing output is rewritten in place: never emptied, no stale tail left."""
+
+    CONFIGS = {
+        "sample": dict(SAMPLE, decoupled=True),
+        "bound": BOUND,
+        "verify-stddev": STDDEV,
+        "verify-dominance": DOMINANCE,
+        "sweep-scaling": SCALING,
+        "sweep-complexity": COMPLEXITY,
+    }
+
+    @pytest.mark.parametrize("name", [*CONFIGS, "netcert"])
+    def test_longer_stale_files_leave_the_bytes_of_a_fresh_run(self, tmp_path, name):
+        cfg = self.CONFIGS.get(name) or _netcert_config(tmp_path)
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        code = _run_into(tmp_path, cfg, fresh)
+        want = _files(fresh)
+        assert want
+        stale.mkdir()
+        junk = bytes(range(256)) * 40  # 10 KB, longer than every output
+        for filename in want:
+            (stale / filename).write_bytes(junk)
+        assert _run_into(tmp_path, cfg, stale) == code
+        assert _files(stale) == want
+
+    def test_rerunning_sample_gives_the_same_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = dict(SAMPLE, decoupled=True)
+        assert _run_into(tmp_path, cfg, out) == 0
+        first = _files(out)
+        inodes = {name: (out / name).stat().st_ino for name in first}
+        assert _run_into(tmp_path, cfg, out) == 0
+        assert _files(out) == first
+        assert {name: (out / name).stat().st_ino for name in first} == inodes
+
+    def test_an_output_symlink_is_written_through(self, tmp_path, capsys):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        target = elsewhere / "report.json"
+        target.write_text("stale " * 1000)
+        (out / "bound.json").symlink_to(target)
+        assert _run_into(tmp_path, BOUND, out) == 0
+        assert (out / "bound.json").is_symlink()
+        assert target.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg,filename", [(SAMPLE, "W.001.json"), (BOUND, "bound.json")],
+                             ids=["sample", "bound"])
+    def test_an_output_name_that_is_a_directory_exits_two(self, tmp_path, capsys, cfg,
+                                                          filename):
+        out = tmp_path / "out"
+        (out / filename).mkdir(parents=True)
+        assert _run_into(tmp_path, cfg, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
+
+    def test_a_read_only_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        report = out / "bound.json"
+        report.write_text("read only\n")
+        report.chmod(0o444)
+        try:
+            os.close(os.open(report, os.O_WRONLY))
+        except PermissionError:
+            pass
+        else:
+            pytest.skip("this user may write a read-only file (a superuser)")
+        assert _run_into(tmp_path, BOUND, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Permission denied" in captured.err
+        assert report.read_text() == "read only\n"

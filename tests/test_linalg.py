@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -13,6 +15,7 @@ import cwishart as cw
 from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
     Report,
+    _write_text,
     _spectral_norms,
     canonical_dumps,
     check_floats,
@@ -318,10 +321,15 @@ class TestMatrixJson:
     @pytest.mark.parametrize("arr", [
         np.array([[-0.0, 0.0], [5e-324, -5e-324]]),
         np.array([[1.7976931348623157e308, -1.7976931348623157e308], [0.1, -0.1]]),
+        np.array([[2.2250738585072014e-308, -2.2250738585072014e-308]]),
+        np.array([[1.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]]),
         np.array([[1.0, -2.0, 3.0], [1e16, 2.0**53, 12345678.0]]),
         cw.generator(59).standard_normal((5, 7)) * np.logspace(-300, 295, 35).reshape(5, 7),
         cw.generator(61).standard_normal((3, 4)).T,
-    ], ids=["zeros-and-subnormals", "extremes", "integral", "random", "transposed"])
+        cw.generator(62).standard_normal((6, 6)),
+        cw.generator(63).standard_normal((80, 80)),
+    ], ids=["zeros-and-subnormals", "extremes", "smallest-normal", "thirds", "integral",
+            "random", "transposed", "random-6x6", "random-80x80"])
     def test_text_equals_the_per_scalar_format(self, arr):
         # Byte for byte the text of formatting float(v) for each numpy scalar.
         entries = ", ".join(f"{float(v):.17g}" for v in arr.ravel(order="C"))
@@ -346,6 +354,54 @@ class TestMatrixJson:
         path = tmp_path / "m.json"
         cw.save_matrix(path, a)
         assert np.array_equal(cw.load_matrix(path), a)
+
+
+class TestWriteText:
+    """The package's one file writer rewrites a file in place."""
+
+    def test_new_file_gets_the_text_and_the_umask_mode(self, tmp_path):
+        path = tmp_path / "new.txt"
+        _write_text(path, "a\nb\n")
+        assert path.read_bytes() == b"a\nb\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("old", [b"", b"short", b"x" * 10_000],
+                             ids=["empty", "shorter", "longer"])
+    def test_rewrite_leaves_exactly_the_new_text(self, tmp_path, old):
+        path = tmp_path / "f.txt"
+        path.write_bytes(old)
+        _write_text(path, "new text\n")
+        assert path.read_bytes() == b"new text\n"
+
+    def test_rewrite_keeps_the_inode_and_its_mode(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"x" * 4096)
+        path.chmod(0o600)
+        before = path.stat()
+        _write_text(path, "y")
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert path.read_bytes() == b"y"
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        path = tmp_path / "f.txt"
+        _write_text(path, "\u03b8 = I\n")
+        assert path.read_bytes() == "\u03b8 = I\n".encode("utf-8")
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_bytes(b"z" * 1000)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        _write_text(link, "through\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"through\n"
+
+    def test_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            _write_text(tmp_path, "x")
 
 
 class TestReport:
