@@ -77,11 +77,13 @@ def check_floats(value, name: str) -> np.ndarray:
     The one rule for number lists: strings, bools and every other non-number
     are rejected, not coerced, and so are inf and NaN; errors name ``name``.
     """
-    items = value.tolist() if isinstance(value, np.ndarray) else value
+    # A 1-D integer or float array's dtype already guarantees real, non-bool numbers.
+    typed = isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iuf"
+    items = value.tolist() if isinstance(value, np.ndarray) and not typed else value
     # Checked per distinct element type, so a long list costs one pass in C.
-    if not isinstance(items, (list, tuple)) or not all(
+    if not typed and (not isinstance(items, (list, tuple)) or not all(
         issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, items))
-    ):
+    )):
         raise ValueError(f"{name} must be a list of numbers, got {value!r:.80}")
     try:
         arr = np.array(items, dtype=np.float64)

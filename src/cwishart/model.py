@@ -75,11 +75,11 @@ class ShapeSpec:
     "skew_block" (the block matrix [[0, I], [-I, 0]], even n only), and
     "custom" (an arbitrary square matrix, accepted unvalidated beyond
     dimensions).  Diagonal entries are a list of finite numbers
-    (``linalg.check_floats``).
+    (``linalg.check_floats``), stored as a read-only float64 copy.
     """
 
     variant: str
-    entries: tuple[float, ...] | None = None
+    entries: np.ndarray | None = None
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
@@ -89,7 +89,8 @@ class ShapeSpec:
             if self.entries is None:
                 raise InvalidMatrixError("diagonal shape requires entries")
             ent = check_floats(self.entries, "diagonal entries")
-            object.__setattr__(self, "entries", tuple(ent.tolist()))
+            ent.setflags(write=False)
+            object.__setattr__(self, "entries", ent)
         elif self.entries is not None:
             raise ValueError(f"entries only apply to the diagonal variant, not {self.variant!r}")
         if self.variant == "custom":
@@ -118,7 +119,7 @@ class ShapeSpec:
         """The nonzero diagonal entries, in order, for a diagonal; else None."""
         if self.variant != "diagonal":
             return None
-        entries = np.array([e for e in self.entries if e])
+        entries = self.entries[self.entries != 0]
         entries.setflags(write=False)
         return entries
 
@@ -164,7 +165,7 @@ def build_shape(spec: ShapeSpec, n: int) -> np.ndarray:
     if spec.variant == "identity":
         return np.eye(n)
     if spec.variant == "diagonal":
-        return np.diag(np.asarray(spec.entries, dtype=np.float64))
+        return np.diag(spec.entries)
     if spec.variant == "skew_block":
         half = n // 2
         b = np.zeros((n, n))
@@ -197,7 +198,7 @@ def shape_spectral_norm(spec: ShapeSpec, n: int) -> float:
     if spec.variant in _ORTHOGONAL_VARIANTS:
         return 1.0
     if spec.variant == "diagonal":
-        return float(np.max(np.abs(spec.entries)))
+        return float(np.abs(spec.entries).max())
     return spec._custom_sigma
 
 
@@ -207,9 +208,8 @@ def shape_frobenius_norm(spec: ShapeSpec, n: int) -> float:
         return math.sqrt(n)
     if spec.variant == "diagonal":
         # At unit scale, as in linalg.frobenius_norm.
-        entries = np.asarray(spec.entries, dtype=np.float64)
-        _, exp = np.frexp(np.abs(entries).max())
-        return float(np.ldexp(np.linalg.norm(np.ldexp(entries, -exp)), exp))
+        _, exp = np.frexp(np.abs(spec.entries).max())
+        return float(np.ldexp(np.linalg.norm(np.ldexp(spec.entries, -exp)), exp))
     return spec._custom_frobenius
 
 
@@ -222,7 +222,7 @@ def apply_shape(y: np.ndarray, spec: ShapeSpec, n: int) -> np.ndarray:
     if spec.variant == "identity":
         return y
     if spec.variant == "diagonal":
-        return y * np.asarray(spec.entries, dtype=np.float64)
+        return y * spec.entries
     if spec.variant == "skew_block":
         half = n // 2
         return np.concatenate((-y[..., half:], y[..., :half]), axis=-1)
@@ -376,7 +376,7 @@ class normalized_diagonal_family:
 def shape_to_dict(spec: ShapeSpec) -> dict:
     d: dict = {"variant": spec.variant}
     if spec.variant == "diagonal":
-        d["entries"] = [float(v) for v in spec.entries]
+        d["entries"] = spec.entries.tolist()
     elif spec.variant == "custom":
         d["matrix"] = matrix_to_dict(spec.matrix)
     return d

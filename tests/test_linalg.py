@@ -437,15 +437,37 @@ class TestReport:
             with pytest.raises(ValueError, match="t must be a list of numbers"):
                 check_floats(bad, "t")
 
-    def test_check_floats_rejects_non_numbers(self):
-        # Strings and bools are rejected, not coerced; numpy reals are numbers.
-        assert check_floats(np.array([1.5, 2.0]), "t").tolist() == [1.5, 2.0]
-        assert check_floats([np.float64(1.5), np.int64(2)], "t").tolist() == [1.5, 2.0]
-        for bad in (["1.5"], [True, 2.0], [1.0, False], np.array([True]), [1j], [None]):
-            with pytest.raises(ValueError, match="t must be a list of numbers"):
-                check_floats(bad, "t")
-        with pytest.raises(ValueError, match="t holds a number too large"):
-            check_floats([10**400], "t")
+    @pytest.mark.parametrize("value,want", [
+        # Numpy reals are numbers; a 1-D integer, float or object array gives its list's values.
+        (np.array([1.5, 2.0]), [1.5, 2.0]),
+        ([np.float64(1.5), np.int64(2)], [1.5, 2.0]),
+        (np.array([3, -2**62], dtype=np.int64), [3.0, -2.0**62]),
+        (np.array([0, 255], dtype=np.uint8), [0.0, 255.0]),
+        (np.array([0.1, 2.0], dtype=np.float32), [float(np.float32(0.1)), 2.0]),
+        (np.array([0.5, 2], dtype=object), [0.5, 2.0]),
+        (np.array([], dtype=np.int64), []),
+        # Strings and bools are rejected, not coerced, in a list or an array.
+        (["1.5"], "t must be a list of numbers"),
+        ([True, 2.0], "t must be a list of numbers"),
+        ([1.0, False], "t must be a list of numbers"),
+        ([1j], "t must be a list of numbers"),
+        ([None], "t must be a list of numbers"),
+        (np.array([True]), "t must be a list of numbers"),
+        (np.array([1j]), "t must be a list of numbers"),
+        (np.array(["1.5"]), "t must be a list of numbers"),
+        (np.array([[1.0]]), "t must be a list of numbers"),
+        (np.array(1.0), "t must be a list of numbers"),
+        ([10**400], "t holds a number too large"),
+        (np.array([1.0, np.nan], dtype=np.float32), "t must hold finite numbers"),
+    ])
+    def test_check_floats_rejects_non_numbers(self, value, want):
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                check_floats(value, "t")
+            return
+        got = check_floats(value, "t")
+        assert got.dtype == np.float64 and got.ndim == 1 and got.tolist() == want
+        assert not np.shares_memory(got, value)
 
     def test_check_floats_rejects_non_finite(self):
         for bad in ([1.0, math.inf], [-math.inf], [math.nan, 1.0], np.array([0.0, np.nan])):

@@ -56,6 +56,16 @@ class TestBuildShape:
             with pytest.raises(ValueError, match="diagonal entries"):
                 cw.ShapeSpec.diagonal(bad)
 
+    def test_diagonal_entries_are_a_read_only_copy(self):
+        given = np.array([3.0, 0.0, 1.5])
+        spec = cw.ShapeSpec.diagonal(given)
+        given[0] = 7.0
+        assert spec.entries.dtype == np.float64 and spec.entries.tolist() == [3.0, 0.0, 1.5]
+        for stored in (spec.entries, spec._nonzero_entries):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 7.0
+        assert spec._nonzero_entries.tolist() == [3.0, 1.5]
+
     def test_custom_size_mismatch(self):
         with pytest.raises(DimensionError):
             cw.build_shape(cw.ShapeSpec.custom(np.eye(3)), 4)
@@ -235,7 +245,8 @@ class TestSamplerContract:
     @pytest.mark.parametrize("seed,n", [(123, 1), (123, 17), (2**64 - 1, 1024)])
     def test_diagonal_family_follows_its_stream(self, seed, n):
         g = cw.generator(mix_seed(seed, n)).standard_normal(n)
-        assert cw.normalized_diagonal_family(seed)(n).entries == tuple(1.0 + (g - g.mean()))
+        entries = cw.normalized_diagonal_family(seed)(n).entries
+        assert entries.tolist() == (1.0 + (g - g.mean())).tolist()
 
     def test_diagonal_family_rejects_nonpositive_n(self):
         with pytest.raises(DimensionError, match="must be positive"):
@@ -346,8 +357,8 @@ class TestSequenceSpec:
         for n in (4, 17, 1024):
             spec = fam(n)
             assert abs(shape_trace(spec, n) / n - 1.0) <= 1e-12
-        assert fam(8).entries == cw.normalized_diagonal_family(123)(8).entries
-        assert fam(8).entries != cw.normalized_diagonal_family(124)(8).entries
+        assert fam(8).entries.tolist() == cw.normalized_diagonal_family(123)(8).entries.tolist()
+        assert fam(8).entries.tolist() != cw.normalized_diagonal_family(124)(8).entries.tolist()
 
 
 class TestModelSerialization:
@@ -369,6 +380,19 @@ class TestModelSerialization:
             assert np.array_equal(
                 cw.build_shape(m2.shape, 6), cw.build_shape(m.shape, 6)
             )
+
+    @pytest.mark.parametrize("shape,entries", [
+        (cw.ShapeSpec.diagonal([3, 0.1, -0.0, 2.5e-300]), "[3.0, 0.1, -0.0, 2.5e-300]"),
+        (cw.ShapeSpec.diagonal(np.array([3, 0, 1, -2])), "[3.0, 0.0, 1.0, -2.0]"),
+        (cw.normalized_diagonal_family(123)(4), "[2.9188798791421195, -0.6857051974331883, "
+                                                "1.721971368203675, 0.044853950087393124]"),
+    ])
+    def test_diagonal_model_bytes(self, shape, entries):
+        m = cw.WishartModel(1, 4, cw.SpdMatrix.identity(1), shape)
+        assert json.dumps(model_to_dict(m)) == (
+            '{"p": 1, "n": 4, "theta": {"rows": 1, "cols": 1, "entries": [1.0]}, '
+            f'"shape": {{"variant": "diagonal", "entries": {entries}}}}}'
+        )
 
     def test_variant_names(self):
         assert model_to_dict(

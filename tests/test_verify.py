@@ -126,26 +126,42 @@ def _mean_abs_chi_square_deviation(n):
                     - math.lgamma(n / 2))
 
 
+def _exact_mean_deviation(p, n):
+    """E||W - I|| for theta = I and B = I_n, at p = 1 or 2.
+
+    At p = 2, with T = l1 + l2 and r = (l1 - l2) / T for the eigenvalues of
+    n W ~ Wishart_2(n, I): T ~ chi2_2n is independent of r, r^2 ~ Beta(1, (n - 1)/2),
+    and ||W - I|| = |T/2n - 1| + (T/2n) r, so
+    E||W - I|| = E|chi2_2n - 2n| / 2n + (sqrt(pi)/2) Gamma((n + 1)/2) / Gamma(n/2 + 1).
+    """
+    if p == 1:
+        return _mean_abs_chi_square_deviation(n)
+    return (_mean_abs_chi_square_deviation(2 * n)
+            + math.sqrt(math.pi) / 2 * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)))
+
+
 class TestExactMeanDeviation:
     """estimate_mean_deviation against E||W - E(W)|| in closed form, two-sided at 4 se.
 
-    At p = 1, theta = 1 and B = I_n, W = chi2_n / n and E(W) = 1.  Identity B
-    takes the Gram path (one chi-square variate per trial); a diagonal of ones
-    draws X itself.
+    At theta = I_p and B = I_n, W = (1/n) Wishart_p(n, I) and E(W) = I: at p = 1
+    W = chi2_n / n, and p = 2 is the first spectral norm of a matrix the oracle
+    sees (``_exact_mean_deviation``).  Identity B takes the Gram path (a
+    Bartlett factor per trial); a diagonal of ones draws X itself.
     """
 
     TRIALS = 10**5
 
-    def z(self, n, ones):
+    def z(self, p, n, ones):
         shape = cw.ShapeSpec.diagonal([1.0] * n) if ones else cw.ShapeSpec.identity()
         stats = cw.estimate_mean_deviation(
-            TrialConfig(model(1, n, shape), self.TRIALS, mix_seed(277, n)))
-        return (stats.mean - _mean_abs_chi_square_deviation(n)) / stats.stderr
+            TrialConfig(model(p, n, shape), self.TRIALS, mix_seed(277, n)))
+        return (stats.mean - _exact_mean_deviation(p, n)) / stats.stderr
 
     @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
-    def test_matches_the_closed_form(self, n, ones):
-        assert abs(self.z(n, ones)) <= EQUALITY_MARGIN
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_the_closed_form(self, p, n, ones):
+        assert abs(self.z(p, n, ones)) <= EQUALITY_MARGIN
 
     def test_gram_factor_one_degree_short_is_rejected(self, monkeypatch):
         # chi-square(n - 1) for the 1 x 1 Gram factor.  A lost degree shifts and
@@ -153,14 +169,25 @@ class TestExactMeanDeviation:
         # (8.5 expected), but 3.6 at n = 16 (2.2 expected), inside the margin.
         exact = verify.generator
         monkeypatch.setattr(verify, "generator", lambda seed: _OneDegreeShort(exact(seed)))
-        assert abs(self.z(4, ones=False)) > EQUALITY_MARGIN
+        assert abs(self.z(1, 4, ones=False)) > EQUALITY_MARGIN
 
     @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
-    def test_whitening_by_n_minus_one_is_rejected(self, ones, monkeypatch):
-        # W = chi2_16 / 15 on either path: |z| = 24.3 (Gram) and 22.5 (X path).
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_whitening_by_n_minus_one_is_rejected(self, p, ones, monkeypatch):
+        # W scaled by n / (n - 1) at n = 16 on either path: |z| = 24.3 (Gram) and
+        # 22.5 (X path) at p = 1, 42.3 and 40.6 at p = 2.
         exact = verify._whiten
         monkeypatch.setattr(verify, "_whiten", lambda w, root, n: exact(w, root, n - 1))
-        assert abs(self.z(16, ones)) > EQUALITY_MARGIN
+        assert abs(self.z(p, 16, ones)) > EQUALITY_MARGIN
+
+    def test_bound_over_exact_at_p_2(self):
+        # The README table: bound / E||W - I|| at p = 2, B = I, theta = I.  Both
+        # fall like n^(-1/2); the ratio tends to 96 sqrt(2 pi) / (sqrt(2/pi) + sqrt(pi/2)).
+        ratios = [cw.deviation_bound(model(2, n)).bound_value / _exact_mean_deviation(2, n)
+                  for n in (1, 4, 16, 64, 256, 1024, 4096)]
+        assert [round(r) for r in ratios] == [451, 261, 186, 151, 134, 126, 121]
+        limit = 96 * math.sqrt(2 * math.pi) / (math.sqrt(2 / math.pi) + math.sqrt(math.pi / 2))
+        assert round(limit) == 117 and limit < ratios[-1]
 
 
 def _x_path_pairs(m, root, rng, k):
@@ -1042,6 +1069,13 @@ class TestSampleComplexity:
         )
         ns = [row.empirical_n for row in table.rows]
         assert ns == sorted(ns)
+
+    def test_diagonal_family_search(self):
+        # The bound inversion builds 46 seeded diagonals, up to n of about 10^6.
+        table = empirical_sample_complexity(
+            [8], 2.0, cw.normalized_diagonal_family(5), cw.SpdMatrix.identity, 200, 3
+        )
+        assert [(row.empirical_n, row.theoretical_n) for row in table.rows] == [(32, 599880)]
 
     def test_cap_exceeded(self):
         # The doubling reaches SEARCH_CAP = 2^20 in 21 cheap Gram-factor estimates.
