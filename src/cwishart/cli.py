@@ -7,6 +7,9 @@ sets how many threads run Monte Carlo trial blocks: speed only, never results.
 
 Exit codes: 0 success with all checks holding, 1 at least one check failing,
 2 config/usage error, 3 resource/cap error (running out of memory included).
+
+Commands return their outputs; ``main`` alone writes them, all into ``out`` or
+none, then prints the report, so a run that exits 2 prints and changes nothing.
 """
 from __future__ import annotations
 
@@ -23,11 +26,11 @@ from .linalg import (
     SpdMatrix,
     canonical_dumps,
     check_int,
+    dumps_matrix,
     load_matrix,
     matrix_from_dict,
     mix_seed,
-    save_matrix,
-    _write_text,
+    _write_texts,
 )
 from .model import (
     WishartModel,
@@ -138,10 +141,6 @@ def _seed(cfg: dict) -> int:
     return check_int(cfg.get("seed", 0), "seed")
 
 
-def _convention(cfg: dict) -> KappaConvention:
-    return KappaConvention(cfg.get("convention", KappaConvention.FROBENIUS.value))
-
-
 def _list(cfg: dict, key: str) -> list:
     value = cfg.get(key)
     if not isinstance(value, list) or not value:
@@ -169,33 +168,23 @@ def _digest_config(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k != "out"}
 
 
-def _out_dir(cfg: dict) -> Path:
+def _out_dir(cfg: dict) -> Path | None:
+    """The output directory, checked before any work and created after it; None if not given."""
     out = cfg.get("out")
     if out is None:
-        raise ConfigError("this command needs an output directory (--out)")
-    if not isinstance(out, str):
+        if cfg["command"] in ("sample", "sweep"):
+            raise ConfigError("this command needs an output directory (--out)")
+        return None
+    if not isinstance(out, str) or not out:
         raise ConfigError(f"\"out\" must be a directory path, got {out!r:.80}")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _emit(cfg: dict, filename: str, lines: list[str]) -> None:
-    """Print ``lines`` and, when the config names an output directory, write them there.
-
-    The file is written first, so an output that cannot be written prints nothing.
-    """
-    text = "\n".join(lines) + "\n"
-    if cfg.get("out"):
-        _write_text(_out_dir(cfg) / filename, text)
-    sys.stdout.write(text)
+    return Path(out)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (exit code, [(file name, text), ...]), the report last
 # ---------------------------------------------------------------------------
 
-def cmd_sample(cfg: dict) -> int:
+def cmd_sample(cfg: dict) -> tuple[int, list]:
     model = _load_model_from(cfg)
     trials = check_int(cfg.get("trials", 1), "trials")
     if trials < 1:
@@ -204,20 +193,14 @@ def cmd_sample(cfg: dict) -> int:
     if not isinstance(decoupled, bool):
         raise ConfigError(f"\"decoupled\" must be true or false, got {decoupled!r:.80}")
     seed = _seed(cfg)
-    out = _out_dir(cfg)
-    for i in range(trials):
-        trial_seed = mix_seed(seed, i)
-        save_matrix(out / f"W.{i:03d}.json", sample_wishart(model, trial_seed))
-        if decoupled:
-            save_matrix(out / f"Wprime.{i:03d}.json", sample_decoupled(model, trial_seed))
-    return 0
+    samplers = (("W", sample_wishart), ("Wprime", sample_decoupled))[:1 + decoupled]
+    return 0, [(f"{name}.{i:03d}.json", dumps_matrix(draw(model, mix_seed(seed, i))) + "\n")
+               for i in range(trials) for name, draw in samplers]
 
 
-def cmd_bound(cfg: dict) -> int:
-    model = _load_model_from(cfg)
-    report = deviation_bound(model, _convention(cfg))
-    _emit(cfg, "bound.json", [canonical_dumps(report.to_dict())])
-    return 0
+def cmd_bound(cfg: dict) -> tuple[int, list]:
+    report = deviation_bound(_load_model_from(cfg), cfg.get("convention", "frobenius"))
+    return 0, [("bound.json", canonical_dumps(report.to_dict()) + "\n")]
 
 
 def _run_check(cfg: dict, workers: int) -> dict:
@@ -230,7 +213,7 @@ def _run_check(cfg: dict, workers: int) -> dict:
         if check == "expectation":
             return check_expectation(trial_cfg, workers).to_dict()
         if check == "dominance":
-            return check_bound_dominance(trial_cfg, _convention(cfg), workers).to_dict()
+            return check_bound_dominance(trial_cfg, workers).to_dict()
         return check_wishart_decoupling(trial_cfg, workers).to_dict()
     if check == "concentration":
         return check_concentration(_load_model_from(cfg), cfg.get("direction"), cfg.get("t_grid"),
@@ -245,11 +228,11 @@ def _run_check(cfg: dict, workers: int) -> dict:
     return check_linear_form_std(theta, cfg.get("a"), trials, seed, workers).to_dict()
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict) -> tuple[int, list]:
     payload = _run_check(cfg, _workers())
     report = emit_report(cfg["check"], _digest_config(cfg), _seed(cfg), payload)
-    _emit(cfg, f"verify_{cfg['check']}.json", [canonical_dumps(report)])
-    return 0 if payload.get("holds", True) else 1
+    return (0 if payload.get("holds", True) else 1,
+            [(f"verify_{cfg['check']}.json", canonical_dumps(report) + "\n")])
 
 
 def _load_input(path):
@@ -258,14 +241,14 @@ def _load_input(path):
     return load_matrix(path)
 
 
-def cmd_netcert(cfg: dict) -> int:
+def cmd_netcert(cfg: dict) -> tuple[int, list]:
     paths = _list(cfg, "inputs")
     # The files are read lazily: certify_norm_bounds loads and checks each in list
     # order before certifying any, so the first bad input decides the error (str()
     # keeps a non-string entry from failing here, before its turn).
     certs = certify_norm_bounds(map(_load_input, paths), [os.path.basename(str(p)) for p in paths])
-    _emit(cfg, "certificates.jsonl", [canonical_dumps(c.to_dict()) for c in certs])
-    return 0 if all(c.holds for c in certs) else 1
+    text = "".join(canonical_dumps(c.to_dict()) + "\n" for c in certs)
+    return 0 if all(c.holds for c in certs) else 1, [("certificates.jsonl", text)]
 
 
 def _csv_text(rows: list[SweepRow]) -> str:
@@ -274,11 +257,10 @@ def _csv_text(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict) -> tuple[int, list]:
     kind = cfg.get("sweep", "scaling")
     workers = _workers()
     seed = _seed(cfg)
-    out = _out_dir(cfg)
     if kind == "scaling":
         n_grid = _list(cfg, "n_grid")
         p = check_int(cfg.get("p", 0), "p")
@@ -299,12 +281,8 @@ def cmd_sweep(cfg: dict) -> int:
         summary = {"sweep": "complexity", "table": table.to_dict()}
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")
-
-    # The envelope first: a config JSON cannot hold raises before any file is written.
-    text = canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))
-    _write_text(out / "sweep.csv", _csv_text(rows))
-    _emit(cfg, "summary.json", [text])
-    return 0
+    report = canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))
+    return 0, [("sweep.csv", _csv_text(rows)), ("summary.json", report + "\n")]
 
 
 DISPATCH = {
@@ -320,7 +298,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return DISPATCH[cfg["command"]](cfg)
+        out = _out_dir(cfg)
+        code, outputs = DISPATCH[cfg["command"]](cfg)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            _write_texts([(out / name, text) for name, text in outputs])
+        if cfg["command"] != "sample":
+            sys.stdout.write(outputs[-1][1])
+        return code
     except (EnumerationCapError, NotAchievableError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

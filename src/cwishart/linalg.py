@@ -168,6 +168,9 @@ class SpdMatrix:
         if min_eig <= SPD_EIG_TOL:
             raise NotPositiveDefiniteError(np.ldexp(min_eig, 2 * h), np.ldexp(SPD_EIG_TOL, 2 * h))
 
+    def __reduce__(self):  # pickle and copy through __init__: a copy is certified too
+        return type(self), (self.array,)
+
     @property
     def p(self) -> int:
         return self.array.shape[0]
@@ -288,30 +291,44 @@ def dumps_matrix(a) -> str:
     )
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` (UTF-8) to ``path``, rewriting an existing file in place.
+def _write_texts(outputs) -> None:
+    """Write each ``(path, text)`` of ``outputs`` (UTF-8): all of them or none.
 
-    The one way the package writes a file.  It is opened without O_TRUNC and
-    cut at the end of the new text, so an existing file is never emptied on
-    the way (on ext4, truncating a file to zero frees its blocks and can force
-    a flush on close); it shrinks only when the old file was longer.  The write
-    is not atomic.  A new file gets mode 0o666 less the umask, as with
-    ``open(path, "w")``, and symlinks are followed.  Raw fd writes: a file
-    object around the fd costs more than writing a small report.
+    The one way the package writes files.  Every target is opened and closed
+    before any is written, so one that cannot be opened raises with no file
+    changed; on any error the files this call created are unlinked.  Files are
+    opened without O_TRUNC and cut at the end of the new text: rewritten in
+    place, never emptied on the way (on ext4, truncating to zero frees the
+    blocks and can force a flush on close), and not atomically.  A new file gets
+    mode 0o666 less the umask, as with ``open(path, "w")``; symlinks are
+    followed.  Raw fd writes: a file object costs more than a small report.
     """
-    data = memoryview(text.encode("utf-8"))
-    size = len(data)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    created = []
     try:
-        while data:  # os.write may write fewer bytes than asked
-            data = data[os.write(fd, data):]
-        os.ftruncate(fd, size)
-    finally:
-        os.close(fd)
+        for path, _ in outputs:
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for path, text in outputs:
+            data = memoryview(text.encode("utf-8"))
+            size = len(data)
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                while data:  # os.write may write fewer bytes than asked
+                    data = data[os.write(fd, data):]
+                os.ftruncate(fd, size)
+            finally:
+                os.close(fd)
+    except BaseException:
+        for path in created:
+            os.unlink(path)
+        raise
 
 
 def save_matrix(path, a) -> None:
-    _write_text(path, dumps_matrix(a) + "\n")
+    _write_texts([(path, dumps_matrix(a) + "\n")])
 
 
 def load_matrix(path) -> np.ndarray:

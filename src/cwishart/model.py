@@ -104,6 +104,9 @@ class ShapeSpec:
         elif self.matrix is not None:
             raise ValueError(f"matrix only applies to the custom variant, not {self.variant!r}")
 
+    def __reduce__(self):  # pickle and copy through __init__: a copy is validated too
+        return type(self), (self.variant, self.entries, self.matrix)
+
     @cached_property
     def _custom_sigma(self) -> float:
         """Spectral norm of the custom matrix, computed once per spec."""

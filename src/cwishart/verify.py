@@ -86,7 +86,6 @@ import numpy as np
 from .bounds import (
     SEARCH_CAP,
     BoundReport,
-    KappaConvention,
     _check_tolerance,
     _doubling,
     deviation_bound,
@@ -432,14 +431,10 @@ class DominanceReport(Report):
         return cls(stats, bound, stats.mean / value if value > 0 else 0.0, holds)
 
 
-def check_bound_dominance(
-    cfg: TrialConfig,
-    convention: KappaConvention = KappaConvention.FROBENIUS,
-    workers: int = 1,
-) -> DominanceReport:
-    """Check empirical mean + 3 stderr <= bound_value."""
+def check_bound_dominance(cfg: TrialConfig, workers: int = 1) -> DominanceReport:
+    """Check empirical mean + 3 stderr <= bound_value, for the Frobenius-form bound."""
     return DominanceReport.from_stats(estimate_mean_deviation(cfg, workers),
-                                      deviation_bound(cfg.model, convention))
+                                      deviation_bound(cfg.model))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,22 @@ class TestVerify:
         assert cli.main(["--config", config]) == 0
         assert json.loads(capsys.readouterr().out)["holds"] is True
 
+    def test_dominance_does_not_read_a_convention_key(self, tmp_path, capsys):
+        # Dominance checks the Frobenius-form bound only.  A "convention" key is hashed
+        # into the digest like any key, but not read: with B = diag(2, 0) the ratio
+        # form's kappa would be 1, not 2.
+        model = {"p": 2, "n": 2, "theta": cw.matrix_to_dict(np.eye(2)),
+                 "shape": {"variant": "diagonal", "entries": [2.0, 0.0]}}
+        cfg = {"command": "verify", "check": "dominance", "model": model, "trials": 20, "seed": 5}
+        reports = []
+        for name, c in (("plain.json", cfg), ("ratio.json", dict(cfg, convention="ratio"))):
+            assert cli.main(["--config", write_config(tmp_path, name, c)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, ratio = reports
+        assert plain.pop("config_digest") != ratio.pop("config_digest")
+        assert ratio == plain
+        assert (plain["bound"]["convention"], plain["bound"]["kappa"]) == ("frobenius", 2.0)
+
     def test_stddev_check(self, tmp_path, capsys):
         config = write_config(
             tmp_path, "c.json",
@@ -607,6 +623,16 @@ class TestExitTwoLeavesNoReport:
         assert "File exists" in captured.err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("out", ["", 5, ["out"]], ids=["empty", "number", "list"])
+    def test_an_out_that_is_not_a_path_exits_before_the_check_runs(self, tmp_path, capsys,
+                                                                   monkeypatch, out):
+        monkeypatch.setattr(cli, "_run_check", lambda cfg, workers: pytest.fail("check ran"))
+        cfg = dict(STDDEV, out=out)
+        assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"out" must be a directory path' in captured.err
+
     @pytest.mark.parametrize(
         "base,report", [(STDDEV, "verify_stddev.json"), (SCALING, "sweep.csv")],
         ids=["verify", "sweep"])
@@ -620,6 +646,47 @@ class TestExitTwoLeavesNoReport:
         assert captured.out == ""
         assert "config holds inf or NaN" in captured.err
         assert not (out / report).exists()
+
+
+class TestExitTwoWritesNothing:
+    """An output that cannot be opened exits 2 with no file created or changed.
+
+    The last output of each command is blocked by a directory of its name, in an
+    ``out`` that holds nothing else and in one holding a stale file under every
+    other output name and one more that is no output.
+    """
+
+    CASES = {
+        "sample": (dict(SAMPLE, decoupled=True),
+                   ["W.000.json", "Wprime.000.json", "W.001.json", "Wprime.001.json"]),
+        "bound": (BOUND, ["bound.json"]),
+        "verify-stddev": (STDDEV, ["verify_stddev.json"]),
+        "netcert": (None, ["certificates.jsonl"]),
+        "sweep-scaling": (SCALING, ["sweep.csv", "summary.json"]),
+        "sweep-complexity": (COMPLEXITY, ["sweep.csv", "summary.json"]),
+    }
+
+    @staticmethod
+    def listing(directory):
+        return {path.name: (None if path.is_dir() else path.read_bytes(), path.stat().st_ino)
+                for path in directory.iterdir()}
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_a_blocked_last_output_leaves_out_as_it_was(self, tmp_path, capsys, name, stale):
+        cfg, outputs = self.CASES[name]
+        cfg = cfg or _netcert_config(tmp_path)
+        out = tmp_path / "out"
+        (out / outputs[-1]).mkdir(parents=True)
+        if stale:
+            for i, filename in enumerate([*outputs[:-1], "other.json"]):
+                (out / filename).write_bytes(b"stale %d\n" % i * 100)
+        before = self.listing(out)
+        assert _run_into(tmp_path, cfg, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
+        assert self.listing(out) == before
 
 
 def _netcert_config(tmp_path):

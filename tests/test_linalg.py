@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import cwishart as cw
 from cwishart.errors import InvalidMatrixError, NotPositiveDefiniteError
 from cwishart.linalg import (
     Report,
-    _write_text,
+    _write_texts,
     _spectral_norms,
     canonical_dumps,
     check_floats,
@@ -361,7 +362,7 @@ class TestWriteText:
 
     def test_new_file_gets_the_text_and_the_umask_mode(self, tmp_path):
         path = tmp_path / "new.txt"
-        _write_text(path, "a\nb\n")
+        _write_texts([(path, "a\nb\n")])
         assert path.read_bytes() == b"a\nb\n"
         umask = os.umask(0)
         os.umask(umask)
@@ -372,7 +373,7 @@ class TestWriteText:
     def test_rewrite_leaves_exactly_the_new_text(self, tmp_path, old):
         path = tmp_path / "f.txt"
         path.write_bytes(old)
-        _write_text(path, "new text\n")
+        _write_texts([(path, "new text\n")])
         assert path.read_bytes() == b"new text\n"
 
     def test_rewrite_keeps_the_inode_and_its_mode(self, tmp_path):
@@ -380,14 +381,14 @@ class TestWriteText:
         path.write_bytes(b"x" * 4096)
         path.chmod(0o600)
         before = path.stat()
-        _write_text(path, "y")
+        _write_texts([(path, "y")])
         after = path.stat()
         assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
         assert path.read_bytes() == b"y"
 
     def test_text_is_written_as_utf8(self, tmp_path):
         path = tmp_path / "f.txt"
-        _write_text(path, "\u03b8 = I\n")
+        _write_texts([(path, "\u03b8 = I\n")])
         assert path.read_bytes() == "\u03b8 = I\n".encode("utf-8")
 
     def test_symlink_is_written_through(self, tmp_path):
@@ -395,13 +396,40 @@ class TestWriteText:
         target.write_bytes(b"z" * 1000)
         link = tmp_path / "link.txt"
         link.symlink_to(target)
-        _write_text(link, "through\n")
+        _write_texts([(link, "through\n")])
         assert link.is_symlink()
         assert target.read_bytes() == b"through\n"
 
     def test_directory_raises_oserror(self, tmp_path):
         with pytest.raises(IsADirectoryError):
-            _write_text(tmp_path, "x")
+            _write_texts([(tmp_path, "x")])
+
+    def test_a_target_that_cannot_be_opened_writes_nothing(self, tmp_path):
+        # The directory fails to open after a new and an existing file were opened:
+        # the new file is unlinked, the existing one keeps its bytes and its inode,
+        # and the target after the directory is never created.
+        old = tmp_path / "old.txt"
+        old.write_bytes(b"old bytes\n")
+        inode = old.stat().st_ino
+        (tmp_path / "blocked").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _write_texts([(tmp_path / "a.txt", "a\n"), (old, "new\n"),
+                          (tmp_path / "blocked", "x"), (tmp_path / "b.txt", "b\n")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "old.txt"]
+        assert (old.read_bytes(), old.stat().st_ino) == (b"old bytes\n", inode)
+
+    def test_a_failed_write_unlinks_the_files_this_call_created(self, tmp_path, monkeypatch):
+        old = tmp_path / "old.txt"
+        old.write_bytes(b"old bytes\n")
+
+        def disk_full(fd, size):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "ftruncate", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            _write_texts([(tmp_path / "a.txt", "a\n"), (old, "new\n")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert old.read_bytes() == b"old bytes\n"
 
 
 class TestReport:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import cwishart as cw
 from cwishart.errors import (
     DimensionError,
+    InvalidMatrixError,
     ShapeParityError,
     TraceNormalizationError,
 )
@@ -393,6 +396,37 @@ class TestModelSerialization:
             '{"p": 1, "n": 4, "theta": {"rows": 1, "cols": 1, "entries": [1.0]}, '
             f'"shape": {{"variant": "diagonal", "entries": {entries}}}}}'
         )
+
+    @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_are_rebuilt_read_only(self, copy_of):
+        # A copy goes through the constructor, so its arrays are read-only like the
+        # original's, and nothing cached on the original (a root, a norm) rides along.
+        theta = cw.SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        custom = cw.ShapeSpec.custom(cw.generator(5).standard_normal((3, 3)))
+        _ = theta._root, custom._custom_sigma  # cached before the copy
+        diagonal = cw.ShapeSpec.diagonal([2.0, 0.0, 1.0])
+        for original, copied in [(theta.array, copy_of(theta).array),
+                                 (custom.matrix, copy_of(custom).matrix),
+                                 (diagonal.entries, copy_of(diagonal).entries)]:
+            assert not copied.flags.writeable
+            assert copied is not original and np.array_equal(copied, original)
+        m = copy_of(cw.WishartModel(2, 3, theta, custom))
+        assert "_root" not in vars(m.theta) and "_custom_sigma" not in vars(m.shape)
+        assert m.theta._root.tolist() == theta._root.tolist()
+
+    @pytest.mark.parametrize("cls,state,error", [
+        (cw.SpdMatrix, {"array": np.array([[1.0, 2.0], [0.0, 1.0]])}, InvalidMatrixError),
+        (cw.ShapeSpec, {"variant": "diagonal", "entries": np.array([1.0, np.nan]),
+                        "matrix": None}, ValueError),
+    ], ids=["asymmetric-theta", "nan-diagonal"])
+    def test_an_invalid_pickled_state_is_rejected(self, cls, state, error):
+        forged = object.__new__(cls)
+        for name, value in state.items():
+            object.__setattr__(forged, name, value)
+        data = pickle.dumps(forged)
+        with pytest.raises(error):
+            pickle.loads(data)
 
     def test_variant_names(self):
         assert model_to_dict(

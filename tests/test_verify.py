@@ -140,28 +140,51 @@ def _exact_mean_deviation(p, n):
             + math.sqrt(math.pi) / 2 * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)))
 
 
+def _exact_skew_block_mean_deviation(n):
+    """E||W - E(W)|| for p = 2, theta = I and the skew-block B_n.
+
+    E(W) = 0 and W is antisymmetric, so ||W|| = |W_12|, and n W_12 = x1^T B x2
+    is |B^T x1| = chi_n times an independent standard normal:
+    E|W_12| = (2 / sqrt(pi)) Gamma((n + 1)/2) / (Gamma(n/2) n).
+    """
+    return 2 / math.sqrt(math.pi) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2)) / n
+
+
 class TestExactMeanDeviation:
     """estimate_mean_deviation against E||W - E(W)|| in closed form, two-sided at 4 se.
 
     At theta = I_p and B = I_n, W = (1/n) Wishart_p(n, I) and E(W) = I: at p = 1
     W = chi2_n / n, and p = 2 is the first spectral norm of a matrix the oracle
     sees (``_exact_mean_deviation``).  Identity B takes the Gram path (a
-    Bartlett factor per trial); a diagonal of ones draws X itself.
+    Bartlett factor per trial); a diagonal of ones draws X itself.  The
+    skew-block B at p = 2 has its own form (``_exact_skew_block_mean_deviation``),
+    checked on its structured path and on the X path with B as a dense matrix.
     """
 
     TRIALS = 10**5
 
     def z(self, p, n, ones):
         shape = cw.ShapeSpec.diagonal([1.0] * n) if ones else cw.ShapeSpec.identity()
-        stats = cw.estimate_mean_deviation(
-            TrialConfig(model(p, n, shape), self.TRIALS, mix_seed(277, n)))
-        return (stats.mean - _exact_mean_deviation(p, n)) / stats.stderr
+        return self.z_of(model(p, n, shape), _exact_mean_deviation(p, n))
+
+    def z_of(self, m, exact):
+        stats = cw.estimate_mean_deviation(TrialConfig(m, self.TRIALS, mix_seed(277, m.n)))
+        return (stats.mean - exact) / stats.stderr
 
     @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_the_closed_form(self, p, n, ones):
         assert abs(self.z(p, n, ones)) <= EQUALITY_MARGIN
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["gram", "x-path"])
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_skew_block_matches_the_closed_form(self, n, dense):
+        shape = cw.ShapeSpec.skew_block()
+        if dense:
+            shape = cw.ShapeSpec.custom(cw.build_shape(shape, n))
+        z = self.z_of(model(2, n, shape), _exact_skew_block_mean_deviation(n))
+        assert abs(z) <= EQUALITY_MARGIN
 
     def test_gram_factor_one_degree_short_is_rejected(self, monkeypatch):
         # chi-square(n - 1) for the 1 x 1 Gram factor.  A lost degree shifts and
