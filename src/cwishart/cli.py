@@ -14,6 +14,7 @@ none, then prints the report, so a run that exits 2 prints and changes nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -169,7 +170,11 @@ def _digest_config(cfg: dict) -> dict:
 
 
 def _out_dir(cfg: dict) -> Path | None:
-    """The output directory, checked before any work and created after it; None if not given."""
+    """The output directory, checked before any work and created after it; None if not given.
+
+    An ``out`` that names an existing non-directory raises the FileExistsError
+    that creating it would, before the work rather than after.
+    """
     out = cfg.get("out")
     if out is None:
         if cfg["command"] in ("sample", "sweep"):
@@ -177,7 +182,10 @@ def _out_dir(cfg: dict) -> Path | None:
         return None
     if not isinstance(out, str) or not out:
         raise ConfigError(f"\"out\" must be a directory path, got {out!r:.80}")
-    return Path(out)
+    path = Path(out)
+    if path.exists() and not path.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    return path
 
 
 # ---------------------------------------------------------------------------

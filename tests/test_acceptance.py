@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 import cwishart as cw
+from cwishart import verify
 from cwishart.linalg import canonical_dumps, mix_seed
 from cwishart.verify import (
     DominanceReport,
@@ -263,16 +264,23 @@ def test_criterion(number):
     _run(number, name, builder, ok_fn, limit)
 
 
-def test_criterion_10_reproducibility():
+def test_criterion_10_reproducibility(monkeypatch):
     # Rerunning every criterion with a different worker count must produce
-    # byte-identical JSON reports.
+    # byte-identical JSON reports, each rerun well under 20 s.  Every summary
+    # shape (scalar, (2,), (6,), (3, 3)) spans two blocks or more, so both workers run.
+    merged, merge = set(), verify._Summary.merge
+    monkeypatch.setattr(verify._Summary, "merge", lambda a, b: merged.add(a.total.shape)
+                        or merge(a, b))
     start = time.perf_counter()
     ok = True
     for number, (name, builder, _, _) in sorted(CRITERIA.items()):
         base = canonical_dumps(builder(1))
+        rerun_start = time.perf_counter()
         rerun = canonical_dumps(builder(2))
+        assert time.perf_counter() - rerun_start < 20.0, f"criterion {number} rerun too slow"
         same = base == rerun
         ok = ok and same
         assert same, f"criterion {number} ({name}) reports differ across worker counts"
     _report_line(10, "reproducibility", ok, time.perf_counter() - start)
     assert ok
+    assert {(), (2,), (6,), (3, 3)} <= merged, merged

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -441,29 +442,34 @@ class TestUsage:
 
     def test_workers_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         # 2500 trials are three blocks, the last one partial, so two threads do run.
+        # The complexity search builds the largest B the package builds (46
+        # diagonals, up to n of about 10^6).  Each run takes well under 20 s.
         rng = cw.generator(37)
         configs = [
-            write_config(
-                tmp_path, "c.json",
-                {"command": "verify", "check": "decoupling",
-                 "model": identity_model_dict(2, 8), "trials": 2500, "seed": 31},
-            ),
-            write_config(
-                tmp_path, "chaos.json",
-                {"command": "verify", "check": "chaos",
-                 "theta": cw.matrix_to_dict(np.diag([1.0, 2.0, 3.0])),
-                 "matrices": [cw.matrix_to_dict(rng.standard_normal((3, 3))) for _ in range(8)],
-                 "trials": 2500, "seed": 41},
-            ),
+            {"command": "verify", "check": "decoupling",
+             "model": identity_model_dict(2, 8), "trials": 2500, "seed": 31},
+            {"command": "verify", "check": "chaos",
+             "theta": cw.matrix_to_dict(np.diag([1.0, 2.0, 3.0])),
+             "matrices": [cw.matrix_to_dict(rng.standard_normal((3, 3))) for _ in range(8)],
+             "trials": 2500, "seed": 41},
+            {"command": "sweep", "sweep": "complexity", "p_grid": [8], "tolerance": 2.0,
+             "family": {"variant": "diagonal", "seed": 5}, "trials": 200, "seed": 3},
         ]
-        for config in configs:
-            outputs = []
+        reports = []
+        for i, payload in enumerate(configs):
+            config = write_config(tmp_path, f"c{i}.json", payload)
+            runs = []
             for threads in ("1", "2"):
                 monkeypatch.setenv("WISHART_THREADS", threads)
-                assert cli.main(["--config", config]) == 0
-                outputs.append(capsys.readouterr().out)
-            assert outputs[0] == outputs[1]
-            assert json.loads(outputs[0])["lhs"]["trials"] == 2500
+                out = tmp_path / f"out{i}-{threads}"
+                start = time.perf_counter()
+                assert cli.main(["--config", config, "--out", str(out)]) == 0
+                assert time.perf_counter() - start < 20.0
+                files = {f.name: f.read_bytes() for f in out.iterdir()}
+                runs.append((capsys.readouterr().out, files))
+            assert runs[0] == runs[1]
+            reports.append(json.loads(runs[0][0]))
+        assert [report["lhs"]["trials"] for report in reports[:2]] == [2500, 2500]
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_workers_env_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):
@@ -609,7 +615,9 @@ class TestExitTwoLeavesNoReport:
     """A run that exits 2 prints no report and writes none."""
 
     @pytest.mark.parametrize("command", ["verify", "bound", "netcert"])
-    def test_out_naming_a_file_prints_nothing(self, tmp_path, capsys, command):
+    def test_out_naming_a_file_prints_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # The file is found before the work: the command itself never runs.
+        monkeypatch.setitem(cli.DISPATCH, command, lambda cfg: pytest.fail("command ran"))
         matrix = tmp_path / "a.json"
         matrix.write_text(dumps_matrix(np.eye(2)))
         base = {"verify": STDDEV, "bound": BOUND,

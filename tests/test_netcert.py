@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -345,6 +346,21 @@ class TestCertifyNormBound:
         assert cert.reg_max == cert.exact_norm == math.ldexp(3.0, -1074)
         assert cert.holds
 
+    def test_at_the_enumeration_cap(self):
+        # p = BILINEAR_CAP = 14, each well inside 20 s: a Gaussian A, and an orthogonal
+        # one (every ||A x|| = 1, so nothing is pruned: the slowest input at the cap).
+        rng = cw.generator(14)
+        gaussian, past_cap = rng.standard_normal((14, 14)), rng.standard_normal((15, 15))
+        for a in (gaussian, np.linalg.qr(rng.standard_normal((14, 14)))[0]):
+            start = time.perf_counter()
+            cert = cw.certify_norm_bound(a)
+            assert time.perf_counter() - start < 20.0
+            assert cert.holds and cert.reg_max <= cert.exact_norm
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError):
+            cw.certify_norm_bound(past_cap)
+        assert time.perf_counter() - start < 20.0
+
     def test_matrix_id_stable(self):
         a = cw.generator(913).standard_normal((3, 3))
         assert cw.certify_norm_bound(a).matrix_id == cw.certify_norm_bound(a).matrix_id
@@ -357,13 +373,15 @@ class TestCertifyNormBound:
 
 class TestCertifyNormBounds:
     def test_each_certificate_is_that_of_its_matrix_alone(self):
-        # Sizes mixed in the list, ids given or hashed: the stack per size gives
-        # every field of every certificate, in list order, bit for bit.
+        # Sizes mixed in the list, up to the cap, ids given or hashed: the stack per
+        # size gives every field of every certificate, in list order, bit for bit.
         rng = cw.generator(927)
         mats = [rng.standard_normal((p, p)) * 2.0 ** rng.integers(-8, 9)
-                for p in (3, 6, 3, 1, 6, 9, 3)]
-        ids = ["a", None, "c", "d", None, "f", "g"]
+                for p in (3, 6, 14, 3, 1, 6, 9, 3)]
+        ids = ["a", None, "c", "d", "e", None, "g", "h"]
+        start = time.perf_counter()
         certs = cw.certify_norm_bounds(mats, ids)
+        assert time.perf_counter() - start < 20.0
         assert [c.to_dict() for c in certs] == [
             cw.certify_norm_bound(a, i).to_dict() for a, i in zip(mats, ids)]
         assert [c.to_dict() for c in cw.certify_norm_bounds(mats)] == [

@@ -1,0 +1,91 @@
+"""Rules on the package's source text: each returns the lines that break it, none here."""
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cwishart"
+SOURCES = [(path.relative_to(PACKAGE).as_posix(), path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.rglob("*.py"))]
+
+SPECTRAL = re.compile(r"linalg\.(svd|qr|cholesky)|linalg\.norm\(.*, *(ord *= *)?2 *[,)]"
+                      r"|eig(h|valsh)\b")
+RANDOM = re.compile(r"(np|numpy)\.random|^\s*(import|from)\s+random\b|import\s.*\brandom\b")
+GENERATOR_TYPE = re.compile(r"np\.random\.Generator\b")
+WRITER = re.compile(r"""open\([^)]*['"][rbt+]*[wax+][rbt+]*['"]"""
+                    r"|O_(WRONLY|RDWR|APPEND|CREAT|TRUNC)\b|\.write_(text|bytes)\(")
+SHAPE_MATRIX = re.compile(r"build_shape\(")
+
+
+def _lines(sources, exempt):
+    for name, text in sources:
+        if name != exempt:
+            for number, line in enumerate(text.splitlines(), 1):
+                yield f"{name}:{number}: {line}", line
+
+
+def spectral_norm_rule(sources):
+    """Spectral norms go through linalg._spectral_norms, eigendecompositions (under
+    their power-of-two scale rule) and QR or Cholesky factors stay in linalg.py."""
+    return [where for where, line in _lines(sources, "linalg.py") if SPECTRAL.search(line)]
+
+
+def seeded_stream_rule(sources):
+    """Every draw comes from linalg.generator, so one seed fixes every stream: outside
+    linalg.py nothing but the np.random.Generator annotation names np.random or random."""
+    return [where for where, line in _lines(sources, "linalg.py")
+            if RANDOM.search(line) and RANDOM.search(GENERATOR_TYPE.sub("", line))]
+
+
+def output_writer_rule(sources):
+    """Every file is written by linalg._write_texts, and cli.main is a run's one commit
+    point: cli.py calls _write_texts once and sys.stdout.write once."""
+    found = [where for where, line in _lines(sources, "linalg.py") if WRITER.search(line)]
+    for name, text in sources:
+        if name == "cli.py":
+            counts = text.count("_write_texts("), text.count("sys.stdout.write(")
+            if counts != (1, 1):
+                found.append("cli.py calls _write_texts %d times and sys.stdout.write %d times"
+                             % counts)
+    return found
+
+
+def shape_matrix_rule(sources):
+    """build_shape is the dense reference; the package applies B with apply_shape."""
+    return [where for where, line in _lines(sources, "model.py") if SHAPE_MATRIX.search(line)]
+
+
+@pytest.mark.parametrize("rule", [spectral_norm_rule, seeded_stream_rule, output_writer_rule,
+                                  shape_matrix_rule])
+def test_the_package_keeps_the_rule(rule):
+    assert {"cli.py", "linalg.py", "model.py"} <= {name for name, _ in SOURCES}
+    assert rule(SOURCES) == []
+
+
+@pytest.mark.parametrize("rule,line", [
+    (spectral_norm_rule, "    return np.linalg.norm(a - b, ord=2)"),
+    (spectral_norm_rule, "values = np.linalg.eigvalsh(w)"),
+    (spectral_norm_rule, "q, r = np.linalg.qr(m)"),
+    (seeded_stream_rule, "z = np.random.default_rng(seed).standard_normal(k)"),
+    (seeded_stream_rule, "import random"),
+    (seeded_stream_rule, "def draw(rng: np.random.Generator) -> np.random.RandomState:"),
+    (output_writer_rule, '    with open(path, "w", encoding="utf-8") as fh:'),
+    (output_writer_rule, "fd = os.open(path, os.O_WRONLY)"),
+    (output_writer_rule, "path.write_text(text)"),
+    (shape_matrix_rule, "dense = build_shape(spec, n)"),
+], ids=["norm-ord-2", "eigvalsh", "qr", "np-random", "import-random", "random-state",
+        "open-w", "os-open-wronly", "write-text", "build-shape"])
+def test_a_violating_line_is_reported(rule, line):
+    # Each rule exempts one file (model.py for build_shape, linalg.py for the
+    # others), and no rule reports the np.random.Generator annotation.
+    sources = [("verify.py", f"x = 1\n{line}\n"), ("linalg.py", line), ("model.py", line),
+               ("netcert.py", "def f(rng: np.random.Generator) -> None:\n")]
+    other = "linalg.py" if rule is shape_matrix_rule else "model.py"
+    assert rule(sources) == [f"verify.py:2: {line}", f"{other}:1: {line}"]
+
+
+@pytest.mark.parametrize("writes,prints", [(2, 1), (1, 0)])
+def test_cli_has_one_commit_point(writes, prints):
+    text = "_write_texts(a)\n" * writes + "sys.stdout.write(b)\n" * prints
+    assert output_writer_rule([("cli.py", text)]) == [
+        f"cli.py calls _write_texts {writes} times and sys.stdout.write {prints} times"]

@@ -150,6 +150,24 @@ def _exact_skew_block_mean_deviation(n):
     return 2 / math.sqrt(math.pi) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2)) / n
 
 
+def _exact_p_1_mean_deviation(lam, n):
+    """E|W - Tr B / n| for p = 1, theta = 1 and any B with (B + B^T)/2 of eigenvalues lam.
+
+    E|W - E(W)| = (2/pi) int_0^inf (1 - Re phi(t)) / t^2 dt, phi(t) = prod_i (1 - 2i
+    lam_i t/n)^(-1/2) e^(-it sum(lam)/n): by 200-point Gauss-Legendre in s, t = c s / (1 - s)
+    for c = n / ||lam||.  1 - Re phi = 2 sin^2(b/2) - expm1(a) cos b, for log phi = a + ib.
+    """
+    scale = n / math.sqrt(np.sum(lam * lam))
+    x, w = np.polynomial.legendre.leggauss(200)
+    s = (x + 1) / 2
+    t = scale * s / (1 - s)
+    r = np.outer(t, 2 * lam / n)
+    a = -0.25 * np.log1p(r * r).sum(axis=1)
+    b = 0.5 * np.arctan(r).sum(axis=1) - t * lam.sum() / n
+    f = 2 * np.sin(b / 2) ** 2 - np.expm1(a) * np.cos(b)
+    return float(np.sum(w * f / s**2)) / (math.pi * scale)
+
+
 class TestExactMeanDeviation:
     """estimate_mean_deviation against E||W - E(W)|| in closed form, two-sided at 4 se.
 
@@ -159,6 +177,8 @@ class TestExactMeanDeviation:
     Bartlett factor per trial); a diagonal of ones draws X itself.  The
     skew-block B at p = 2 has its own form (``_exact_skew_block_mean_deviation``),
     checked on its structured path and on the X path with B as a dense matrix.
+    At p = 1 any B has E|W - E(W)| as a one-dimensional integral
+    (``_exact_p_1_mean_deviation``), pinned to the closed form at B = I.
     """
 
     TRIALS = 10**5
@@ -186,13 +206,14 @@ class TestExactMeanDeviation:
         z = self.z_of(model(2, n, shape), _exact_skew_block_mean_deviation(n))
         assert abs(z) <= EQUALITY_MARGIN
 
-    def test_gram_factor_one_degree_short_is_rejected(self, monkeypatch):
-        # chi-square(n - 1) for the 1 x 1 Gram factor.  A lost degree shifts and
-        # narrows W, and the two nearly cancel in E|W - 1|: |z| = 9.5 at n = 4
-        # (8.5 expected), but 3.6 at n = 16 (2.2 expected), inside the margin.
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_gram_factor_one_degree_short_is_rejected(self, p, monkeypatch):
+        # chi-square(n - i - 1) on the Gram factor's diagonal.  At p = 1 a lost degree
+        # shifts and narrows W, and the two nearly cancel in E|W - 1|: |z| = 9.5 at n = 4
+        # (8.5 expected), but 3.6 at n = 16 (2.2 expected).  At p = 2, 42.9 and 8.0.
         exact = verify.generator
         monkeypatch.setattr(verify, "generator", lambda seed: _OneDegreeShort(exact(seed)))
-        assert abs(self.z(1, 4, ones=False)) > EQUALITY_MARGIN
+        assert abs(self.z(p, 4, ones=False)) > EQUALITY_MARGIN
 
     @pytest.mark.parametrize("ones", [False, True], ids=["gram", "x-path"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -202,6 +223,22 @@ class TestExactMeanDeviation:
         exact = verify._whiten
         monkeypatch.setattr(verify, "_whiten", lambda w, root, n: exact(w, root, n - 1))
         assert abs(self.z(p, 16, ones)) > EQUALITY_MARGIN
+
+    @pytest.mark.parametrize("n,rel", [(1, 2e-4), (4, 1e-5), (16, 1e-9), (64, 1e-12)])
+    def test_p_1_quadrature_matches_the_closed_form(self, n, rel):
+        # B = I_n: |phi| falls like t^(-n/2), so the rank-one n = 1 converges slowest.
+        assert (_exact_p_1_mean_deviation(np.ones(n), n)
+                == pytest.approx(_exact_mean_deviation(1, n), rel=rel))
+
+    @pytest.mark.parametrize("n,shape", [
+        (4, cw.ShapeSpec.diagonal([2.0, 0.0, 1.0, -0.5])),
+        (6, cw.ShapeSpec.custom(cw.generator(307).standard_normal((6, 6))))],
+        ids=["diagonal-with-zero", "custom"])
+    def test_p_1_any_shape_matches_the_quadrature(self, n, shape):
+        # z = +0.37 for the diagonal, -1.30 for the custom B.
+        b = cw.build_shape(shape, n)
+        exact = _exact_p_1_mean_deviation(np.linalg.eigvalsh((b + b.T) / 2), n)
+        assert abs(self.z_of(model(1, n, shape), exact)) <= EQUALITY_MARGIN
 
     def test_bound_over_exact_at_p_2(self):
         # The README table: bound / E||W - I|| at p = 2, B = I, theta = I.  Both
