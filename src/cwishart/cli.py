@@ -172,8 +172,10 @@ def _digest_config(cfg: dict) -> dict:
 def _out_dir(cfg: dict) -> Path | None:
     """The output directory, checked before any work and created after it; None if not given.
 
-    An ``out`` that names an existing non-directory raises the FileExistsError
-    that creating it would, before the work rather than after.
+    The nearest of ``out`` and its ancestors that is there (a dangling link
+    counts) must be a directory.  If it is not, this raises what creating
+    ``out`` would, before the work rather than after: FileExistsError when it
+    is ``out`` itself or a dangling link, else NotADirectoryError.
     """
     out = cfg.get("out")
     if out is None:
@@ -183,8 +185,11 @@ def _out_dir(cfg: dict) -> Path | None:
     if not isinstance(out, str) or not out:
         raise ConfigError(f"\"out\" must be a directory path, got {out!r:.80}")
     path = Path(out)
-    if path.exists() and not path.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    nearest = next((a for a in (path, *path.parents) if a.exists() or a.is_symlink()), None)
+    if nearest is not None and not nearest.is_dir():
+        if nearest == path or not nearest.exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
     return path
 
 

@@ -23,8 +23,8 @@ value, or a sum over the trials, does not fit in a float.  Spectral norms of
 the per-trial matrices come from linalg's one exact rule, applied to a block's
 whole stack.  A concentration check takes at most MAX_T_GRID tail points.
 Fixed costs (2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a 2-trial
-chaos check takes about 150 us; a 1024-trial block spends 40-80 us in its
-summary and merge (scalar to (3, 3) results) and 15-25 us building its
+chaos check takes about 60 us; a 1024-trial block spends 15-45 us in its
+summary and merge (scalar to (3, 3) results) and about 10 us building its
 generator.
 
 The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
@@ -344,20 +344,25 @@ def _column_draws(
     return y, apply_shape(y, model.shape, model.n) if entries is None else y * entries
 
 
-def _wishart_draws(
-    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
-) -> np.ndarray:
-    """k draws of W as a (k, p, p) stack.
+def _unwhitened_draws(model: WishartModel, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k draws of Y B Y^T, W before its whitening, as a (k, p, p) stack.
 
     Identity and skew-block B take one Gram factor per draw (_gram_draws):
     p(p + 1)/2 variates per factor once n >= p (p(2p + 1) once n >= 4p for
     skew-block B), and never more than the p n of Y.  Every other B draws Y
-    (_column_draws).  All whiten as (1/n) root (...) root (model._whiten).
+    (_column_draws).
     """
     if model.shape.variant in _ORTHOGONAL_VARIANTS:
-        return _whiten(_gram_draws(model, rng, k)[1], root, model.n)
+        return _gram_draws(model, rng, k)[1]
     y, yb = _column_draws(model, rng, k)
-    return _whiten(yb @ y.swapaxes(-1, -2), root, model.n)
+    return yb @ y.swapaxes(-1, -2)
+
+
+def _wishart_draws(
+    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
+) -> np.ndarray:
+    """k draws of W = (1/n) root (Y B Y^T) root as a (k, p, p) stack (model._whiten)."""
+    return _whiten(_unwhitened_draws(model, rng, k), root, model.n)
 
 
 def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStats:
@@ -387,11 +392,14 @@ class ExpectationReport(Report):
 def check_expectation(cfg: TrialConfig, workers: int = 1) -> ExpectationReport:
     """Verify E(W) = (Tr B / n) theta entrywise within 4 standard errors."""
     model = cfg.model
-    root = model.theta._root
+    p, root = model.p, model.theta._root
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # The (k, p, p) draws moved once, to (p, p, k) with the trials last.
-        return np.ascontiguousarray(np.moveaxis(_wishart_draws(model, root, rng, k), 0, -1))
+        # (1/n) root w root as _whiten forms it, but the second product, root
+        # times the columns of w root, writes the (p, p, k) rows, trials last.
+        w = _unwhitened_draws(model, rng, k)
+        u = (w.reshape(-1, p) @ root).reshape(w.shape)
+        return (root @ u.transpose(1, 2, 0).reshape(p, -1)).reshape(p, p, k) / model.n
 
     summary = _run_blocks(kernel, cfg.trials, cfg.master_seed, workers)
     mean = summary.mean
@@ -539,10 +547,11 @@ def check_chaos_decoupling(
     """Check E sup|(BZ, Z) - E(BZ, Z)| <= 2 E sup|(BZ, Z')| over a matrix list.
 
     The supremum over the finite list is computed exactly per draw, and
-    E(BZ, Z) = Tr(B theta) in closed form.  A block forms every B_m z as one
-    product of the stacked family rows with z^T, an (M, p, k) array with the
-    trials on the last axis, so both quadratic forms and the maxima over the
-    family run along contiguous rows of length k.
+    E(BZ, Z) = Tr(B theta) in closed form.  A block whitens z and z' straight
+    into (p, k) rows, forms every B_m z as one product of the stacked family
+    rows with z, an (M, p, k) array with the trials on the last axis, and both
+    quadratic forms as one product with z and z', so the forms and the maxima
+    over the family run along contiguous rows of length k.
     """
     p = theta.p
     stack = _chaos_family(matrices, p)
@@ -551,17 +560,14 @@ def check_chaos_decoupling(
     root = theta._root
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        # Rows z and z' of N(0, theta): standard rows times the symmetric root.
-        z, z_prime = rng.standard_normal((2, k, p)) @ root
-        bz = (rows @ z.T).reshape(len(stack), p, k)
-        # Row 0 is the lhs, row 1 the rhs: each the family maximum of |form|.
-        sides = np.empty((2, k))
-        lhs = np.einsum("mik,ik->mk", bz, z.T)
-        lhs -= traces
-        np.abs(lhs, out=lhs).max(axis=0, out=sides[0])
-        rhs = np.einsum("mik,ik->mk", bz, z_prime.T)
-        np.abs(rhs, out=rhs).max(axis=0, out=sides[1])
-        return sides
+        # z and z' of N(0, theta) as contiguous (p, k) rows: the symmetric root
+        # times the standard (k, p) draws, transposed.
+        zz = root @ rng.standard_normal((2, k, p)).transpose(0, 2, 1)
+        bz = (rows @ zz[0]).reshape(len(stack), p, k)
+        # Side 0 is the lhs, side 1 the rhs: each the family maximum of |form|.
+        forms = np.einsum("mik,sik->smk", bz, zz)
+        forms[0] -= traces
+        return np.abs(forms, out=forms).max(axis=1)
 
     return DecouplingReport.from_summary(_run_blocks(kernel, trials, seed, workers))
 

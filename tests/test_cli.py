@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -614,9 +615,12 @@ class TestMalformedConfig:
 class TestExitTwoLeavesNoReport:
     """A run that exits 2 prints no report and writes none."""
 
-    @pytest.mark.parametrize("command", ["verify", "bound", "netcert"])
-    def test_out_naming_a_file_prints_nothing(self, tmp_path, capsys, monkeypatch, command):
-        # The file is found before the work: the command itself never runs.
+    @staticmethod
+    def run_out_at_a_file(tmp_path, capsys, monkeypatch, command, below):
+        """Exit code and stderr of ``command`` with out at file ``tmp_path/out``, or below it.
+
+        The file is found before the work: the command itself never runs.
+        """
         monkeypatch.setitem(cli.DISPATCH, command, lambda cfg: pytest.fail("command ran"))
         matrix = tmp_path / "a.json"
         matrix.write_text(dumps_matrix(np.eye(2)))
@@ -624,12 +628,38 @@ class TestExitTwoLeavesNoReport:
                 "netcert": {"command": "netcert", "inputs": [str(matrix)]}}[command]
         out = tmp_path / "out"
         out.write_text("not a directory")
-        cfg = dict(base, out=str(out))
+        cfg = dict(base, out=str(out / below))
+        code = cli.main(["--config", write_config(tmp_path, "c.json", cfg)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert out.read_text() == "not a directory"
+        return code, captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "bound", "netcert"])
+    def test_out_naming_a_file_prints_nothing(self, tmp_path, capsys, monkeypatch, command):
+        code, err = self.run_out_at_a_file(tmp_path, capsys, monkeypatch, command, "")
+        assert code == 2 and "File exists" in err
+
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+    @pytest.mark.parametrize("command", ["verify", "bound", "netcert"])
+    def test_out_below_a_file_prints_nothing(self, tmp_path, capsys, monkeypatch, command, below):
+        # The nearest existing ancestor of out is the file.
+        code, err = self.run_out_at_a_file(tmp_path, capsys, monkeypatch, command, below)
+        assert code == 2 and "Not a directory" in err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["at", "below"])
+    def test_out_at_or_below_a_dangling_link_prints_nothing(self, tmp_path, capsys, monkeypatch,
+                                                            below):
+        # Creating out would meet the link ("File exists"): found before the work too.
+        monkeypatch.setitem(cli.DISPATCH, "verify", lambda cfg: pytest.fail("command ran"))
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")
+        cfg = dict(STDDEV, out=str(link / below))
         assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "File exists" in captured.err
-        assert out.read_text() == "not a directory"
+        assert link.is_symlink() and not link.exists()
 
     @pytest.mark.parametrize("out", ["", 5, ["out"]], ids=["empty", "number", "list"])
     def test_an_out_that_is_not_a_path_exits_before_the_check_runs(self, tmp_path, capsys,
@@ -773,7 +803,7 @@ class TestOutputsRewrittenInPlace:
         assert captured.out == ""
         assert "Is a directory" in captured.err
 
-    def test_a_read_only_output_exits_two(self, tmp_path, capsys):
+    def test_a_read_only_output_exits_two(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
         report = out / "bound.json"
@@ -784,7 +814,18 @@ class TestOutputsRewrittenInPlace:
         except PermissionError:
             pass
         else:
-            pytest.skip("this user may write a read-only file (a superuser)")
+            # A superuser may write a read-only file: its write opens of this one
+            # path meet the EACCES that anyone else's do.  O_EXCL still reports
+            # the existing file first.
+            real_open = os.open
+
+            def read_only_open(path, flags, *args, **kwargs):
+                if (os.fspath(path) == os.fspath(report) and flags & (os.O_WRONLY | os.O_RDWR)
+                        and not flags & os.O_EXCL):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", read_only_open)
         assert _run_into(tmp_path, BOUND, out) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

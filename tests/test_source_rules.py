@@ -1,12 +1,18 @@
 """Rules on the package's source text: each returns the lines that break it, none here."""
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cwishart"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cwishart"
 SOURCES = [(path.relative_to(PACKAGE).as_posix(), path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.rglob("*.py"))]
+# Every Python file of the project: the package, its tests and the benchmark.
+PROJECT_SOURCES = [(path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8"))
+                   for top in ("src", "tests", "bench")
+                   for path in sorted((ROOT / top).rglob("*.py"))]
 
 SPECTRAL = re.compile(r"linalg\.(svd|qr|cholesky)|linalg\.norm\(.*, *(ord *= *)?2 *[,)]"
                       r"|eig(h|valsh)\b")
@@ -55,6 +61,21 @@ def shape_matrix_rule(sources):
     return [where for where, line in _lines(sources, "model.py") if SHAPE_MATRIX.search(line)]
 
 
+def python_310_grammar_rule(sources):
+    """Every file parses under the Python 3.10 grammar, the oldest the project supports.
+
+    A grammar check only: it does not run the file, so a library call that 3.10
+    lacks passes it.
+    """
+    found = []
+    for name, text in sources:
+        try:
+            ast.parse(text, name, feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append(f"{name}:{exc.lineno}: {exc.msg}")
+    return found
+
+
 @pytest.mark.parametrize("rule", [spectral_norm_rule, seeded_stream_rule, output_writer_rule,
                                   shape_matrix_rule])
 def test_the_package_keeps_the_rule(rule):
@@ -89,3 +110,20 @@ def test_cli_has_one_commit_point(writes, prints):
     text = "_write_texts(a)\n" * writes + "sys.stdout.write(b)\n" * prints
     assert output_writer_rule([("cli.py", text)]) == [
         f"cli.py calls _write_texts {writes} times and sys.stdout.write {prints} times"]
+
+
+def test_the_project_keeps_the_310_grammar():
+    names = {name for name, _ in PROJECT_SOURCES}
+    assert {"src/cwishart/cli.py", "tests/test_source_rules.py", "bench/run.py"} <= names
+    assert python_310_grammar_rule(PROJECT_SOURCES) == []
+
+
+@pytest.mark.parametrize("text,reported", [
+    ("try:\n    pass\nexcept* ValueError:\n    pass\n", True),
+    ("type X = int\n", True),
+    ("match x:\n    case [1, *rest]:\n        pass\n", False),
+], ids=["except-star", "type-alias", "match"])
+def test_newer_grammar_is_reported(text, reported):
+    # except* is 3.11 grammar and the type statement 3.12; match is 3.10's own.
+    found = python_310_grammar_rule([("ok.py", "x = 1\n"), ("new.py", text)])
+    assert len(found) == reported and all(line.startswith("new.py:") for line in found)

@@ -579,6 +579,108 @@ class TestChaosDecoupling:
         assert len(reports) == 1
 
 
+def _oracle_blocks(seed, trials):
+    """(generator, k) of each block of the engine, in block order."""
+    for b in range(-(-trials // BLOCK_TRIALS)):
+        yield cw.generator(mix_seed(seed, b)), min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)
+
+
+def _oracle_root(theta):
+    values, vectors = np.linalg.eigh(theta)
+    return vectors @ np.diag(np.sqrt(values)) @ vectors.T
+
+
+def _chaos_oracle(mats, theta, trials, seed):
+    """Per-trial (lhs, rhs) rows of the chaos check, one matrix-vector product at a time.
+
+    A block draws its (2, k, p) standard normals; trial t takes z from row t of
+    the first (k, p) half and z' from row t of the second, each times theta^{1/2}.
+    """
+    root, traces = _oracle_root(theta), [float(np.trace(b @ theta)) for b in mats]
+    rows = []
+    for rng, k in _oracle_blocks(seed, trials):
+        draws = rng.standard_normal((2, k, theta.shape[0]))
+        for t in range(k):
+            z, z_prime = root @ draws[0, t], root @ draws[1, t]
+            rows.append((max(abs((b @ z) @ z - trace) for b, trace in zip(mats, traces)),
+                         max(abs((b @ z) @ z_prime) for b in mats)))
+    return np.array(rows)
+
+
+def _expectation_oracle(entries, n, theta, trials, seed):
+    """Per-trial W for a diagonal B, one matrix-vector product at a time.
+
+    A block draws a (k, p, m) standard normal Y over the m nonzero entries b_j
+    of B, and W = (1/n) sum_j b_j (root y_j)(root y_j)^T for the columns y_j.
+    """
+    root, p = _oracle_root(theta), theta.shape[0]
+    draws = []
+    for rng, k in _oracle_blocks(seed, trials):
+        y = rng.standard_normal((k, p, len(entries)))
+        for t in range(k):
+            w = np.zeros((p, p))
+            for j, b in enumerate(entries):
+                u = root @ y[t, :, j]
+                w += b * np.outer(u, u)
+            draws.append(w / n)
+    return np.array(draws)
+
+
+def _oracle_stats(values):
+    """(mean, stderr, max) over the trials on axis 0."""
+    return (values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values)),
+            values.max(axis=0))
+
+
+class TestKernelsMatchAPerTrialOracle:
+    """The chaos and expectation kernels against a plain per-trial loop on the same stream.
+
+    1500 trials are one full block and one partial block.  Means and maxima
+    agree to 1e-12 relative, standard errors (summed at another scale and in
+    another order) to 1e-9; an oracle with theta = I in place of the SPD theta
+    does not.
+    """
+
+    TRIALS = 1500
+    SEED = 311
+
+    @staticmethod
+    def agrees(got, want, rel):
+        return all(np.allclose(g, w, rtol=r, atol=0.0) for g, w, r in zip(got, want, rel))
+
+    def chaos(self, oracle_theta):
+        rng = cw.generator(313)
+        mats = list(rng.standard_normal((5, 3, 3)))
+        g = rng.standard_normal((3, 3))
+        theta = g @ g.T + np.eye(3)
+        report = cw.check_chaos_decoupling(mats, cw.SpdMatrix(theta), self.TRIALS, self.SEED)
+        mean, stderr, high = _oracle_stats(
+            _chaos_oracle(mats, theta if oracle_theta is None else oracle_theta,
+                          self.TRIALS, self.SEED))
+        got = [[getattr(side, key) for side in (report.lhs, report.rhs)]
+               for key in ("mean", "max", "stderr")]
+        return self.agrees(got, (mean, high, stderr), (1e-12, 1e-12, 1e-9))
+
+    def expectation(self, oracle_theta):
+        # The benchmark's expectation model: p = 3, n = 10, B = diag(10, 0, ..., 0).
+        theta = np.diag([1.0, 2.0, 3.0])
+        m = model(3, 10, cw.ShapeSpec.diagonal([10.0] + [0.0] * 9), cw.SpdMatrix(theta))
+        report = check_expectation(TrialConfig(m, self.TRIALS, self.SEED))
+        mean, stderr, _ = _oracle_stats(
+            _expectation_oracle([10.0], 10, theta if oracle_theta is None else oracle_theta,
+                                self.TRIALS, self.SEED))
+        return self.agrees((report.mean_matrix, report.stderr_matrix), (mean, stderr),
+                           (1e-12, 1e-9))
+
+    @pytest.mark.parametrize("check", ["chaos", "expectation"])
+    def test_matches_the_oracle(self, check):
+        assert getattr(self, check)(None)
+
+    @pytest.mark.parametrize("check", ["chaos", "expectation"])
+    def test_an_unwhitened_oracle_is_rejected(self, check):
+        assert not getattr(self, check)(np.eye(3))
+
+
 class TestLinearFormStd:
     def test_zero_vector(self):
         report = cw.check_linear_form_std(cw.SpdMatrix.identity(2), [0.0, 0.0], 100, 41)
