@@ -11,7 +11,6 @@ from .bounds import (
     deviation_bound,
     invert_bound_for_n,
     log_factor,
-    sequence_bound,
 )
 from .errors import (
     DimensionError,
@@ -20,7 +19,6 @@ from .errors import (
     NotAchievableError,
     NotPositiveDefiniteError,
     ShapeParityError,
-    TraceNormalizationError,
     WishartError,
     ZeroSpectralNormError,
 )
@@ -32,15 +30,12 @@ from .linalg import (
     matrix_from_dict,
     matrix_to_dict,
     mix_seed,
-    save_matrix,
     spd_sqrt,
     spectral_norm,
 )
 from .model import (
     ShapeSpec,
     WishartModel,
-    WishartSequenceSpec,
-    build_shape,
     expected_wishart,
     identity_family,
     load_model,
@@ -56,10 +51,8 @@ from .netcert import (
     RegularVector,
     certify_norm_bound,
     certify_norm_bounds,
-    enumerate_regular,
     max_bilinear_over_regular,
     max_regular_response,
-    regular_count,
 )
 from .verify import (
     ConcentrationCheck,

@@ -31,7 +31,6 @@ from .linalg import Report, check_int
 from .model import (
     ShapeSpec,
     WishartModel,
-    WishartSequenceSpec,
     _validate_shape,
     shape_frobenius_norm,
     shape_spectral_norm,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundReport",
     "log_factor",
     "deviation_bound",
-    "sequence_bound",
     "invert_bound_for_n",
 ]
 
@@ -119,20 +117,6 @@ def deviation_bound(
     frob = shape_frobenius_norm(model.shape, model.n)
     return BoundReport(model.p, model.n, sigma, convention.kappa(frob, sigma), model.theta._norm,
                        convention)
-
-
-def sequence_bound(seq: WishartSequenceSpec, n: int) -> BoundReport:
-    """Evaluate the bound at n using constants uniform over the whole sequence.
-
-    kappa and sigma are the maxima of the per-index Frobenius and spectral
-    norms; the spec has already checked the trace normalization Tr(B_m) = m.
-    """
-    if n not in seq.index_set:
-        raise ValueError(f"n = {n} is not in the index set {seq.index_set}")
-    specs = [(seq.shape_family(m), m) for m in seq.index_set]
-    sigma = max(shape_spectral_norm(spec, m) for spec, m in specs)
-    kappa = max(shape_frobenius_norm(spec, m) for spec, m in specs)
-    return BoundReport(seq.p, n, sigma, kappa, seq.theta._norm, KappaConvention.FROBENIUS)
 
 
 def _feasible(shape_family: Callable[[int], ShapeSpec],

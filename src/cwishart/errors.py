@@ -30,10 +30,6 @@ class ShapeParityError(WishartError):
     """Skew-block shape matrices require an even dimension."""
 
 
-class TraceNormalizationError(WishartError):
-    """Scaled trace of a shape matrix violates the Tr(B) = n normalization."""
-
-
 class EnumerationCapError(WishartError):
     """Regular-vector enumeration would exceed the supported dimension cap."""
 

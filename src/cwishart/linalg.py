@@ -34,7 +34,6 @@ __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
     "dumps_matrix",
-    "save_matrix",
     "load_matrix",
     "canonical_dumps",
 ]
@@ -325,10 +324,6 @@ def _write_texts(outputs) -> None:
         for path in created:
             os.unlink(path)
         raise
-
-
-def save_matrix(path, a) -> None:
-    _write_texts([(path, dumps_matrix(a) + "\n")])
 
 
 def load_matrix(path) -> np.ndarray:

@@ -11,16 +11,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidMatrixError,
-    ShapeParityError,
-    TraceNormalizationError,
-)
+from .errors import DimensionError, InvalidMatrixError, ShapeParityError
 from .linalg import (
     SpdMatrix,
     as_matrix,
@@ -37,8 +32,6 @@ from .linalg import (
 __all__ = [
     "ShapeSpec",
     "WishartModel",
-    "WishartSequenceSpec",
-    "build_shape",
     "shape_trace",
     "shape_spectral_norm",
     "shape_frobenius_norm",
@@ -63,8 +56,6 @@ STREAM_DECOUPLED_YPRIME = 2
 _VARIANTS = ("identity", "diagonal", "skew_block", "custom")
 # The variants whose B is orthogonal, so every singular value is 1 and ||B g|| = ||g||.
 _ORTHOGONAL_VARIANTS = ("identity", "skew_block")
-
-TRACE_NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,22 +151,6 @@ def _validate_shape(spec: ShapeSpec, n: int) -> None:
         raise DimensionError(
             f"custom shape matrix is {spec.matrix.shape[0]} x {spec.matrix.shape[1]} but n = {n}"
         )
-
-
-def build_shape(spec: ShapeSpec, n: int) -> np.ndarray:
-    """Realize the n x n shape matrix for ``spec``."""
-    _validate_shape(spec, n)
-    if spec.variant == "identity":
-        return np.eye(n)
-    if spec.variant == "diagonal":
-        return np.diag(spec.entries)
-    if spec.variant == "skew_block":
-        half = n // 2
-        b = np.zeros((n, n))
-        b[:half, half:] = np.eye(half)
-        b[half:, :half] = -np.eye(half)
-        return b
-    return np.array(spec.matrix)
 
 
 def shape_trace(spec: ShapeSpec, n: int) -> float:
@@ -303,44 +278,6 @@ def expected_wishart(model: WishartModel) -> np.ndarray:
     return (shape_trace(model.shape, model.n) / model.n) * model.theta.array
 
 
-@dataclass(frozen=True, eq=False)
-class WishartSequenceSpec:
-    """A family of shape matrices over an ordered index set, normalized by Tr(B_n) = n.
-
-    ``shape_family`` maps each n in ``index_set`` to its ShapeSpec.  Every
-    scaled trace Tr(B_n)/n must equal 1 within TRACE_NORMALIZATION_TOL; it is
-    checked here, at construction, so code holding a spec can rely on it.
-    """
-
-    p: int
-    theta: SpdMatrix
-    index_set: tuple[int, ...]
-    shape_family: Callable[[int], ShapeSpec]
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise DimensionError(f"p must be positive, got {self.p}")
-        if self.theta.p != self.p:
-            raise DimensionError(
-                f"scale matrix is {self.theta.p} x {self.theta.p} but p = {self.p}"
-            )
-        index_set = tuple(
-            check_int(n, "index_set entry") for n in self.index_set
-        )
-        if not index_set:
-            raise ValueError("index_set must be nonempty")
-        if any(n < 1 for n in index_set) or list(index_set) != sorted(set(index_set)):
-            raise ValueError(f"index_set must be ordered distinct positive integers, got {index_set}")
-        object.__setattr__(self, "index_set", index_set)
-        for n in index_set:
-            scaled = shape_trace(self.shape_family(n), n) / n
-            if abs(scaled - 1.0) > TRACE_NORMALIZATION_TOL:
-                raise TraceNormalizationError(
-                    f"trace normalization Tr(B) = n violated at n = {n}: "
-                    f"scaled trace is {scaled!r}, not 1"
-                )
-
-
 # ---------------------------------------------------------------------------
 # Shape families
 # ---------------------------------------------------------------------------
@@ -365,10 +302,9 @@ class normalized_diagonal_family:
     seed: int
 
     def __call__(self, n: int) -> ShapeSpec:
-        rng = generator(mix_seed(self.seed, n))
         if n < 1:
-            raise DimensionError(f"matrix dimensions must be positive, got 1 x {n}")
-        g = rng.standard_normal((1, n))[0]
+            raise DimensionError(f"n must be positive, got n={n}")
+        g = generator(mix_seed(self.seed, n)).standard_normal((1, n))[0]
         return ShapeSpec.diagonal(1.0 + (g - g.mean()))
 
 

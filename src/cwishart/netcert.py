@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,15 +39,12 @@ from .linalg import Report, _spectral_norms, as_matrix
 __all__ = [
     "RegularVector",
     "NetCertificate",
-    "enumerate_regular",
-    "regular_count",
     "max_regular_response",
     "max_bilinear_over_regular",
     "certify_norm_bound",
     "certify_norm_bounds",
 ]
 
-LEVEL_ENUM_CAP = 16     # single-level enumeration
 BILINEAR_CAP = 14       # exhaustive loop over all 3^p - 1 regular vectors
 _BLOCK_CELLS = 2**15    # cells (pairs of half-table rows) per block
 _MARGIN = 1e-9          # relative slack of the pruning test on ||A x||^2
@@ -82,25 +77,6 @@ class RegularVector:
         x = np.zeros(self.p)
         x[list(self.support)] = np.asarray(self.signs, dtype=np.float64) / math.sqrt(self.s)
         return x
-
-
-def regular_count(p: int, s: int) -> int:
-    """Exact size of the sparsity-s level: C(p, s) * 2^s."""
-    return math.comb(p, s) * 2**s
-
-
-def enumerate_regular(p: int, s: int) -> Iterator[RegularVector]:
-    """Yield every regular vector of sparsity s, in deterministic order."""
-    if not 1 <= s <= p:
-        raise DimensionError(f"sparsity s must lie in [1, p], got s={s}, p={p}")
-    if p > LEVEL_ENUM_CAP:
-        raise EnumerationCapError(
-            f"enumeration supports p <= {LEVEL_ENUM_CAP}, got p={p}",
-            count=regular_count(p, s),
-        )
-    for support in itertools.combinations(range(p), s):
-        for signs in itertools.product((1, -1), repeat=s):
-            yield RegularVector(p, s, support, signs)
 
 
 def max_regular_response(v) -> tuple[float, RegularVector]:

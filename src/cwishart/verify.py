@@ -913,6 +913,8 @@ def empirical_sample_complexity(
     """
     tolerance = _check_tolerance(tolerance)
     p_grid = [check_int(p, "p_grid entry") for p in p_grid]
+    if any(p < 1 for p in p_grid):
+        raise ValueError(f"p_grid entries must be positive, got {p_grid}")
     rows = []
     for p in p_grid:
         theta = theta_rule(p)

@@ -9,10 +9,11 @@ import statistics
 import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import cwishart as cw
-from cwishart import verify
+from cwishart import netcert, verify
 from cwishart.linalg import canonical_dumps, mix_seed
 from cwishart.verify import (
     DominanceReport,
@@ -169,15 +170,20 @@ def criterion_5(workers):
 
 @lru_cache(maxsize=None)
 def criterion_6(workers):
+    # The cells the certificates enumerate, by support size s: each regular x of
+    # R^p up to sign, once, so 2 count(s) = C(p, s) 2^s and no cell is x = 0.
     counts_ok = True
     totals_ok = True
     for p in range(1, 11):
-        total = 0
-        for s in range(1, p + 1):
-            count = sum(1 for _ in cw.enumerate_regular(p, s))
-            counts_ok = counts_ok and count == math.comb(p, s) * 2**s
-            total += count
-        totals_ok = totals_ok and total == 3**p - 1
+        _, _, s_left, s_right, blocks = netcert._half_tables(p, netcert._BLOCK_CELLS)
+        counts = np.zeros(p + 1, dtype=np.int64)
+        for rows, cols in blocks:
+            s = (s_left[rows, None] + s_right[cols]).astype(np.int64)
+            counts += np.bincount(s.ravel(), minlength=p + 1)
+        counts = counts.tolist()
+        counts_ok = counts_ok and counts[0] == 0 and all(
+            2 * counts[s] == math.comb(p, s) * 2**s for s in range(1, p + 1))
+        totals_ok = totals_ok and 2 * sum(counts) == 3**p - 1
     return {"counts_ok": counts_ok, "totals_ok": totals_ok,
             "holds": counts_ok and totals_ok}
 
@@ -262,6 +268,15 @@ LINE_DETAILS = {
 def test_criterion(number):
     name, builder, ok_fn, limit = CRITERIA[number]
     _run(number, name, builder, ok_fn, limit)
+
+
+@pytest.mark.parametrize("change", [lambda blocks: blocks[:-1], lambda blocks: blocks + blocks[:1]],
+                         ids=["block-dropped", "block-repeated"])
+def test_criterion_6_rejects_a_wrong_cell_set(change, monkeypatch):
+    tables = netcert._half_tables
+    monkeypatch.setattr(netcert, "_half_tables",
+                        lambda p, cells: (*tables(p, cells)[:-1], change(tables(p, cells)[-1])))
+    assert criterion_6.__wrapped__(1)["holds"] is False
 
 
 def test_criterion_10_reproducibility(monkeypatch):

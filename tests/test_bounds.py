@@ -12,7 +12,6 @@ from cwishart.bounds import KappaConvention
 from cwishart.errors import (
     DimensionError,
     NotAchievableError,
-    TraceNormalizationError,
     ZeroSpectralNormError,
 )
 
@@ -195,54 +194,6 @@ class TestDeviationBound:
         second = [cw.deviation_bound(m, conv) for conv in KappaConvention]
         assert calls == []
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
-
-
-class TestSequenceBound:
-    def seq(self, index_set=(2, 4)):
-        return cw.WishartSequenceSpec(
-            2, cw.SpdMatrix.identity(2), index_set, cw.identity_family
-        )
-
-    def test_uniform_constants(self):
-        report = cw.sequence_bound(self.seq(), 4)
-        # Identity family over {2, 4}: kappa = max(sqrt 2, 2), sigma = 1.
-        assert report.kappa == 2.0
-        assert report.sigma == 1.0
-
-    def test_singleton_equals_single_bound(self):
-        seq = self.seq(index_set=(6,))
-        single = cw.deviation_bound(identity_model(2, 6), KappaConvention.FROBENIUS)
-        assert cw.sequence_bound(seq, 6).bound_value == single.bound_value
-
-    def test_dominates_per_index_bound(self):
-        seq = self.seq(index_set=(2, 4, 8))
-        for n in seq.index_set:
-            per_n = cw.deviation_bound(identity_model(2, n), KappaConvention.FROBENIUS)
-            assert cw.sequence_bound(seq, n).bound_value >= per_n.bound_value
-
-    def test_skew_family_violates_normalization(self):
-        # The spec rejects the family when it is built, before any bound.
-        with pytest.raises(TraceNormalizationError):
-            cw.WishartSequenceSpec(
-                2, cw.SpdMatrix.identity(2), (2, 4), cw.skew_block_family
-            )
-
-    def test_n_outside_index_set(self):
-        with pytest.raises(ValueError):
-            cw.sequence_bound(self.seq(), 3)
-
-    def test_each_index_builds_its_shape_once(self):
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return cw.ShapeSpec.identity()
-
-        seq = cw.WishartSequenceSpec(2, cw.SpdMatrix.identity(2), (2, 4, 8), counting)
-        calls.clear()
-        report = cw.sequence_bound(seq, 4)
-        assert calls == [2, 4, 8]
-        assert report.to_dict() == cw.sequence_bound(self.seq((2, 4, 8)), 4).to_dict()
 
 
 def identity_inversion_oracle(p, theta_norm, tol):

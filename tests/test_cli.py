@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cwishart as cw
-from cwishart import cli
+from cwishart import cli, verify
 from cwishart.linalg import dumps_matrix
 
 
@@ -591,15 +591,23 @@ class TestMalformedConfig:
             (SAMPLE, ("trials",), -3, "trials"),
             (COMPLEXITY, ("tolerance",), math.nan, "tolerance must be a finite positive number"),
             (COMPLEXITY, ("tolerance",), 1e400, "tolerance must be a finite positive number"),
+            (COMPLEXITY, ("p_grid",), [3, 0], "p_grid entries must be positive"),
+            (COMPLEXITY, ("p_grid",), [3, -1], "p_grid entries must be positive"),
+            (SCALING, ("n_grid",), [-4, 2, 8], "n must be positive, got n=-4"),
+            (SCALING, ("n_grid",), [0, 2, 8], "n must be positive, got n=0"),
         ],
         ids=["family-string", "n_grid-number", "shape-string", "t_grid-number",
              "t_grid-infinite", "t_grid-nan", "t_grid-too-long", "direction-nan",
              "n-beyond-float", "theta-strings-and-bools", "diagonal-strings",
              "diagonal-beyond-float", "a-nan", "trials-beyond-cap", "sample-no-draws",
              "sample-negative-draws", "tolerance-nan",
-             "tolerance-infinite"],
+             "tolerance-infinite", "p_grid-zero", "p_grid-negative", "diagonal-n-negative",
+             "diagonal-n-zero"],
     )
-    def test_rejected_with_field_name(self, tmp_path, capsys, base, path, value, field):
+    def test_rejected_with_field_name(self, tmp_path, capsys, monkeypatch, base, path, value,
+                                      field):
+        # Rejected before any trial: no block of draws is started.
+        monkeypatch.setattr(verify, "generator", lambda seed: pytest.fail("a trial ran"))
         cfg = _with(base, path, value)
         cfg["out"] = str(tmp_path / "out")
         assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2

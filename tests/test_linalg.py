@@ -353,7 +353,7 @@ class TestMatrixJson:
     def test_file_round_trip(self, tmp_path):
         a = cw.generator(66).standard_normal((2, 5))
         path = tmp_path / "m.json"
-        cw.save_matrix(path, a)
+        _write_texts([(path, dumps_matrix(a) + "\n")])
         assert np.array_equal(cw.load_matrix(path), a)
 
 

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 import cwishart as cw
-from cwishart.errors import (
-    DimensionError,
-    InvalidMatrixError,
-    ShapeParityError,
-    TraceNormalizationError,
-)
+from cwishart import model as model_module
+from cwishart.errors import DimensionError, InvalidMatrixError, ShapeParityError
 from cwishart.linalg import mix_seed
 from cwishart.model import (
     STREAM_COUPLED_Y,
@@ -25,6 +21,7 @@ from cwishart.model import (
     shape_spectral_norm,
     shape_trace,
 )
+from dense import build_shape
 
 
 def zero_shape(n):
@@ -36,23 +33,23 @@ class TestBuildShape:
         expected = np.array(
             [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
         )
-        assert np.array_equal(cw.build_shape(cw.ShapeSpec.skew_block(), 4), expected)
+        assert np.array_equal(build_shape(cw.ShapeSpec.skew_block(), 4), expected)
 
     def test_identity(self):
-        assert np.array_equal(cw.build_shape(cw.ShapeSpec.identity(), 3), np.eye(3))
+        assert np.array_equal(build_shape(cw.ShapeSpec.identity(), 3), np.eye(3))
 
     def test_diagonal(self):
-        b = cw.build_shape(cw.ShapeSpec.diagonal([1, 2, 3]), 3)
+        b = build_shape(cw.ShapeSpec.diagonal([1, 2, 3]), 3)
         assert np.array_equal(b, np.diag([1.0, 2.0, 3.0]))
         assert np.trace(b) == 6.0
 
     def test_skew_block_odd_n_rejected(self):
         with pytest.raises(ShapeParityError):
-            cw.build_shape(cw.ShapeSpec.skew_block(), 5)
+            build_shape(cw.ShapeSpec.skew_block(), 5)
 
     def test_diagonal_length_mismatch(self):
         with pytest.raises(DimensionError):
-            cw.build_shape(cw.ShapeSpec.diagonal([1, 2]), 3)
+            build_shape(cw.ShapeSpec.diagonal([1, 2]), 3)
 
     def test_diagonal_entries_are_finite_numbers(self):
         for bad in (["1", "2"], [True, 1.0], [1.0, math.nan], [math.inf]):
@@ -71,11 +68,11 @@ class TestBuildShape:
 
     def test_custom_size_mismatch(self):
         with pytest.raises(DimensionError):
-            cw.build_shape(cw.ShapeSpec.custom(np.eye(3)), 4)
+            build_shape(cw.ShapeSpec.custom(np.eye(3)), 4)
 
     def test_skew_block_is_skew_orthogonal(self):
         for n in (2, 4, 10):
-            b = cw.build_shape(cw.ShapeSpec.skew_block(), n)
+            b = build_shape(cw.ShapeSpec.skew_block(), n)
             assert np.array_equal(b + b.T, np.zeros((n, n)))
             assert np.array_equal(b @ b.T, np.eye(n))
 
@@ -89,7 +86,7 @@ class TestBuildShape:
             cw.ShapeSpec.custom(rng.standard_normal((6, 6))),
         ]
         for spec in specs:
-            dense = y @ cw.build_shape(spec, 6)
+            dense = y @ build_shape(spec, 6)
             assert np.allclose(apply_shape(y, spec, 6), dense, atol=1e-13)
 
     @pytest.mark.parametrize("k,p,n", [(1, 1, 1), (7, 3, 6), (5, 4, 96), (3, 2, 200)])
@@ -111,7 +108,7 @@ class TestBuildShape:
             cw.ShapeSpec.custom(rng.standard_normal((8, 8))),
         ]
         for spec in specs:
-            b = cw.build_shape(spec, 8)
+            b = build_shape(spec, 8)
             assert shape_spectral_norm(spec, 8) == pytest.approx(
                 cw.spectral_norm(b), rel=1e-12
             )
@@ -235,7 +232,7 @@ class TestSamplerContract:
     def test_draws_follow_the_tag_streams(self, variant, seed):
         p, n, spec = 3, 6, self.SHAPES[variant]
         m = cw.WishartModel(p, n, self.THETA, spec)
-        root, b = cw.spd_sqrt(self.THETA), cw.build_shape(spec, n)
+        root, b = cw.spd_sqrt(self.THETA), build_shape(spec, n)
         y = {tag: cw.generator(mix_seed(seed, tag)).standard_normal((p, n))
              for tag in (STREAM_COUPLED_Y, STREAM_DECOUPLED_Y, STREAM_DECOUPLED_YPRIME)}
         for got, left, right in (
@@ -251,12 +248,20 @@ class TestSamplerContract:
         entries = cw.normalized_diagonal_family(seed)(n).entries
         assert entries.tolist() == (1.0 + (g - g.mean())).tolist()
 
-    def test_diagonal_family_rejects_nonpositive_n(self):
-        with pytest.raises(DimensionError, match="must be positive"):
-            cw.normalized_diagonal_family(123)(0)
-        # A negative n is no stream tag.
-        with pytest.raises(ValueError, match="stream tag must be nonnegative"):
-            cw.normalized_diagonal_family(123)(-3)
+    def test_diagonal_family_has_trace_n(self):
+        fam = cw.normalized_diagonal_family(123)
+        for n in (4, 17, 1024):
+            spec = fam(n)
+            assert abs(shape_trace(spec, n) / n - 1.0) <= 1e-12
+        assert fam(8).entries.tolist() == cw.normalized_diagonal_family(123)(8).entries.tolist()
+        assert fam(8).entries.tolist() != cw.normalized_diagonal_family(124)(8).entries.tolist()
+
+    def test_diagonal_family_rejects_nonpositive_n(self, monkeypatch):
+        # Checked before the stream is built: a negative n is no stream tag error.
+        monkeypatch.setattr(model_module, "generator", lambda seed: pytest.fail("drew"))
+        for n in (0, -3):
+            with pytest.raises(DimensionError, match=f"n must be positive, got n={n}"):
+                cw.normalized_diagonal_family(123)(n)
 
 
 class TestGramFactor:
@@ -307,63 +312,6 @@ class TestExpectedWishart:
         assert np.all(np.abs(mean - expected) <= 4 * stderr)
 
 
-def sequence(index_set, family):
-    return cw.WishartSequenceSpec(2, cw.SpdMatrix.identity(2), index_set, family)
-
-
-class TestTraceNormalization:
-    """The sequence spec accepts a family exactly when every Tr(B_n) = n."""
-
-    def test_identity(self):
-        seq = sequence((5,), lambda n: cw.ShapeSpec.custom(np.eye(n)))
-        assert seq.index_set == (5,)
-
-    def test_skew_block(self):
-        # Identity at n = 2 but skew-block, of trace 0, at n = 4.
-        def family(n):
-            return cw.ShapeSpec.identity() if n == 2 else cw.ShapeSpec.skew_block()
-
-        with pytest.raises(TraceNormalizationError, match="n = 4: scaled trace is 0.0"):
-            sequence((2, 4), family)
-
-    def test_partial_diagonal(self):
-        seq = sequence((2,), lambda n: cw.ShapeSpec.custom(np.diag([2.0, 0.0])))
-        assert seq.index_set == (2,)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            sequence((2,), lambda n: cw.ShapeSpec.custom(np.eye(3)))
-
-
-class TestSequenceSpec:
-    def test_identity_family_valid(self):
-        seq = cw.WishartSequenceSpec(
-            2, cw.SpdMatrix.identity(2), (2, 4, 8), cw.identity_family
-        )
-        assert seq.index_set == (2, 4, 8)
-        assert cw.sequence_bound(seq, 4).n == 4
-
-    def test_trace_mismatch_rejected(self):
-        with pytest.raises(TraceNormalizationError):
-            cw.WishartSequenceSpec(
-                2, cw.SpdMatrix.identity(2), (2, 4), cw.skew_block_family
-            )
-
-    def test_non_integral_index_rejected(self):
-        with pytest.raises(ValueError, match="index_set entry must be an integer"):
-            cw.WishartSequenceSpec(
-                2, cw.SpdMatrix.identity(2), (2, 4.5), cw.identity_family
-            )
-
-    def test_normalized_diagonal_family(self):
-        fam = cw.normalized_diagonal_family(123)
-        for n in (4, 17, 1024):
-            spec = fam(n)
-            assert abs(shape_trace(spec, n) / n - 1.0) <= 1e-12
-        assert fam(8).entries.tolist() == cw.normalized_diagonal_family(123)(8).entries.tolist()
-        assert fam(8).entries.tolist() != cw.normalized_diagonal_family(124)(8).entries.tolist()
-
-
 class TestModelSerialization:
     def test_round_trip_variants(self):
         rng = cw.generator(321)
@@ -381,7 +329,7 @@ class TestModelSerialization:
             assert m2.p == m.p and m2.n == m.n
             assert np.array_equal(m2.theta.array, m.theta.array)
             assert np.array_equal(
-                cw.build_shape(m2.shape, 6), cw.build_shape(m.shape, 6)
+                build_shape(m2.shape, 6), build_shape(m.shape, 6)
             )
 
     @pytest.mark.parametrize("shape,entries", [

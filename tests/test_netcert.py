@@ -14,11 +14,10 @@ from cwishart.errors import DimensionError, EnumerationCapError
 
 
 def regular_matrix(p):
-    """All 3^p - 1 regular vectors of R^p, stacked as rows."""
-    rows = []
-    for s in range(1, p + 1):
-        rows.extend(v.to_array() for v in cw.enumerate_regular(p, s))
-    return np.stack(rows)
+    """All 3^p - 1 regular vectors of R^p, stacked as rows: each nonzero t in
+    {0, +-1}^p scaled by 1 / sqrt(s) for its support size s."""
+    t = np.array([t for t in itertools.product((0, 1, -1), repeat=p) if any(t)], dtype=float)
+    return t / np.sqrt(np.count_nonzero(t, axis=1))[:, None]
 
 
 def structured_matrices(p, rng):
@@ -58,41 +57,6 @@ def responses_max(a):
         x = t / np.sqrt(np.count_nonzero(t, axis=1))[:, None]
         best = max(best, float(netcert._response_maxima(x @ a.T).max()))
     return best
-
-
-class TestEnumeration:
-    def test_level_counts(self):
-        assert len(list(cw.enumerate_regular(4, 2))) == 24  # C(4,2) * 2^2
-        assert cw.regular_count(4, 2) == 24
-
-    def test_p1_is_plus_minus_one(self):
-        vecs = [v.to_array() for v in cw.enumerate_regular(1, 1)]
-        assert len(vecs) == 2
-        assert sorted(float(v[0]) for v in vecs) == [-1.0, 1.0]
-
-    def test_p3_total_is_26(self):
-        total = sum(len(list(cw.enumerate_regular(3, s))) for s in (1, 2, 3))
-        assert total == 6 + 12 + 8 == 3**3 - 1
-
-    def test_counting_identity(self):
-        for p in range(1, 11):
-            assert sum(cw.regular_count(p, s) for s in range(1, p + 1)) == 3**p - 1
-
-    def test_vectors_are_unit_and_distinct(self):
-        mat = regular_matrix(4)
-        assert np.allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
-        assert len({tuple(row) for row in mat}) == mat.shape[0]
-
-    def test_cap_error_carries_count(self):
-        with pytest.raises(EnumerationCapError) as exc:
-            list(cw.enumerate_regular(17, 3))
-        assert exc.value.count == math.comb(17, 3) * 8
-
-    def test_invalid_sparsity(self):
-        with pytest.raises(DimensionError):
-            list(cw.enumerate_regular(3, 0))
-        with pytest.raises(DimensionError):
-            list(cw.enumerate_regular(3, 4))
 
 
 class TestMaxRegularResponse:

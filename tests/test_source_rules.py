@@ -57,8 +57,32 @@ def output_writer_rule(sources):
 
 
 def shape_matrix_rule(sources):
-    """build_shape is the dense reference; the package applies B with apply_shape."""
-    return [where for where, line in _lines(sources, "model.py") if SHAPE_MATRIX.search(line)]
+    """build_shape is the tests' dense reference (tests/dense.py); the package applies B
+    with apply_shape, in every file."""
+    return [where for where, line in _lines(sources, None) if SHAPE_MATRIX.search(line)]
+
+
+def unused_import_rule(sources):
+    """Every name a module imports is used: referenced as a name, or exported through its
+    __all__.  __init__.py is exempt, since its imports are the package's exports."""
+    found = []
+    for name, text in sources:
+        if name == "__init__.py":
+            continue
+        tree = ast.parse(text, name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(elt.value for elt in node.value.elts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        found.append(f"{name}:{node.lineno}: {bound}")
+    return found
 
 
 def python_310_grammar_rule(sources):
@@ -77,7 +101,7 @@ def python_310_grammar_rule(sources):
 
 
 @pytest.mark.parametrize("rule", [spectral_norm_rule, seeded_stream_rule, output_writer_rule,
-                                  shape_matrix_rule])
+                                  shape_matrix_rule, unused_import_rule])
 def test_the_package_keeps_the_rule(rule):
     assert {"cli.py", "linalg.py", "model.py"} <= {name for name, _ in SOURCES}
     assert rule(SOURCES) == []
@@ -97,12 +121,14 @@ def test_the_package_keeps_the_rule(rule):
 ], ids=["norm-ord-2", "eigvalsh", "qr", "np-random", "import-random", "random-state",
         "open-w", "os-open-wronly", "write-text", "build-shape"])
 def test_a_violating_line_is_reported(rule, line):
-    # Each rule exempts one file (model.py for build_shape, linalg.py for the
-    # others), and no rule reports the np.random.Generator annotation.
+    # The build_shape rule has no exemption, the others exempt linalg.py, and no
+    # rule reports the np.random.Generator annotation.
     sources = [("verify.py", f"x = 1\n{line}\n"), ("linalg.py", line), ("model.py", line),
                ("netcert.py", "def f(rng: np.random.Generator) -> None:\n")]
-    other = "linalg.py" if rule is shape_matrix_rule else "model.py"
-    assert rule(sources) == [f"verify.py:2: {line}", f"{other}:1: {line}"]
+    exempt = [] if rule is shape_matrix_rule else ["linalg.py"]
+    assert rule(sources) == [f"{name}:{2 if name == 'verify.py' else 1}: {line}"
+                             for name in ("verify.py", "linalg.py", "model.py")
+                             if name not in exempt]
 
 
 @pytest.mark.parametrize("writes,prints", [(2, 1), (1, 0)])
@@ -110,6 +136,18 @@ def test_cli_has_one_commit_point(writes, prints):
     text = "_write_texts(a)\n" * writes + "sys.stdout.write(b)\n" * prints
     assert output_writer_rule([("cli.py", text)]) == [
         f"cli.py calls _write_texts {writes} times and sys.stdout.write {prints} times"]
+
+
+def test_an_unused_import_is_reported():
+    text = ("from __future__ import annotations\n"
+            "import itertools\nimport math\nimport numpy as np\n"
+            "from .errors import DimensionError, WishartError\n"
+            "from .linalg import as_matrix\n"
+            "__all__ = ['as_matrix']\n"
+            "x = np.zeros(math.isqrt(4))\nraise DimensionError(x)\n")
+    # as_matrix is used only through __all__, and __init__.py imports to export.
+    assert unused_import_rule([("netcert.py", text), ("__init__.py", "import itertools\n")]) == [
+        "netcert.py:2: itertools", "netcert.py:5: WishartError"]
 
 
 def test_the_project_keeps_the_310_grammar():

@@ -27,6 +27,7 @@ from cwishart.verify import (
     identity_theta_rule,
     sweep_scaling,
 )
+from dense import build_shape
 
 
 def model(p, n, shape=None, theta=None):
@@ -202,7 +203,7 @@ class TestExactMeanDeviation:
     def test_skew_block_matches_the_closed_form(self, n, dense):
         shape = cw.ShapeSpec.skew_block()
         if dense:
-            shape = cw.ShapeSpec.custom(cw.build_shape(shape, n))
+            shape = cw.ShapeSpec.custom(build_shape(shape, n))
         z = self.z_of(model(2, n, shape), _exact_skew_block_mean_deviation(n))
         assert abs(z) <= EQUALITY_MARGIN
 
@@ -236,7 +237,7 @@ class TestExactMeanDeviation:
         ids=["diagonal-with-zero", "custom"])
     def test_p_1_any_shape_matches_the_quadrature(self, n, shape):
         # z = +0.37 for the diagonal, -1.30 for the custom B.
-        b = cw.build_shape(shape, n)
+        b = build_shape(shape, n)
         exact = _exact_p_1_mean_deviation(np.linalg.eigvalsh((b + b.T) / 2), n)
         assert abs(self.z_of(model(1, n, shape), exact)) <= EQUALITY_MARGIN
 
@@ -1064,7 +1065,7 @@ def _x_path_sigma(m, b, x, d):
 
 def _x_path_concentration(m, d, thresholds, trials, seed):
     """Summary of (sigma, tail indicators) per trial from full p x n draws of X."""
-    b = model_module.build_shape(m.shape, m.n)
+    b = build_shape(m.shape, m.n)
 
     def kernel(rng, k):
         s = _x_path_sigma(m, b, rng.standard_normal((k, m.p, m.n)), d)
@@ -1140,7 +1141,7 @@ def _lipschitz_row(s1, s2, dist_sq):
 
 def _x_path_lipschitz(m, d, trials, seed):
     """Summary of _lipschitz_row per pair from full p x n draws of X1 and X2."""
-    b = model_module.build_shape(m.shape, m.n)
+    b = build_shape(m.shape, m.n)
 
     def kernel(rng, k):
         x1, x2 = rng.standard_normal((2, k, m.p, m.n))
