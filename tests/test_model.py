@@ -312,6 +312,34 @@ class TestExpectedWishart:
         assert np.all(np.abs(mean - expected) <= 4 * stderr)
 
 
+class TestTraceNormalization:
+    """Tr(B_n) = n, the normalization of the paper's sequences, read from shape_trace."""
+
+    def test_identity(self):
+        assert shape_trace(cw.ShapeSpec.custom(np.eye(5)), 5) == 5.0
+        assert shape_trace(cw.ShapeSpec.identity(), 5) == 5.0
+
+    def test_skew_block(self):
+        b = build_shape(cw.ShapeSpec.skew_block(), 4)
+        assert shape_trace(cw.ShapeSpec.skew_block(), 4) == np.trace(b) == 0.0
+
+    def test_partial_diagonal(self):
+        assert shape_trace(cw.ShapeSpec.custom(np.diag([2.0, 0.0])), 2) == 2.0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            shape_trace(cw.ShapeSpec.custom(np.eye(3)), 2)
+
+    @pytest.mark.parametrize("family,normalized", [
+        (cw.identity_family, True),
+        (cw.normalized_diagonal_family(123), True),
+        (cw.skew_block_family, False),
+    ], ids=["identity", "normalized-diagonal", "skew-block"])
+    def test_families(self, family, normalized):
+        for n in (2, 4, 8):
+            assert (abs(shape_trace(family(n), n) - n) <= 1e-12 * n) is normalized
+
+
 class TestModelSerialization:
     def test_round_trip_variants(self):
         rng = cw.generator(321)

@@ -59,6 +59,66 @@ def responses_max(a):
     return best
 
 
+def certificate_cells(p):
+    """The x of every cell the certificates enumerate (the blocks of
+    netcert._half_tables), unscaled, as rows of {0, +-1}^p."""
+    left, right, _, _, blocks = netcert._half_tables(p, netcert._BLOCK_CELLS)
+    parts = []
+    for rows, cols in blocks:
+        lhs, rhs = left[rows], right[cols]
+        parts.append(np.hstack([np.repeat(lhs, len(rhs), axis=0), np.tile(rhs, (len(lhs), 1))]))
+    return np.concatenate(parts)
+
+
+class TestEnumeration:
+    """The certificates' cells are the regular vectors up to sign, each once."""
+
+    def test_level_counts(self):
+        s = np.count_nonzero(certificate_cells(4), axis=1)
+        assert 2 * int(np.sum(s == 2)) == 24  # C(4,2) * 2^2
+
+    def test_p1_is_plus_minus_one(self):
+        cells = certificate_cells(1)
+        assert cells.tolist() == [[1.0]]
+        assert sorted(float(v[0]) for v in np.vstack([cells, -cells])) == [-1.0, 1.0]
+
+    def test_p3_total_is_26(self):
+        s = np.count_nonzero(certificate_cells(3), axis=1)
+        assert (2 * np.bincount(s, minlength=4)).tolist() == [0, 6, 12, 8]
+        assert 2 * len(s) == 3**3 - 1
+
+    def test_counting_identity(self):
+        for p in range(1, 11):
+            cells = certificate_cells(p)
+            assert np.count_nonzero(cells, axis=1).min() >= 1
+            assert 2 * len(cells) == 3**p - 1
+
+    def test_vectors_are_unit_and_distinct(self):
+        t = certificate_cells(4)
+        x = t / np.sqrt(np.count_nonzero(t, axis=1))[:, None]
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
+        both = {tuple(row) for row in np.vstack([x, -x])}
+        assert len(both) == 2 * len(x)
+        assert both == {tuple(row) for row in regular_matrix(4)}
+
+    def test_cap_error_carries_count(self):
+        # At the cap the blocks hold every cell; one past it, nothing is
+        # enumerated and the error carries the count it would have needed.
+        p = netcert.BILINEAR_CAP
+        left, right, _, _, blocks = netcert._half_tables(p, netcert._BLOCK_CELLS)
+        cells = sum(len(left[r]) * len(right[c]) for r, c in blocks)
+        assert 2 * cells == 3**p - 1
+        with pytest.raises(EnumerationCapError) as exc:
+            cw.certify_norm_bound(np.eye(p + 1))
+        assert exc.value.count == 3 ** (p + 1) - 1
+
+    def test_invalid_sparsity(self):
+        with pytest.raises(DimensionError):
+            cw.RegularVector(3, 0, (), ())
+        with pytest.raises(DimensionError):
+            cw.RegularVector(3, 4, (0, 1, 2, 3), (1, 1, 1, 1))
+
+
 class TestMaxRegularResponse:
     def test_single_spike(self):
         value, arg = cw.max_regular_response([1.0, 0.0, 0.0])
