@@ -12,9 +12,9 @@ contiguous row of k trials where it lies (_Summary.of_block): the count, and
 per result entry the sum, the sum of squared deviations from the mean (at the
 power-of-two scale of the entry's largest |value|, see _Summary) and the max.
 Summaries merge in block order (the pairwise update of Chan, Golub and
-LeVeque, 1979), so memory holds one block per worker whatever the trial
+LeVeque, 1979), so memory holds one block per thread whatever the trial
 count.  Block boundaries and the merge order do not depend on the worker
-count, which only sets how many threads run blocks at once, so reports are
+count, which only caps how many threads run blocks at once, so reports are
 bit-identical for any worker count.  Every check reads its statistics from the
 merged summary; tail frequencies and violation counts are sums of 0/1
 indicators, so they are exact.  Statistics of values scaled by 2**j are
@@ -51,6 +51,26 @@ count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
 included), workers an integer of at least 1, both checked before any block
 runs.  Each check reports the trial count of the engine's summary.
 
+Threads pay only for heavy blocks.  numpy releases the GIL in its RNG, BLAS
+and LAPACK calls, but a light block spends most of its time in Python, where a
+second thread adds GIL hand-offs and no speed.  So with workers > 1 and at
+least 3 blocks, blocks 0 and 1 run in the calling thread and are timed; the
+rest go to a thread pool only if the faster of the two took at least
+_POOL_MIN_BLOCK_S (5 ms), and otherwise run in the calling thread too.  Two
+blocks, because the first block of a fresh process pays one-off set-up: a
+0.1-0.2 ms linear-form block took 6-11 ms there.  The pool, and the blocks in
+flight, never outnumber min(workers, blocks left, the CPUs this process may
+use), so a huge worker count starts no more threads than there are CPUs.  With
+workers = 1 no block is timed.  Workers 1 -> 2, best of 5 on a 2-vCPU VM with
+one BLAS thread, when every block went to the pool: linear form (p = 3) 0.6 ->
+1.7 ms at 4000 trials and 9.7 -> 19.5 ms at 10^5, chaos (p = 3, 4 matrices)
+17.3 -> 23.9 ms and concentration 9.2 -> 22.2 ms at 10^5; with this rule each
+reads the same at 1 and 2 workers (within 3%).  Heavy blocks still gain:
+8192-trial decoupling at p = 8, n = 128 with a diagonal B runs 1.3-1.6x faster
+at two workers (1.5-1.7x when every block went to the pool), and the 5 ms
+floor is where the Gram-draw kernels (identity and skew-block B) stopped
+losing in a sweep of per-block times from 0.1 to 60 ms.
+
 Acceptance margins, in standard errors of the compared statistic, with one
 comparison's false-failure probability under a normal approximation:
 INEQUALITY_MARGIN = 3, P(Z > 3) = 1.35e-3, for the one-sided checks (bound
@@ -76,6 +96,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -151,6 +173,10 @@ STD_MARGIN = 5.0
 # takes at most MAX_TRIALS trials: about 110 s of the cheapest one on one core.
 BLOCK_TRIALS = 1024
 MAX_TRIALS = 10**9
+
+# The least time, in seconds, that the faster of a check's first two blocks
+# must take for its other blocks to go to a thread pool (see _run_blocks).
+_POOL_MIN_BLOCK_S = 5e-3
 
 # Tail points per concentration check: each holds a 0/1 indicator per trial in a block.
 MAX_T_GRID = 64
@@ -238,11 +264,14 @@ def _run_blocks(
     Block b holds k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) trials and
     draws from generator(mix_seed(master_seed, b)); the kernel returns a
     C-contiguous float64 (..., k) array, its trials on the last axis, which
-    the thread that ran it reduces to a _Summary.  workers > 1 runs blocks on
-    a thread pool (numpy releases the GIL in its RNG and BLAS calls),
-    submitted at most 4 * workers blocks ahead of the merge so that pending
-    work stays bounded; kernels must only read shared inputs.  The one check
-    of trials and workers (see the module docstring) runs before any block.
+    the thread that ran it reduces to a _Summary.  With workers > 1 and 3
+    blocks or more, blocks 0 and 1 run here and are timed; if the faster took
+    at least _POOL_MIN_BLOCK_S, the rest run on a pool of min(workers, blocks
+    left, usable CPUs) threads, with at most that many blocks submitted
+    ahead of the merge, and otherwise here (see the module docstring for the
+    measurements).  A pool of one thread is not started.  Kernels must only
+    read shared inputs.  The one check of trials and workers (see the module
+    docstring) runs before any block.
     A merged summary holding inf or NaN (a per-trial value, or a sum over the
     trials, that does not fit in a float) raises ValueError rather than being
     reported.
@@ -265,16 +294,25 @@ def _run_blocks(
 
     # Overflow leaves inf or NaN for the finite check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if workers == 1 or blocks < 2:
+        if workers == 1 or blocks < 3:
             summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                window = deque(ex.submit(pooled_block, b) for b in range(min(blocks, 4 * workers)))
-                summary = window.popleft().result()
-                for b in range(4 * workers, blocks):
-                    window.append(ex.submit(pooled_block, b))
-                    summary = summary.merge(window.popleft().result())
-                summary = functools.reduce(_Summary.merge, (f.result() for f in window), summary)
+            start = time.perf_counter()
+            summary = block(0)
+            middle = time.perf_counter()
+            summary = summary.merge(block(1))
+            fastest = min(middle - start, time.perf_counter() - middle)
+            threads = min(workers, blocks - 2, _usable_cpus())
+            if threads < 2 or fastest < _POOL_MIN_BLOCK_S:
+                summary = functools.reduce(_Summary.merge, map(block, range(2, blocks)), summary)
+            else:
+                with ThreadPoolExecutor(max_workers=threads) as ex:
+                    window = deque(ex.submit(pooled_block, b) for b in range(2, 2 + threads))
+                    for b in range(2 + threads, blocks):
+                        summary = summary.merge(window.popleft().result())
+                        window.append(ex.submit(pooled_block, b))
+                    summary = functools.reduce(_Summary.merge, (f.result() for f in window),
+                                               summary)
     # Every non-finite per-trial value, and every overflowed sum, reaches the
     # total (inf and NaN propagate through sums), and every overflowed square
     # the squared deviations; the max and the integer exponents need no check.
@@ -283,6 +321,13 @@ def _run_blocks(
             "Monte Carlo statistics overflow floating point; scale theta or B down and rerun"
         )
     return summary
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (the machine's count where that is not known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

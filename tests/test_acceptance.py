@@ -282,7 +282,10 @@ def test_criterion_6_rejects_a_wrong_cell_set(change, monkeypatch):
 def test_criterion_10_reproducibility(monkeypatch):
     # Rerunning every criterion with a different worker count must produce
     # byte-identical JSON reports, each rerun well under 20 s.  Every summary
-    # shape (scalar, (2,), (6,), (3, 3)) spans two blocks or more, so both workers run.
+    # shape (scalar, (2,), (6,), (3, 3)) spans two blocks or more, so every shape
+    # is merged.  No block here is heavy enough for the thread pool
+    # (verify._POOL_MIN_BLOCK_S), so the rerun takes the serial path at two
+    # workers; test_verify.py's TestThreadPool forces the pool on for each shape.
     merged, merge = set(), verify._Summary.merge
     monkeypatch.setattr(verify._Summary, "merge", lambda a, b: merged.add(a.total.shape)
                         or merge(a, b))

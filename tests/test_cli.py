@@ -442,7 +442,10 @@ class TestUsage:
         assert cli.main(["--config", config]) == 2
 
     def test_workers_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        # 2500 trials are three blocks, the last one partial, so two threads do run.
+        # 2500 trials are three blocks, the last one partial.  They are too light
+        # for the thread pool (verify._POOL_MIN_BLOCK_S), so both thread counts
+        # run them in the calling thread; test_verify.py's TestThreadPool forces
+        # the pool on and compares its reports.
         # The complexity search builds the largest B the package builds (46
         # diagonals, up to n of about 10^6).  Each run takes well under 20 s.
         rng = cw.generator(37)

@@ -21,6 +21,7 @@ GENERATOR_TYPE = re.compile(r"np\.random\.Generator\b")
 WRITER = re.compile(r"""open\([^)]*['"][rbt+]*[wax+][rbt+]*['"]"""
                     r"|O_(WRONLY|RDWR|APPEND|CREAT|TRUNC)\b|\.write_(text|bytes)\(")
 SHAPE_MATRIX = re.compile(r"build_shape\(")
+THREADS = re.compile(r"concurrent\.futures|ThreadPoolExecutor|\bthreading\b|\bmultiprocessing\b")
 
 
 def _lines(sources, exempt):
@@ -62,6 +63,12 @@ def shape_matrix_rule(sources):
     return [where for where, line in _lines(sources, None) if SHAPE_MATRIX.search(line)]
 
 
+def one_thread_pool_rule(sources):
+    """verify._run_blocks is the package's one thread pool: outside verify.py nothing
+    names concurrent.futures, ThreadPoolExecutor, threading or multiprocessing."""
+    return [where for where, line in _lines(sources, "verify.py") if THREADS.search(line)]
+
+
 def unused_import_rule(sources):
     """Every name a module imports is used: referenced as a name, or exported through its
     __all__.  __init__.py is exempt, since its imports are the package's exports."""
@@ -101,9 +108,9 @@ def python_310_grammar_rule(sources):
 
 
 @pytest.mark.parametrize("rule", [spectral_norm_rule, seeded_stream_rule, output_writer_rule,
-                                  shape_matrix_rule, unused_import_rule])
+                                  shape_matrix_rule, one_thread_pool_rule, unused_import_rule])
 def test_the_package_keeps_the_rule(rule):
-    assert {"cli.py", "linalg.py", "model.py"} <= {name for name, _ in SOURCES}
+    assert {"cli.py", "linalg.py", "model.py", "verify.py"} <= {name for name, _ in SOURCES}
     assert rule(SOURCES) == []
 
 
@@ -129,6 +136,23 @@ def test_a_violating_line_is_reported(rule, line):
     assert rule(sources) == [f"{name}:{2 if name == 'verify.py' else 1}: {line}"
                              for name in ("verify.py", "linalg.py", "model.py")
                              if name not in exempt]
+
+
+@pytest.mark.parametrize("line", [
+    "from concurrent.futures import ThreadPoolExecutor",
+    "import concurrent.futures",
+    "    with ThreadPoolExecutor(max_workers=4) as ex:",
+    "import threading",
+    "lock = threading.Lock()",
+    "from multiprocessing import Pool",
+    "import multiprocessing as mp",
+], ids=["from-futures", "import-futures", "executor", "threading", "lock", "from-multiprocessing",
+        "multiprocessing"])
+def test_a_thread_pool_outside_verify_is_reported(line):
+    # verify.py alone may hold a pool; a word that merely contains a name does not count.
+    sources = [("verify.py", f"x = 1\n{line}\n"), ("cli.py", f"x = 1\n{line}\n"),
+               ("linalg.py", "# safe from concurrent workers; multithreading_ok = 1\n")]
+    assert one_thread_pool_rule(sources) == [f"cli.py:2: {line}"]
 
 
 @pytest.mark.parametrize("writes,prints", [(2, 1), (1, 0)])
