@@ -3,12 +3,8 @@
 Commands: sample, bound, verify, netcert, sweep.  Parameters come from a JSON
 config file (with a "command" field); command-line flags win over the file.
 All randomness flows from the single seed; WISHART_THREADS, a positive integer,
-caps how many threads run Monte Carlo trial blocks: speed only, never results.
-A check uses threads only when the faster of its first two blocks took at
-least verify._POOL_MIN_BLOCK_S (5 ms), and never more threads than the blocks
-left or the CPUs the process may use: at 1 -> 2 threads a 4000-trial linear
-form once went 0.6 -> 1.7 ms and now reads the same, while an 8192-trial
-p = 8, n = 128 decoupling with a diagonal B runs 1.3-1.6x faster (2-vCPU VM).
+caps how many threads run Monte Carlo trial blocks: speed only, never results
+(the verify module docstring says which checks use more than one).
 
 Exit codes: 0 success with all checks holding, 1 at least one check failing,
 2 config/usage error, 3 resource/cap error (running out of memory included).

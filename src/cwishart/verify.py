@@ -61,15 +61,21 @@ blocks, because the first block of a fresh process pays one-off set-up: a
 0.1-0.2 ms linear-form block took 6-11 ms there.  The pool, and the blocks in
 flight, never outnumber min(workers, blocks left, the CPUs this process may
 use), so a huge worker count starts no more threads than there are CPUs.  With
-workers = 1 no block is timed.  Workers 1 -> 2, best of 5 on a 2-vCPU VM with
-one BLAS thread, when every block went to the pool: linear form (p = 3) 0.6 ->
-1.7 ms at 4000 trials and 9.7 -> 19.5 ms at 10^5, chaos (p = 3, 4 matrices)
-17.3 -> 23.9 ms and concentration 9.2 -> 22.2 ms at 10^5; with this rule each
-reads the same at 1 and 2 workers (within 3%).  Heavy blocks still gain:
-8192-trial decoupling at p = 8, n = 128 with a diagonal B runs 1.3-1.6x faster
-at two workers (1.5-1.7x when every block went to the pool), and the 5 ms
-floor is where the Gram-draw kernels (identity and skew-block B) stopped
-losing in a sweep of per-block times from 0.1 to 60 ms.
+workers = 1 no block is timed.
+
+Measured at workers 1 -> 2 (best of 5, 2-vCPU VM, one BLAS thread;
+BENCH_32.json has the runs and the sweep), light blocks lose on a pool: with
+every block on it, linear form (p = 3) took 0.6 -> 1.7 ms at 4000 trials and
+9.7 -> 19.5 ms at 10^5, chaos (p = 3, 4 matrices) 17.3 -> 23.9 ms and
+concentration 9.2 -> 22.2 ms at 10^5; under this rule each reads the same at
+1 and 2 workers (within 3%).  The 5 ms floor is where the Gram-draw kernels
+(identity and skew-block B) stopped losing in a sweep of per-block times from
+0.1 to 60 ms.  The two timed blocks run serially whatever follows, so a heavy
+check keeps only part of the pool's gain: 2m blocks take m + 1 block-times on
+2 threads, not m.  The 8192-trial decoupling (8 blocks) at p = 8, n = 128
+with a diagonal B runs 1.2-1.6x faster at 2 workers, and a 4-block check at
+most 4/3x.  Timing block 0 alone won back only 6-14% in a prototype: the
+2m - 1 blocks left still take m block-times on 2 threads.
 
 Acceptance margins, in standard errors of the compared statistic, with one
 comparison's false-failure probability under a normal approximation:
@@ -268,10 +274,10 @@ def _run_blocks(
     blocks or more, blocks 0 and 1 run here and are timed; if the faster took
     at least _POOL_MIN_BLOCK_S, the rest run on a pool of min(workers, blocks
     left, usable CPUs) threads, with at most that many blocks submitted
-    ahead of the merge, and otherwise here (see the module docstring for the
-    measurements).  A pool of one thread is not started.  Kernels must only
-    read shared inputs.  The one check of trials and workers (see the module
-    docstring) runs before any block.
+    ahead of the merge, and otherwise here (see the module docstring).  A
+    pool of one thread is not started.  Kernels must only read shared inputs.
+    The one check of trials and workers (see the module docstring) runs
+    before any block.
     A merged summary holding inf or NaN (a per-trial value, or a sum over the
     trials, that does not fit in a float) raises ValueError rather than being
     reported.

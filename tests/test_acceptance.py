@@ -283,12 +283,17 @@ def test_criterion_10_reproducibility(monkeypatch):
     # Rerunning every criterion with a different worker count must produce
     # byte-identical JSON reports, each rerun well under 20 s.  Every summary
     # shape (scalar, (2,), (6,), (3, 3)) spans two blocks or more, so every shape
-    # is merged.  No block here is heavy enough for the thread pool
-    # (verify._POOL_MIN_BLOCK_S), so the rerun takes the serial path at two
-    # workers; test_verify.py's TestThreadPool forces the pool on for each shape.
+    # is merged.  No block here is heavy enough for the thread pool, so the
+    # floor is set to 0: both workers run wherever 4 blocks or more leave two
+    # after the timed ones.
     merged, merge = set(), verify._Summary.merge
     monkeypatch.setattr(verify._Summary, "merge", lambda a, b: merged.add(a.total.shape)
                         or merge(a, b))
+    pools, pool = [], verify.ThreadPoolExecutor
+    monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
     start = time.perf_counter()
     ok = True
     for number, (name, builder, _, _) in sorted(CRITERIA.items()):
@@ -302,3 +307,4 @@ def test_criterion_10_reproducibility(monkeypatch):
     _report_line(10, "reproducibility", ok, time.perf_counter() - start)
     assert ok
     assert {(), (2,), (6,), (3, 3)} <= merged, merged
+    assert pools and set(pools) == {2}

@@ -442,20 +442,24 @@ class TestUsage:
         assert cli.main(["--config", config]) == 2
 
     def test_workers_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        # 2500 trials are three blocks, the last one partial.  They are too light
-        # for the thread pool (verify._POOL_MIN_BLOCK_S), so both thread counts
-        # run them in the calling thread; test_verify.py's TestThreadPool forces
-        # the pool on and compares its reports.
+        # 4500 trials are five blocks, the last one partial.  They are too light
+        # for the thread pool, so the floor is set to 0: after the two timed
+        # blocks, two threads do run.
         # The complexity search builds the largest B the package builds (46
         # diagonals, up to n of about 10^6).  Each run takes well under 20 s.
+        pools, pool = [], verify.ThreadPoolExecutor
+        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(verify, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
         rng = cw.generator(37)
         configs = [
             {"command": "verify", "check": "decoupling",
-             "model": identity_model_dict(2, 8), "trials": 2500, "seed": 31},
+             "model": identity_model_dict(2, 8), "trials": 4500, "seed": 31},
             {"command": "verify", "check": "chaos",
              "theta": cw.matrix_to_dict(np.diag([1.0, 2.0, 3.0])),
              "matrices": [cw.matrix_to_dict(rng.standard_normal((3, 3))) for _ in range(8)],
-             "trials": 2500, "seed": 41},
+             "trials": 4500, "seed": 41},
             {"command": "sweep", "sweep": "complexity", "p_grid": [8], "tolerance": 2.0,
              "family": {"variant": "diagonal", "seed": 5}, "trials": 200, "seed": 3},
         ]
@@ -473,7 +477,8 @@ class TestUsage:
                 runs.append((capsys.readouterr().out, files))
             assert runs[0] == runs[1]
             reports.append(json.loads(runs[0][0]))
-        assert [report["lhs"]["trials"] for report in reports[:2]] == [2500, 2500]
+        assert [report["lhs"]["trials"] for report in reports[:2]] == [4500, 4500]
+        assert pools == [2, 2]
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_workers_env_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):

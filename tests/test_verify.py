@@ -2,7 +2,6 @@ import dataclasses
 import math
 import os
 import re
-import time
 import tracemalloc
 import types
 import warnings
@@ -1446,8 +1445,11 @@ class TestTrialsLastSummary:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_worker_counts_equal_the_reference(self, shape, workers):
-        # Four blocks, the last a partial one, with one to three workers.
+    def test_worker_counts_equal_the_reference(self, monkeypatch, shape, workers):
+        # Four blocks, the last a partial one, with one to three workers: with
+        # the floor at 0, two threads do run blocks 2 and 3.
+        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         draw = _scaled_normals(shape, 2.0, 1.0)
         want = _trials_first_run(draw, 3 * BLOCK_TRIALS + 5, 307)
         got = verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS + 5, 307, workers)
@@ -1549,10 +1551,23 @@ class TestThreadPool:
     def normals(rng, k):
         return rng.standard_normal(k)
 
+    @staticmethod
+    def clock(monkeypatch):
+        """verify's clock, as a list whose one entry a kernel may advance."""
+        now = [0.0]
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        return now
+
     def test_light_checks_start_no_pool(self, monkeypatch):
+        # Each block is read as 0.3 ms, the slowest light block measured, so
+        # the choice does not depend on the load of the machine running it.
         def no_pool(max_workers):
             raise AssertionError("a pool was started")
 
+        now = self.clock(monkeypatch)
+        of_block = verify._Summary.of_block
+        monkeypatch.setattr(verify._Summary, "of_block",
+                            lambda x: now.__setitem__(0, now[0] + 3e-4) or of_block(x))
         monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         mats = [cw.generator(341).standard_normal((3, 3)) for _ in range(4)]
@@ -1561,11 +1576,12 @@ class TestThreadPool:
         assert cw.check_chaos_decoupling(mats, cw.SpdMatrix.identity(3), 10**4, 13, 2).holds
         assert cw.check_concentration(
             model(3, 16), [1.0, 0.0, 0.0], [0.0, 0.1], 10**4, 17, 2).holds
+        assert now[0] == pytest.approx(3e-4 * (4 + 10 + 10))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_reports_equal_one_worker(self, monkeypatch, workers):
         # Five blocks, the last a partial one: two run in the calling thread,
-        # three in the pool, for every summary shape.
+        # three in the pool, for every kernel and every summary shape.
         sizes, shapes = [], set()
         real_pool, merge = verify.ThreadPoolExecutor, verify._Summary.merge
         monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
@@ -1578,16 +1594,25 @@ class TestThreadPool:
         trials = 4 * BLOCK_TRIALS + 5
         m = model(3, 8, shape=cw.ShapeSpec.skew_block(),
                   theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        m_custom = model(3, 8, shape=cw.ShapeSpec.custom(cw.generator(151).standard_normal((8, 8))),
+                         theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
         checks = [
             lambda w: cw.check_linear_form_std(
-                cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, w),
-            lambda w: cw.check_wishart_decoupling(TrialConfig(m, trials, 113), w),
+                cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, w).to_dict(),
+            lambda w: cw.check_wishart_decoupling(TrialConfig(m, trials, 113), w).to_dict(),
+            lambda w: cw.check_wishart_decoupling(TrialConfig(m_custom, trials, 157), w).to_dict(),
+            lambda w: cw.check_chaos_decoupling(
+                mats, cw.SpdMatrix.identity(3), trials, 127, w).to_dict(),
             lambda w: cw.check_concentration(
-                model(3, 8), [1.0, 0.0, 0.0], [0.0, 0.02, 0.05, 0.1, 0.2], trials, 139, w),
-            lambda w: check_expectation(TrialConfig(m, trials, 133), w),
+                model(3, 8), [1.0, 0.0, 0.0], [0.0, 0.02, 0.05, 0.1, 0.2], trials, 139,
+                w).to_dict(),
+            lambda w: check_expectation(TrialConfig(m, trials, 133), w).to_dict(),
+            lambda w: cw.check_bound_dominance(TrialConfig(m, trials, 137), workers=w).to_dict(),
+            lambda w: cw.count_lipschitz_violations(model(3, 8), [0.0, 1.0, 0.0], trials, 149, w),
         ]
         for run in checks:
-            assert canonical_dumps(run(1).to_dict()) == canonical_dumps(run(workers).to_dict())
+            assert canonical_dumps(run(1)) == canonical_dumps(run(workers))
         assert sizes == [workers] * len(checks)
         assert shapes == {(), (2,), (6,), (3, 3)}
 
@@ -1612,12 +1637,13 @@ class TestThreadPool:
                              ids=["both-slow", "first-slow", "second-slow", "both-fast"])
     def test_the_faster_timed_block_decides(self, inline_pools, monkeypatch, slow, pooled):
         # A first block slowed by a fresh process's set-up does not start the pool.
+        # A slow block reads as twice the floor and a fast one as no time at all.
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        ran = []
+        now, ran = self.clock(monkeypatch), []
 
         def kernel(rng, k):
             if len(ran) in slow:
-                time.sleep(2 * verify._POOL_MIN_BLOCK_S)
+                now[0] += 2 * verify._POOL_MIN_BLOCK_S
             ran.append(k)
             return rng.standard_normal(k)
 
