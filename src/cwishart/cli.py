@@ -48,6 +48,7 @@ from .netcert import certify_norm_bounds
 from .verify import (
     SweepRow,
     TrialConfig,
+    _config_digest,
     check_bound_dominance,
     check_chaos_decoupling,
     check_concentration,
@@ -74,6 +75,30 @@ class ConfigError(Exception):
 
 # Everything main maps to exit code 2; anything else is a bug and propagates.
 USAGE_ERRORS = (ConfigError, WishartError, ValueError, OSError)
+
+
+class _ReadKeys(dict):
+    """A config that records which of its top-level keys were read (by [] or get)."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def digest_unread(self) -> None:
+        """Digest the keys not read: one holding inf or NaN raises ValueError now.
+
+        A command calls this after reading every key it uses and before its
+        first trial; each key it read has had its own check, with its name.
+        """
+        _config_digest({k: v for k, v in self.items() if k not in self.read})
 
 
 def _workers() -> int:
@@ -105,7 +130,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace) -> _ReadKeys:
     cfg: dict = {}
     if args.config is not None:
         try:
@@ -125,7 +150,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise ConfigError("no command given (positional argument or \"command\" in config)")
     if cfg["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {cfg['command']!r}; valid: {', '.join(COMMANDS)}")
-    return cfg
+    return _ReadKeys(cfg)
 
 
 def _load_model_from(cfg: dict) -> WishartModel:
@@ -217,32 +242,37 @@ def cmd_bound(cfg: dict) -> tuple[int, list]:
     return 0, [("bound.json", canonical_dumps(report.to_dict()) + "\n")]
 
 
-def _run_check(cfg: dict, workers: int) -> dict:
+def _run_check(cfg: _ReadKeys, workers: int) -> dict:
+    """The check's payload; its keys are read, and the others digested, before any trial."""
     check = cfg.get("check")
     if check not in CHECKS:
         raise ConfigError(f"unknown check {check!r}; valid: {', '.join(CHECKS)}")
     seed = _seed(cfg)
     if check in ("expectation", "dominance", "decoupling"):
         trial_cfg = TrialConfig(_load_model_from(cfg), cfg.get("trials", _NORM_TRIALS), seed)
-        if check == "expectation":
-            return check_expectation(trial_cfg, workers).to_dict()
-        if check == "dominance":
-            return check_bound_dominance(trial_cfg, workers).to_dict()
-        return check_wishart_decoupling(trial_cfg, workers).to_dict()
-    if check == "concentration":
-        return check_concentration(_load_model_from(cfg), cfg.get("direction"), cfg.get("t_grid"),
-                                   cfg.get("trials", _SCALAR_TRIALS), seed, workers).to_dict()
-    if "theta" not in cfg:
-        raise ConfigError(f"{check} check needs \"theta\"")
-    theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
-    trials = cfg.get("trials", _SCALAR_TRIALS)
-    if check == "chaos":
-        matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
-        return check_chaos_decoupling(matrices, theta, trials, seed, workers).to_dict()
-    return check_linear_form_std(theta, cfg.get("a"), trials, seed, workers).to_dict()
+        fn = {"expectation": check_expectation, "dominance": check_bound_dominance,
+              "decoupling": check_wishart_decoupling}[check]
+        run = functools.partial(fn, trial_cfg, workers)
+    elif check == "concentration":
+        run = functools.partial(check_concentration, _load_model_from(cfg), cfg.get("direction"),
+                                cfg.get("t_grid"), cfg.get("trials", _SCALAR_TRIALS), seed,
+                                workers)
+    else:
+        if "theta" not in cfg:
+            raise ConfigError(f"{check} check needs \"theta\"")
+        theta = SpdMatrix(matrix_from_dict(cfg["theta"]))
+        trials = cfg.get("trials", _SCALAR_TRIALS)
+        if check == "chaos":
+            matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
+            run = functools.partial(check_chaos_decoupling, matrices, theta, trials, seed, workers)
+        else:
+            run = functools.partial(check_linear_form_std, theta, cfg.get("a"), trials, seed,
+                                    workers)
+    cfg.digest_unread()
+    return run().to_dict()
 
 
-def cmd_verify(cfg: dict) -> tuple[int, list]:
+def cmd_verify(cfg: _ReadKeys) -> tuple[int, list]:
     payload = _run_check(cfg, _workers())
     report = emit_report(cfg["check"], _digest_config(cfg), _seed(cfg), payload)
     return (0 if payload.get("holds", True) else 1,
@@ -271,7 +301,7 @@ def _csv_text(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: dict) -> tuple[int, list]:
+def cmd_sweep(cfg: _ReadKeys) -> tuple[int, list]:
     kind = cfg.get("sweep", "scaling")
     workers = _workers()
     seed = _seed(cfg)
@@ -282,19 +312,23 @@ def cmd_sweep(cfg: dict) -> tuple[int, list]:
             raise ConfigError("scaling sweep needs a positive \"p\"")
         theta = (SpdMatrix(matrix_from_dict(cfg["theta"])) if "theta" in cfg
                  else SpdMatrix.identity(p))
-        sweep = sweep_scaling(p, n_grid, _family(cfg), theta, cfg.get("trials", _NORM_TRIALS),
-                              seed, workers)
-        rows = list(sweep.rows)
-        summary = {"sweep": "scaling", "slope": sweep.slope, "degenerate": sweep.degenerate}
+        run = functools.partial(sweep_scaling, p, n_grid, _family(cfg), theta,
+                                cfg.get("trials", _NORM_TRIALS), seed, workers)
     elif kind == "complexity":
-        table = empirical_sample_complexity(
-            _list(cfg, "p_grid"), cfg.get("tolerance"), _family(cfg), identity_theta_rule,
-            cfg.get("trials", _NORM_TRIALS), seed, workers,
+        run = functools.partial(
+            empirical_sample_complexity, _list(cfg, "p_grid"), cfg.get("tolerance"),
+            _family(cfg), identity_theta_rule, cfg.get("trials", _NORM_TRIALS), seed, workers,
         )
-        rows = [row.stats for row in table.rows]
-        summary = {"sweep": "complexity", "table": table.to_dict()}
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")
+    cfg.digest_unread()
+    result = run()
+    if kind == "scaling":
+        rows = list(result.rows)
+        summary = {"sweep": "scaling", "slope": result.slope, "degenerate": result.degenerate}
+    else:
+        rows = [row.stats for row in result.rows]
+        summary = {"sweep": "complexity", "table": result.to_dict()}
     report = canonical_dumps(emit_report(f"sweep_{kind}", _digest_config(cfg), seed, summary))
     return 0, [("sweep.csv", _csv_text(rows)), ("summary.json", report + "\n")]
 

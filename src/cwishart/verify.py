@@ -61,7 +61,8 @@ blocks, because the first block of a fresh process pays one-off set-up: a
 0.1-0.2 ms linear-form block took 6-11 ms there.  The pool, and the blocks in
 flight, never outnumber min(workers, blocks left, the CPUs this process may
 use), so a huge worker count starts no more threads than there are CPUs.  With
-workers = 1 no block is timed.
+workers = 1 no block is timed.  The pool's module, concurrent.futures, is
+imported when a pool starts, so a process that never pools does not load it.
 
 Measured at workers 1 -> 2 (best of 5, 2-vCPU VM, one BLAS thread;
 BENCH_32.json has the runs and the sweep), light blocks lose on a pool: with
@@ -105,7 +106,6 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -312,6 +312,8 @@ def _run_blocks(
             if threads < 2 or fastest < _POOL_MIN_BLOCK_S:
                 summary = functools.reduce(_Summary.merge, map(block, range(2, blocks)), summary)
             else:
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=threads) as ex:
                     window = deque(ex.submit(pooled_block, b) for b in range(2, 2 + threads))
                     for b in range(2 + threads, blocks):
@@ -991,18 +993,25 @@ def empirical_sample_complexity(
 # Report envelope
 # ---------------------------------------------------------------------------
 
-def emit_report(check_name: str, config: dict, master_seed: int, payload: dict) -> dict:
-    """Wrap a check result in the standard report envelope.
+def _config_digest(config: dict) -> str:
+    """The truncated SHA-256 of the canonical JSON text of ``config``.
 
-    The config digest is the truncated SHA-256 of the canonical JSON text of
-    ``config``, so identical configurations always produce identical reports;
-    a config holding inf or NaN, which JSON cannot represent, raises ValueError.
+    A config holding inf or NaN, which JSON cannot represent, raises ValueError.
     """
     try:
         text = canonical_dumps(config)
     except ValueError as exc:
         raise ValueError("config holds inf or NaN, which JSON cannot represent") from exc
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    report = {"check_name": check_name, "config_digest": digest, "master_seed": master_seed}
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def emit_report(check_name: str, config: dict, master_seed: int, payload: dict) -> dict:
+    """Wrap a check result in the standard report envelope.
+
+    The config digest is _config_digest(config), so identical configurations
+    always produce identical reports.
+    """
+    report = {"check_name": check_name, "config_digest": _config_digest(config),
+              "master_seed": master_seed}
     report.update(payload)
     return report

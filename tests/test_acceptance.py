@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The final test reruns every criterion with a different worker count
 and requires byte-identical JSON reports.
 """
+import concurrent.futures
 import math
 import statistics
 import time
@@ -289,10 +290,10 @@ def test_criterion_10_reproducibility(monkeypatch):
     merged, merge = set(), verify._Summary.merge
     monkeypatch.setattr(verify._Summary, "merge", lambda a, b: merged.add(a.total.shape)
                         or merge(a, b))
-    pools, pool = [], verify.ThreadPoolExecutor
+    pools, pool = [], concurrent.futures.ThreadPoolExecutor
     monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "ThreadPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda max_workers: pools.append(max_workers) or pool(max_workers))
     start = time.perf_counter()
     ok = True

@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import math
@@ -447,10 +448,10 @@ class TestUsage:
         # blocks, two threads do run.
         # The complexity search builds the largest B the package builds (46
         # diagonals, up to n of about 10^6).  Each run takes well under 20 s.
-        pools, pool = [], verify.ThreadPoolExecutor
+        pools, pool = [], concurrent.futures.ThreadPoolExecutor
         monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(verify, "ThreadPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             lambda max_workers: pools.append(max_workers) or pool(max_workers))
         rng = cw.generator(37)
         configs = [
@@ -691,8 +692,10 @@ class TestExitTwoLeavesNoReport:
         "base,report", [(STDDEV, "verify_stddev.json"), (SCALING, "sweep.csv")],
         ids=["verify", "sweep"])
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_unread_key_json_cannot_hold_blames_the_config(self, tmp_path, capsys, base, report,
-                                                           value):
+    def test_unread_key_json_cannot_hold_blames_the_config(self, tmp_path, capsys, monkeypatch,
+                                                           base, report, value):
+        # Found before any trial: no block of draws is started.
+        monkeypatch.setattr(verify, "generator", lambda seed: pytest.fail("a trial ran"))
         out = tmp_path / "out"
         cfg = dict(base, note=value, out=str(out))
         assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2

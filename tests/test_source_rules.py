@@ -63,10 +63,32 @@ def shape_matrix_rule(sources):
     return [where for where, line in _lines(sources, None) if SHAPE_MATRIX.search(line)]
 
 
+def _imports_outside_functions(tree):
+    """The import statements that run when the module is imported."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
 def one_thread_pool_rule(sources):
     """verify._run_blocks is the package's one thread pool: outside verify.py nothing
-    names concurrent.futures, ThreadPoolExecutor, threading or multiprocessing."""
-    return [where for where, line in _lines(sources, "verify.py") if THREADS.search(line)]
+    names concurrent.futures, ThreadPoolExecutor, threading or multiprocessing, and
+    verify.py imports concurrent.futures only inside a function, so a process that
+    never pools does not load it."""
+    found = [where for where, line in _lines(sources, "verify.py") if THREADS.search(line)]
+    for name, text in sources:
+        if name == "verify.py":
+            lines = text.splitlines()
+            for node in _imports_outside_functions(ast.parse(text, name)):
+                modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                           else [alias.name for alias in node.names])
+                if any(m.partition(".")[0] == "concurrent" for m in modules):
+                    found.append(f"{name}:{node.lineno}: {lines[node.lineno - 1]}")
+    return found
 
 
 def unused_import_rule(sources):
@@ -149,10 +171,28 @@ def test_a_violating_line_is_reported(rule, line):
 ], ids=["from-futures", "import-futures", "executor", "threading", "lock", "from-multiprocessing",
         "multiprocessing"])
 def test_a_thread_pool_outside_verify_is_reported(line):
-    # verify.py alone may hold a pool; a word that merely contains a name does not count.
-    sources = [("verify.py", f"x = 1\n{line}\n"), ("cli.py", f"x = 1\n{line}\n"),
+    # verify.py alone may hold a pool, importing it inside a function; a word that
+    # merely contains a name does not count.
+    pool = ("def run(blocks):\n    from concurrent.futures import ThreadPoolExecutor\n"
+            "    import concurrent.futures\n"
+            "    with ThreadPoolExecutor(max_workers=4) as ex:\n        return ex\n")
+    sources = [("verify.py", pool), ("cli.py", f"x = 1\n{line}\n"),
                ("linalg.py", "# safe from concurrent workers; multithreading_ok = 1\n")]
     assert one_thread_pool_rule(sources) == [f"cli.py:2: {line}"]
+
+
+@pytest.mark.parametrize("text,number", [
+    ("from concurrent.futures import ThreadPoolExecutor\n", 1),
+    ("import os, concurrent.futures as cf\n", 1),
+    ("class Pool:\n    from concurrent import futures\n", 2),
+    ("try:\n    import concurrent.futures\nexcept ImportError:\n    pass\n", 2),
+], ids=["from-futures", "import-futures", "class-body", "try"])
+def test_a_module_level_pool_import_in_verify_is_reported(text, number):
+    # Any import that runs when verify.py is imported counts, wherever it sits;
+    # the one inside a function does not.
+    text += "\ndef run():\n    from concurrent.futures import ThreadPoolExecutor\n"
+    assert one_thread_pool_rule([("verify.py", text)]) == [
+        f"verify.py:{number}: {text.splitlines()[number - 1]}"]
 
 
 @pytest.mark.parametrize("writes,prints", [(2, 1), (1, 0)])

@@ -1,7 +1,12 @@
+import concurrent.futures
 import dataclasses
+import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import types
 import warnings
@@ -1539,7 +1544,7 @@ class _InlineFuture(NamedTuple):
 def inline_pools(monkeypatch):
     """Every pool the engine asks for, as an _InlinePool: no thread starts."""
     pools = []
-    monkeypatch.setattr(verify, "ThreadPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda max_workers: pools.append(_InlinePool(max_workers)) or pools[-1])
     return pools
 
@@ -1568,7 +1573,7 @@ class TestThreadPool:
         of_block = verify._Summary.of_block
         monkeypatch.setattr(verify._Summary, "of_block",
                             lambda x: now.__setitem__(0, now[0] + 3e-4) or of_block(x))
-        monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         mats = [cw.generator(341).standard_normal((3, 3)) for _ in range(4)]
         assert cw.check_linear_form_std(
@@ -1583,11 +1588,11 @@ class TestThreadPool:
         # Five blocks, the last a partial one: two run in the calling thread,
         # three in the pool, for every kernel and every summary shape.
         sizes, shapes = [], set()
-        real_pool, merge = verify.ThreadPoolExecutor, verify._Summary.merge
+        real_pool, merge = concurrent.futures.ThreadPoolExecutor, verify._Summary.merge
         monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(
-            verify, "ThreadPoolExecutor",
+            concurrent.futures, "ThreadPoolExecutor",
             lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
         monkeypatch.setattr(verify._Summary, "merge",
                             lambda a, b: shapes.add(a.total.shape) or merge(a, b))
@@ -1694,6 +1699,44 @@ class TestThreadPool:
         assert verify._usable_cpus() == (os.cpu_count() or 1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert verify._usable_cpus() == 1
+
+    def test_a_process_that_never_pools_loads_no_pool_module(self):
+        # In a fresh interpreter: importing the package loads its submodules; the
+        # package, the CLI and a light check at two workers, which starts no pool,
+        # load neither concurrent.futures nor logging (which it imports); a pool
+        # started with the floor at 0 loads concurrent.futures, with the same bytes.
+        script = textwrap.dedent("""\
+            import json, sys
+            import cwishart
+            imported = sorted(m for m in sys.modules if m.startswith("cwishart."))
+            import cwishart.cli
+            from cwishart import verify
+
+            def run():
+                return cwishart.linalg.canonical_dumps(cwishart.check_linear_form_std(
+                    cwishart.SpdMatrix.diagonal([4.0, 1.0, 2.0]), [1.0, 0.5, -1.0], 4000, 11,
+                    2).to_dict())
+
+            def loaded():
+                return [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+
+            light = run()
+            after_light = loaded()
+            verify._POOL_MIN_BLOCK_S = 0.0
+            verify._usable_cpus = lambda: 2
+            pooled = run()
+            print(json.dumps([imported, after_light, loaded(), light == pooled]))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0, done.stderr
+        imported, after_light, after_pool, same = json.loads(done.stdout)
+        assert {"cwishart.verify", "cwishart.netcert", "cwishart.bounds",
+                "cwishart.model"} <= set(imported)
+        assert after_light == []
+        assert "concurrent.futures" in after_pool
+        assert same
 
 
 class TestNegativeControls:
