@@ -2,9 +2,7 @@
 
 Commands: sample, bound, verify, netcert, sweep.  Parameters come from a JSON
 config file (with a "command" field); command-line flags win over the file.
-All randomness flows from the single seed; WISHART_THREADS, a positive integer,
-caps how many threads run Monte Carlo trial blocks: speed only, never results
-(the verify module docstring says which checks use more than one).
+All randomness flows from the single seed.
 
 Exit codes: 0 success with all checks holding, 1 at least one check failing,
 2 config/usage error, 3 resource/cap error (running out of memory included).
@@ -99,16 +97,6 @@ class _ReadKeys(dict):
         first trial; each key it read has had its own check, with its name.
         """
         _config_digest({k: v for k, v in self.items() if k not in self.read})
-
-
-def _workers() -> int:
-    raw = os.environ.get("WISHART_THREADS")
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"WISHART_THREADS must be an integer, got {raw!r}") from exc
 
 
 @functools.cache
@@ -242,7 +230,7 @@ def cmd_bound(cfg: dict) -> tuple[int, list]:
     return 0, [("bound.json", canonical_dumps(report.to_dict()) + "\n")]
 
 
-def _run_check(cfg: _ReadKeys, workers: int) -> dict:
+def _run_check(cfg: _ReadKeys) -> dict:
     """The check's payload; its keys are read, and the others digested, before any trial."""
     check = cfg.get("check")
     if check not in CHECKS:
@@ -252,11 +240,10 @@ def _run_check(cfg: _ReadKeys, workers: int) -> dict:
         trial_cfg = TrialConfig(_load_model_from(cfg), cfg.get("trials", _NORM_TRIALS), seed)
         fn = {"expectation": check_expectation, "dominance": check_bound_dominance,
               "decoupling": check_wishart_decoupling}[check]
-        run = functools.partial(fn, trial_cfg, workers)
+        run = functools.partial(fn, trial_cfg)
     elif check == "concentration":
         run = functools.partial(check_concentration, _load_model_from(cfg), cfg.get("direction"),
-                                cfg.get("t_grid"), cfg.get("trials", _SCALAR_TRIALS), seed,
-                                workers)
+                                cfg.get("t_grid"), cfg.get("trials", _SCALAR_TRIALS), seed)
     else:
         if "theta" not in cfg:
             raise ConfigError(f"{check} check needs \"theta\"")
@@ -264,16 +251,15 @@ def _run_check(cfg: _ReadKeys, workers: int) -> dict:
         trials = cfg.get("trials", _SCALAR_TRIALS)
         if check == "chaos":
             matrices = [matrix_from_dict(m) for m in _list(cfg, "matrices")]
-            run = functools.partial(check_chaos_decoupling, matrices, theta, trials, seed, workers)
+            run = functools.partial(check_chaos_decoupling, matrices, theta, trials, seed)
         else:
-            run = functools.partial(check_linear_form_std, theta, cfg.get("a"), trials, seed,
-                                    workers)
+            run = functools.partial(check_linear_form_std, theta, cfg.get("a"), trials, seed)
     cfg.digest_unread()
     return run().to_dict()
 
 
 def cmd_verify(cfg: _ReadKeys) -> tuple[int, list]:
-    payload = _run_check(cfg, _workers())
+    payload = _run_check(cfg)
     report = emit_report(cfg["check"], _digest_config(cfg), _seed(cfg), payload)
     return (0 if payload.get("holds", True) else 1,
             [(f"verify_{cfg['check']}.json", canonical_dumps(report) + "\n")])
@@ -303,7 +289,6 @@ def _csv_text(rows: list[SweepRow]) -> str:
 
 def cmd_sweep(cfg: _ReadKeys) -> tuple[int, list]:
     kind = cfg.get("sweep", "scaling")
-    workers = _workers()
     seed = _seed(cfg)
     if kind == "scaling":
         n_grid = _list(cfg, "n_grid")
@@ -313,11 +298,11 @@ def cmd_sweep(cfg: _ReadKeys) -> tuple[int, list]:
         theta = (SpdMatrix(matrix_from_dict(cfg["theta"])) if "theta" in cfg
                  else SpdMatrix.identity(p))
         run = functools.partial(sweep_scaling, p, n_grid, _family(cfg), theta,
-                                cfg.get("trials", _NORM_TRIALS), seed, workers)
+                                cfg.get("trials", _NORM_TRIALS), seed)
     elif kind == "complexity":
         run = functools.partial(
             empirical_sample_complexity, _list(cfg, "p_grid"), cfg.get("tolerance"),
-            _family(cfg), identity_theta_rule, cfg.get("trials", _NORM_TRIALS), seed, workers,
+            _family(cfg), identity_theta_rule, cfg.get("trials", _NORM_TRIALS), seed,
         )
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}; valid: scaling, complexity")

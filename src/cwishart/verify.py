@@ -11,20 +11,18 @@ indicators, (p, p, k) for the expectation.  The block's summary reduces each
 contiguous row of k trials where it lies (_Summary.of_block): the count, and
 per result entry the sum, the sum of squared deviations from the mean (at the
 power-of-two scale of the entry's largest |value|, see _Summary) and the max.
-Summaries merge in block order (the pairwise update of Chan, Golub and
-LeVeque, 1979), so memory holds one block per thread whatever the trial
-count.  Block boundaries and the merge order do not depend on the worker
-count, which only caps how many threads run blocks at once, so reports are
-bit-identical for any worker count.  Every check reads its statistics from the
-merged summary; tail frequencies and violation counts are sums of 0/1
-indicators, so they are exact.  Statistics of values scaled by 2**j are
-scaled by 2**j, bit for bit; they overflow (ValueError) only when a per-trial
-value, or a sum over the trials, does not fit in a float.  Spectral norms of
-the per-trial matrices come from linalg's one exact rule, applied to a block's
-whole stack.  A concentration check takes at most MAX_T_GRID tail points.
-Fixed costs (2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a 2-trial
-chaos check takes about 60 us; a 1024-trial block spends 15-45 us in its
-summary and merge (scalar to (3, 3) results) and about 10 us building its
+Blocks run one after another in the calling thread, and their summaries
+merge in block order (the pairwise update of Chan, Golub and LeVeque, 1979),
+so memory holds one block whatever the trial count.  Every check reads its
+statistics from the merged summary; tail frequencies and violation counts are
+sums of 0/1 indicators, so they are exact.  Statistics of values scaled by
+2**j are scaled by 2**j, bit for bit; they overflow (ValueError) only when a
+per-trial value, or a sum over the trials, does not fit in a float.  Spectral
+norms of the per-trial matrices come from linalg's one exact rule, applied to
+a block's whole stack.  A concentration check takes at most MAX_T_GRID tail
+points.  Fixed costs (2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a
+2-trial chaos check takes about 60 us; a 1024-trial block spends 15-45 us in
+its summary and merge (scalar to (3, 3) results) and about 10 us building its
 generator.
 
 The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
@@ -49,34 +47,9 @@ Concentration tails count sigma > mean_bound + t.
 The engine, _run_blocks, is the only code that reads a trial count or a worker
 count: trials is an integer from 2 to MAX_TRIALS (a Lipschitz pair count
 included), workers an integer of at least 1, both checked before any block
-runs.  Each check reports the trial count of the engine's summary.
-
-Threads pay only for heavy blocks.  numpy releases the GIL in its RNG, BLAS
-and LAPACK calls, but a light block spends most of its time in Python, where a
-second thread adds GIL hand-offs and no speed.  So with workers > 1 and at
-least 3 blocks, blocks 0 and 1 run in the calling thread and are timed; the
-rest go to a thread pool only if the faster of the two took at least
-_POOL_MIN_BLOCK_S (5 ms), and otherwise run in the calling thread too.  Two
-blocks, because the first block of a fresh process pays one-off set-up: a
-0.1-0.2 ms linear-form block took 6-11 ms there.  The pool, and the blocks in
-flight, never outnumber min(workers, blocks left, the CPUs this process may
-use), so a huge worker count starts no more threads than there are CPUs.  With
-workers = 1 no block is timed.  The pool's module, concurrent.futures, is
-imported when a pool starts, so a process that never pools does not load it.
-
-Measured at workers 1 -> 2 (best of 5, 2-vCPU VM, one BLAS thread;
-BENCH_32.json has the runs and the sweep), light blocks lose on a pool: with
-every block on it, linear form (p = 3) took 0.6 -> 1.7 ms at 4000 trials and
-9.7 -> 19.5 ms at 10^5, chaos (p = 3, 4 matrices) 17.3 -> 23.9 ms and
-concentration 9.2 -> 22.2 ms at 10^5; under this rule each reads the same at
-1 and 2 workers (within 3%).  The 5 ms floor is where the Gram-draw kernels
-(identity and skew-block B) stopped losing in a sweep of per-block times from
-0.1 to 60 ms.  The two timed blocks run serially whatever follows, so a heavy
-check keeps only part of the pool's gain: 2m blocks take m + 1 block-times on
-2 threads, not m.  The 8192-trial decoupling (8 blocks) at p = 8, n = 128
-with a diagonal B runs 1.2-1.6x faster at 2 workers, and a 4-block check at
-most 4/3x.  Timing block 0 alone won back only 6-14% in a prototype: the
-2m - 1 blocks left still take m block-times on 2 threads.
+runs.  The worker count changes nothing else: blocks run in the calling
+thread whatever it is, so reports are bit-identical for any worker count.
+Each check reports the trial count of the engine's summary.
 
 Acceptance margins, in standard errors of the compared statistic, with one
 comparison's false-failure probability under a normal approximation:
@@ -103,9 +76,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
-import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -179,10 +149,6 @@ STD_MARGIN = 5.0
 # takes at most MAX_TRIALS trials: about 110 s of the cheapest one on one core.
 BLOCK_TRIALS = 1024
 MAX_TRIALS = 10**9
-
-# The least time, in seconds, that the faster of a check's first two blocks
-# must take for its other blocks to go to a thread pool (see _run_blocks).
-_POOL_MIN_BLOCK_S = 5e-3
 
 # Tail points per concentration check: each holds a 0/1 indicator per trial in a block.
 MAX_T_GRID = 64
@@ -270,14 +236,10 @@ def _run_blocks(
     Block b holds k = min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) trials and
     draws from generator(mix_seed(master_seed, b)); the kernel returns a
     C-contiguous float64 (..., k) array, its trials on the last axis, which
-    the thread that ran it reduces to a _Summary.  With workers > 1 and 3
-    blocks or more, blocks 0 and 1 run here and are timed; if the faster took
-    at least _POOL_MIN_BLOCK_S, the rest run on a pool of min(workers, blocks
-    left, usable CPUs) threads, with at most that many blocks submitted
-    ahead of the merge, and otherwise here (see the module docstring).  A
-    pool of one thread is not started.  Kernels must only read shared inputs.
-    The one check of trials and workers (see the module docstring) runs
-    before any block.
+    is reduced to a _Summary before the next block runs.  Blocks run one
+    after another in the calling thread.  The one check of trials and workers
+    (see the module docstring) runs before any block; workers changes
+    nothing else.
     A merged summary holding inf or NaN (a per-trial value, or a sum over the
     trials, that does not fit in a float) raises ValueError rather than being
     reported.
@@ -293,34 +255,9 @@ def _run_blocks(
         return _Summary.of_block(kernel(generator(mix_seed(master_seed, b)),
                                         min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS)))
 
-    def pooled_block(b: int) -> _Summary:
-        # The error state is per thread: a pool thread sets its own.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return block(b)
-
     # Overflow leaves inf or NaN for the finite check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if workers == 1 or blocks < 3:
-            summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
-        else:
-            start = time.perf_counter()
-            summary = block(0)
-            middle = time.perf_counter()
-            summary = summary.merge(block(1))
-            fastest = min(middle - start, time.perf_counter() - middle)
-            threads = min(workers, blocks - 2, _usable_cpus())
-            if threads < 2 or fastest < _POOL_MIN_BLOCK_S:
-                summary = functools.reduce(_Summary.merge, map(block, range(2, blocks)), summary)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    window = deque(ex.submit(pooled_block, b) for b in range(2, 2 + threads))
-                    for b in range(2 + threads, blocks):
-                        summary = summary.merge(window.popleft().result())
-                        window.append(ex.submit(pooled_block, b))
-                    summary = functools.reduce(_Summary.merge, (f.result() for f in window),
-                                               summary)
+        summary = functools.reduce(_Summary.merge, map(block, range(blocks)))
     # Every non-finite per-trial value, and every overflowed sum, reaches the
     # total (inf and NaN propagate through sums), and every overflowed square
     # the squared deviations; the max and the integer exponents need no check.
@@ -329,13 +266,6 @@ def _run_blocks(
             "Monte Carlo statistics overflow floating point; scale theta or B down and rerun"
         )
     return summary
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (the machine's count where that is not known)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import errno
 import json
 import math
@@ -262,7 +261,7 @@ class TestVerify:
             {"command": "verify", "check": "expectation",
              "model": identity_model_dict(2, 4), "trials": 100, "seed": 1},
         )
-        monkeypatch.setattr(cli, "_run_check", lambda cfg, workers: {"holds": False})
+        monkeypatch.setattr(cli, "_run_check", lambda cfg: {"holds": False})
         assert cli.main(["--config", config]) == 1
 
     def test_flag_overrides_config_seed(self, tmp_path, capsys):
@@ -433,26 +432,10 @@ class TestUsage:
         assert cli.main(["bound", "--config", config]) == 0
         assert json.loads(capsys.readouterr().out)["p"] == 1
 
-    def test_workers_env_is_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WISHART_THREADS", "not-a-number")
-        config = write_config(
-            tmp_path, "c.json",
-            {"command": "verify", "check": "expectation",
-             "model": identity_model_dict(2, 4), "trials": 100, "seed": 1},
-        )
-        assert cli.main(["--config", config]) == 2
-
-    def test_workers_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        # 4500 trials are five blocks, the last one partial.  They are too light
-        # for the thread pool, so the floor is set to 0: after the two timed
-        # blocks, two threads do run.
-        # The complexity search builds the largest B the package builds (46
-        # diagonals, up to n of about 10^6).  Each run takes well under 20 s.
-        pools, pool = [], concurrent.futures.ThreadPoolExecutor
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    def test_a_rerun_writes_the_same_bytes(self, tmp_path, capsys):
+        # 4500 trials are five blocks, the last one partial.  The complexity
+        # search builds the largest B the package builds (46 diagonals, up to
+        # n of about 10^6).  Each run takes well under 20 s.
         rng = cw.generator(37)
         configs = [
             {"command": "verify", "check": "decoupling",
@@ -468,9 +451,8 @@ class TestUsage:
         for i, payload in enumerate(configs):
             config = write_config(tmp_path, f"c{i}.json", payload)
             runs = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("WISHART_THREADS", threads)
-                out = tmp_path / f"out{i}-{threads}"
+            for rerun in range(2):
+                out = tmp_path / f"out{i}-{rerun}"
                 start = time.perf_counter()
                 assert cli.main(["--config", config, "--out", str(out)]) == 0
                 assert time.perf_counter() - start < 20.0
@@ -479,21 +461,9 @@ class TestUsage:
             assert runs[0] == runs[1]
             reports.append(json.loads(runs[0][0]))
         assert [report["lhs"]["trials"] for report in reports[:2]] == [4500, 4500]
-        assert pools == [2, 2]
-
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_workers_env_must_be_positive(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("WISHART_THREADS", threads)
-        config = write_config(
-            tmp_path, "c.json",
-            {"command": "verify", "check": "expectation",
-             "model": identity_model_dict(2, 4), "trials": 100, "seed": 1},
-        )
-        assert cli.main(["--config", config]) == 2
-        assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg, workers):
+        def exhausted(cfg):
             raise MemoryError()
 
         monkeypatch.setattr(cli, "_run_check", exhausted)
@@ -681,7 +651,7 @@ class TestExitTwoLeavesNoReport:
     @pytest.mark.parametrize("out", ["", 5, ["out"]], ids=["empty", "number", "list"])
     def test_an_out_that_is_not_a_path_exits_before_the_check_runs(self, tmp_path, capsys,
                                                                    monkeypatch, out):
-        monkeypatch.setattr(cli, "_run_check", lambda cfg, workers: pytest.fail("check ran"))
+        monkeypatch.setattr(cli, "_run_check", lambda cfg: pytest.fail("check ran"))
         cfg = dict(STDDEV, out=out)
         assert cli.main(["--config", write_config(tmp_path, "c.json", cfg)]) == 2
         captured = capsys.readouterr()

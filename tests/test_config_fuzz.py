@@ -19,7 +19,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -219,3 +222,34 @@ def test_netcert_config_exits_with_documented_code(cfg, data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = data.draw(_one_field_broken(st.just(_write_inputs(cfg, tmp))))
         assert _run(cfg, tmp) in EXIT_CODES
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_under_the_project_settings(tmp_path):
+    # The project's warning filters must let hypothesis print its falsifying
+    # example and let the run go on to the next test.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "1 failed, 1 passed" in out
+    assert "INTERNALERROR" not in out

@@ -21,7 +21,8 @@ GENERATOR_TYPE = re.compile(r"np\.random\.Generator\b")
 WRITER = re.compile(r"""open\([^)]*['"][rbt+]*[wax+][rbt+]*['"]"""
                     r"|O_(WRONLY|RDWR|APPEND|CREAT|TRUNC)\b|\.write_(text|bytes)\(")
 SHAPE_MATRIX = re.compile(r"build_shape\(")
-THREADS = re.compile(r"concurrent\.futures|ThreadPoolExecutor|\bthreading\b|\bmultiprocessing\b")
+THREADS = re.compile(r"concurrent\.futures|from\s+concurrent\s+import|ThreadPoolExecutor"
+                     r"|\bthreading\b|\bmultiprocessing\b")
 
 
 def _lines(sources, exempt):
@@ -63,32 +64,10 @@ def shape_matrix_rule(sources):
     return [where for where, line in _lines(sources, None) if SHAPE_MATRIX.search(line)]
 
 
-def _imports_outside_functions(tree):
-    """The import statements that run when the module is imported."""
-    nodes = list(tree.body)
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nodes.extend(ast.iter_child_nodes(node))
-
-
-def one_thread_pool_rule(sources):
-    """verify._run_blocks is the package's one thread pool: outside verify.py nothing
-    names concurrent.futures, ThreadPoolExecutor, threading or multiprocessing, and
-    verify.py imports concurrent.futures only inside a function, so a process that
-    never pools does not load it."""
-    found = [where for where, line in _lines(sources, "verify.py") if THREADS.search(line)]
-    for name, text in sources:
-        if name == "verify.py":
-            lines = text.splitlines()
-            for node in _imports_outside_functions(ast.parse(text, name)):
-                modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
-                           else [alias.name for alias in node.names])
-                if any(m.partition(".")[0] == "concurrent" for m in modules):
-                    found.append(f"{name}:{node.lineno}: {lines[node.lineno - 1]}")
-    return found
+def one_thread_rule(sources):
+    """Trial blocks run in the calling thread: no package file names concurrent.futures,
+    ThreadPoolExecutor, threading or multiprocessing."""
+    return [where for where, line in _lines(sources, None) if THREADS.search(line)]
 
 
 def unused_import_rule(sources):
@@ -130,7 +109,7 @@ def python_310_grammar_rule(sources):
 
 
 @pytest.mark.parametrize("rule", [spectral_norm_rule, seeded_stream_rule, output_writer_rule,
-                                  shape_matrix_rule, one_thread_pool_rule, unused_import_rule])
+                                  shape_matrix_rule, one_thread_rule, unused_import_rule])
 def test_the_package_keeps_the_rule(rule):
     assert {"cli.py", "linalg.py", "model.py", "verify.py"} <= {name for name, _ in SOURCES}
     assert rule(SOURCES) == []
@@ -170,15 +149,18 @@ def test_a_violating_line_is_reported(rule, line):
     "import multiprocessing as mp",
 ], ids=["from-futures", "import-futures", "executor", "threading", "lock", "from-multiprocessing",
         "multiprocessing"])
-def test_a_thread_pool_outside_verify_is_reported(line):
-    # verify.py alone may hold a pool, importing it inside a function; a word that
-    # merely contains a name does not count.
+def test_a_thread_pool_is_reported_in_any_file(line):
+    # verify.py has no exemption, not even for an import inside a function; a
+    # word that merely contains a name does not count.
     pool = ("def run(blocks):\n    from concurrent.futures import ThreadPoolExecutor\n"
             "    import concurrent.futures\n"
             "    with ThreadPoolExecutor(max_workers=4) as ex:\n        return ex\n")
-    sources = [("verify.py", pool), ("cli.py", f"x = 1\n{line}\n"),
+    sources = [("verify.py", f"{pool}{line}\n"), ("cli.py", f"x = 1\n{line}\n"),
                ("linalg.py", "# safe from concurrent workers; multithreading_ok = 1\n")]
-    assert one_thread_pool_rule(sources) == [f"cli.py:2: {line}"]
+    pool_lines = pool.splitlines()
+    assert one_thread_rule(sources) == [
+        *(f"verify.py:{n}: {pool_lines[n - 1]}" for n in (2, 3, 4)),
+        f"verify.py:6: {line}", f"cli.py:2: {line}"]
 
 
 @pytest.mark.parametrize("text,number", [
@@ -187,12 +169,12 @@ def test_a_thread_pool_outside_verify_is_reported(line):
     ("class Pool:\n    from concurrent import futures\n", 2),
     ("try:\n    import concurrent.futures\nexcept ImportError:\n    pass\n", 2),
 ], ids=["from-futures", "import-futures", "class-body", "try"])
-def test_a_module_level_pool_import_in_verify_is_reported(text, number):
-    # Any import that runs when verify.py is imported counts, wherever it sits;
-    # the one inside a function does not.
-    text += "\ndef run():\n    from concurrent.futures import ThreadPoolExecutor\n"
-    assert one_thread_pool_rule([("verify.py", text)]) == [
-        f"verify.py:{number}: {text.splitlines()[number - 1]}"]
+def test_a_pool_import_in_verify_is_reported(text, number):
+    # A pool import counts wherever it sits: at module level, and inside a function.
+    lines = (text + "\ndef run():\n    from concurrent.futures import ThreadPoolExecutor\n"
+             ).splitlines()
+    assert one_thread_rule([("verify.py", "\n".join(lines))]) == [
+        f"verify.py:{n}: {lines[n - 1]}" for n in (number, len(lines))]
 
 
 @pytest.mark.parametrize("writes,prints", [(2, 1), (1, 0)])

@@ -1,14 +1,10 @@
-import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import re
 import subprocess
 import sys
-import textwrap
 import tracemalloc
-import types
 import warnings
 from typing import NamedTuple
 
@@ -1450,11 +1446,8 @@ class TestTrialsLastSummary:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_worker_counts_equal_the_reference(self, monkeypatch, shape, workers):
-        # Four blocks, the last a partial one, with one to three workers: with
-        # the floor at 0, two threads do run blocks 2 and 3.
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    def test_worker_counts_equal_the_reference(self, shape, workers):
+        # Four blocks, the last a partial one, with one to three workers.
         draw = _scaled_normals(shape, 2.0, 1.0)
         want = _trials_first_run(draw, 3 * BLOCK_TRIALS + 5, 307)
         got = verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS + 5, 307, workers)
@@ -1508,235 +1501,16 @@ class TestTrialsLastSummary:
             verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS, 313, workers)
 
 
-class _InlinePool:
-    """A stand-in for ThreadPoolExecutor that starts no thread.
-
-    It runs each block when it is submitted, and records the pool size asked
-    for and the most blocks submitted but not yet read at once.
-    """
-
-    def __init__(self, max_workers):
-        self.max_workers, self.pending, self.peak = max_workers, 0, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        summary = fn(*args)
-        self.pending += 1
-        self.peak = max(self.peak, self.pending)
-        return _InlineFuture(self, summary)
-
-
-class _InlineFuture(NamedTuple):
-    pool: _InlinePool
-    summary: object
-
-    def result(self):
-        self.pool.pending -= 1
-        return self.summary
-
-
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """Every pool the engine asks for, as an _InlinePool: no thread starts."""
-    pools = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda max_workers: pools.append(_InlinePool(max_workers)) or pools[-1])
-    return pools
-
-
-class TestThreadPool:
-    """Threads run only blocks that are heavy enough to pay, never more than the CPUs."""
-
-    @staticmethod
-    def normals(rng, k):
-        return rng.standard_normal(k)
-
-    @staticmethod
-    def clock(monkeypatch):
-        """verify's clock, as a list whose one entry a kernel may advance."""
-        now = [0.0]
-        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-        return now
-
-    def test_light_checks_start_no_pool(self, monkeypatch):
-        # Each block is read as 0.3 ms, the slowest light block measured, so
-        # the choice does not depend on the load of the machine running it.
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
-
-        now = self.clock(monkeypatch)
-        of_block = verify._Summary.of_block
-        monkeypatch.setattr(verify._Summary, "of_block",
-                            lambda x: now.__setitem__(0, now[0] + 3e-4) or of_block(x))
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        mats = [cw.generator(341).standard_normal((3, 3)) for _ in range(4)]
-        assert cw.check_linear_form_std(
-            cw.SpdMatrix.diagonal([4.0, 1.0, 2.0]), [1.0, 0.5, -1.0], 4000, 11, 2).holds
-        assert cw.check_chaos_decoupling(mats, cw.SpdMatrix.identity(3), 10**4, 13, 2).holds
-        assert cw.check_concentration(
-            model(3, 16), [1.0, 0.0, 0.0], [0.0, 0.1], 10**4, 17, 2).holds
-        assert now[0] == pytest.approx(3e-4 * (4 + 10 + 10))
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_pooled_reports_equal_one_worker(self, monkeypatch, workers):
-        # Five blocks, the last a partial one: two run in the calling thread,
-        # three in the pool, for every kernel and every summary shape.
-        sizes, shapes = [], set()
-        real_pool, merge = concurrent.futures.ThreadPoolExecutor, verify._Summary.merge
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(
-            concurrent.futures, "ThreadPoolExecutor",
-            lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
-        monkeypatch.setattr(verify._Summary, "merge",
-                            lambda a, b: shapes.add(a.total.shape) or merge(a, b))
-        trials = 4 * BLOCK_TRIALS + 5
-        m = model(3, 8, shape=cw.ShapeSpec.skew_block(),
-                  theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
-        m_custom = model(3, 8, shape=cw.ShapeSpec.custom(cw.generator(151).standard_normal((8, 8))),
-                         theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
-        mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
-        checks = [
-            lambda w: cw.check_linear_form_std(
-                cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, w).to_dict(),
-            lambda w: cw.check_wishart_decoupling(TrialConfig(m, trials, 113), w).to_dict(),
-            lambda w: cw.check_wishart_decoupling(TrialConfig(m_custom, trials, 157), w).to_dict(),
-            lambda w: cw.check_chaos_decoupling(
-                mats, cw.SpdMatrix.identity(3), trials, 127, w).to_dict(),
-            lambda w: cw.check_concentration(
-                model(3, 8), [1.0, 0.0, 0.0], [0.0, 0.02, 0.05, 0.1, 0.2], trials, 139,
-                w).to_dict(),
-            lambda w: check_expectation(TrialConfig(m, trials, 133), w).to_dict(),
-            lambda w: cw.check_bound_dominance(TrialConfig(m, trials, 137), workers=w).to_dict(),
-            lambda w: cw.count_lipschitz_violations(model(3, 8), [0.0, 1.0, 0.0], trials, 149, w),
-        ]
-        for run in checks:
-            assert canonical_dumps(run(1)) == canonical_dumps(run(workers))
-        assert sizes == [workers] * len(checks)
-        assert shapes == {(), (2,), (6,), (3, 3)}
-
-    @pytest.mark.parametrize("draw", [
-        _scaled_normals((2,), 2.0**1022, 2.0**1023),
-        _scaled_normals((), 1.0, math.inf),
-        TestTrialsLastSummary.deviation_past_the_largest_float,
-    ], ids=["block-sum", "inf-value", "deviation-only"])
-    def test_pooled_overflow_raises(self, monkeypatch, draw):
-        # Each pool thread sets its own error state: no warning escapes it.
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
-                verify._run_blocks(_trials_last(getattr(draw, "__func__", draw)),
-                                   5 * BLOCK_TRIALS, 313, 2)
-        assert caught == []
-
-    @pytest.mark.parametrize("slow,pooled", [((0, 1), True), ((0,), False), ((1,), False),
-                                             ((), False)],
-                             ids=["both-slow", "first-slow", "second-slow", "both-fast"])
-    def test_the_faster_timed_block_decides(self, inline_pools, monkeypatch, slow, pooled):
-        # A first block slowed by a fresh process's set-up does not start the pool.
-        # A slow block reads as twice the floor and a fast one as no time at all.
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        now, ran = self.clock(monkeypatch), []
-
-        def kernel(rng, k):
-            if len(ran) in slow:
-                now[0] += 2 * verify._POOL_MIN_BLOCK_S
-            ran.append(k)
-            return rng.standard_normal(k)
-
-        got = verify._run_blocks(kernel, 4 * BLOCK_TRIALS, 337, 2)
-        assert [(p.max_workers, p.peak) for p in inline_pools] == ([(2, 2)] if pooled else [])
-        TestTrialsLastSummary.assert_bit_equal(
-            got, verify._run_blocks(self.normals, 4 * BLOCK_TRIALS, 337))
-
-    @pytest.mark.parametrize("workers,trials", [(1, 4 * BLOCK_TRIALS), (2, 2 * BLOCK_TRIALS)],
-                             ids=["one-worker", "two-blocks"])
-    def test_untimed_paths(self, inline_pools, monkeypatch, workers, trials):
-        # One worker, or too few blocks to share, reads no clock and starts no pool.
-        def no_clock():
-            raise AssertionError("a block was timed")
-
-        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=no_clock))
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        verify._run_blocks(self.normals, trials, 347, workers)
-        assert inline_pools == []
-
-    @pytest.mark.parametrize("cpus,blocks,threads", [
-        (64, 40, 38), (4, 40, 4), (64, 5, 3), (1, 40, None), (64, 3, None),
-    ], ids=["blocks-left", "cpus", "few-blocks", "one-cpu", "one-block-left"])
-    def test_the_pool_never_outgrows_the_cpus(self, inline_pools, monkeypatch, cpus, blocks,
-                                              threads):
-        # 10^4 workers ask for no more threads, and no more blocks in flight,
-        # than the CPUs and the blocks left after the two timed ones.
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-        got = verify._run_blocks(self.normals, blocks * BLOCK_TRIALS - 7, 349, 10**4)
-        assert ([(p.max_workers, p.peak, p.pending) for p in inline_pools]
-                == ([] if threads is None else [(threads, threads, 0)]))
-        TestTrialsLastSummary.assert_bit_equal(
-            got, verify._run_blocks(self.normals, blocks * BLOCK_TRIALS - 7, 349))
-
-    def test_ten_thousand_workers_on_ten_million_trials(self, inline_pools, monkeypatch):
-        # 9766 blocks: the pool had asked for a thread per submission, 9.8k of them.
-        monkeypatch.setattr(verify, "_POOL_MIN_BLOCK_S", 0.0)
-        verify._run_blocks(lambda rng, k: np.zeros(k), 10**7, 353, 10**4)
-        cpus = verify._usable_cpus()
-        assert ([(p.max_workers, p.peak, p.pending) for p in inline_pools]
-                == ([] if cpus < 2 else [(cpus, cpus, 0)]))
-
-    def test_usable_cpus(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert verify._usable_cpus() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        assert verify._usable_cpus() == (os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert verify._usable_cpus() == 1
-
-    def test_a_process_that_never_pools_loads_no_pool_module(self):
-        # In a fresh interpreter: importing the package loads its submodules; the
-        # package, the CLI and a light check at two workers, which starts no pool,
-        # load neither concurrent.futures nor logging (which it imports); a pool
-        # started with the floor at 0 loads concurrent.futures, with the same bytes.
-        script = textwrap.dedent("""\
-            import json, sys
-            import cwishart
-            imported = sorted(m for m in sys.modules if m.startswith("cwishart."))
-            import cwishart.cli
-            from cwishart import verify
-
-            def run():
-                return cwishart.linalg.canonical_dumps(cwishart.check_linear_form_std(
-                    cwishart.SpdMatrix.diagonal([4.0, 1.0, 2.0]), [1.0, 0.5, -1.0], 4000, 11,
-                    2).to_dict())
-
-            def loaded():
-                return [m for m in ("concurrent.futures", "logging") if m in sys.modules]
-
-            light = run()
-            after_light = loaded()
-            verify._POOL_MIN_BLOCK_S = 0.0
-            verify._usable_cpus = lambda: 2
-            pooled = run()
-            print(json.dumps([imported, after_light, loaded(), light == pooled]))
-        """)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
-        assert done.returncode == 0, done.stderr
-        imported, after_light, after_pool, same = json.loads(done.stdout)
-        assert {"cwishart.verify", "cwishart.netcert", "cwishart.bounds",
-                "cwishart.model"} <= set(imported)
-        assert after_light == []
-        assert "concurrent.futures" in after_pool
-        assert same
+def test_importing_the_package_loads_its_submodules():
+    # In a fresh interpreter, so no other test has imported them first.
+    script = ("import sys, cwishart\n"
+              "print(' '.join(m for m in sys.modules if m.startswith('cwishart.')))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {"cwishart.verify", "cwishart.netcert", "cwishart.bounds",
+            "cwishart.model"} <= set(done.stdout.split())
 
 
 class TestNegativeControls:
