@@ -462,6 +462,25 @@ class TestUsage:
             reports.append(json.loads(runs[0][0]))
         assert [report["lhs"]["trials"] for report in reports[:2]] == [4500, 4500]
 
+    @pytest.mark.parametrize("threads", ["not-a-number", "0", "-4"])
+    def test_the_threads_variable_is_not_read(self, tmp_path, capsys, monkeypatch, threads):
+        # WISHART_THREADS once chose the worker count; a value it used to
+        # reject now changes neither the exit code nor a byte of the report.
+        config = write_config(
+            tmp_path, "c.json",
+            {"command": "verify", "check": "expectation",
+             "model": identity_model_dict(2, 4), "trials": 2500, "seed": 1},
+        )
+        outputs = []
+        for env in ({}, {"WISHART_THREADS": threads}):
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert cli.main(["--config", config]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
             raise MemoryError()

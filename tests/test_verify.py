@@ -1,9 +1,14 @@
+import concurrent.futures
 import dataclasses
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
 from typing import NamedTuple
@@ -1499,6 +1504,145 @@ class TestTrialsLastSummary:
         assert not all(np.isfinite(a).all() for a in want[1:])
         with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
             verify._run_blocks(_trials_last(draw), 3 * BLOCK_TRIALS, 313, workers)
+
+
+class TestWorkersChangeNothing:
+    """Blocks run one after another in the calling thread, whatever the worker count."""
+
+    @staticmethod
+    def normals(rng, k):
+        return rng.standard_normal(k)
+
+    @pytest.fixture
+    def no_thread(self, monkeypatch):
+        """Starting a thread or a thread pool fails the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+    def test_light_checks_start_no_thread(self, no_thread):
+        mats = [cw.generator(341).standard_normal((3, 3)) for _ in range(4)]
+        assert cw.check_linear_form_std(
+            cw.SpdMatrix.diagonal([4.0, 1.0, 2.0]), [1.0, 0.5, -1.0], 4000, 11, 2).holds
+        assert cw.check_chaos_decoupling(mats, cw.SpdMatrix.identity(3), 10**4, 13, 2).holds
+        assert cw.check_concentration(
+            model(3, 16), [1.0, 0.0, 0.0], [0.0, 0.1], 10**4, 17, 2).holds
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_reports_equal_one_worker(self, monkeypatch, no_thread, workers):
+        # Five blocks, the last a partial one, for every kernel and every
+        # summary shape.
+        shapes, merge = set(), verify._Summary.merge
+        monkeypatch.setattr(verify._Summary, "merge",
+                            lambda a, b: shapes.add(a.total.shape) or merge(a, b))
+        trials = 4 * BLOCK_TRIALS + 5
+        m = model(3, 8, shape=cw.ShapeSpec.skew_block(),
+                  theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        m_custom = model(3, 8, shape=cw.ShapeSpec.custom(cw.generator(151).standard_normal((8, 8))),
+                         theta=cw.SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+        mats = [cw.generator(109).standard_normal((3, 3)) for _ in range(2)]
+        checks = [
+            lambda w: cw.check_linear_form_std(
+                cw.SpdMatrix.diagonal([4.0, 1.0]), [1.0, 1.0], trials, 131, w).to_dict(),
+            lambda w: cw.check_wishart_decoupling(TrialConfig(m, trials, 113), w).to_dict(),
+            lambda w: cw.check_wishart_decoupling(TrialConfig(m_custom, trials, 157), w).to_dict(),
+            lambda w: cw.check_chaos_decoupling(
+                mats, cw.SpdMatrix.identity(3), trials, 127, w).to_dict(),
+            lambda w: cw.check_concentration(
+                model(3, 8), [1.0, 0.0, 0.0], [0.0, 0.02, 0.05, 0.1, 0.2], trials, 139,
+                w).to_dict(),
+            lambda w: check_expectation(TrialConfig(m, trials, 133), w).to_dict(),
+            lambda w: cw.check_bound_dominance(TrialConfig(m, trials, 137), workers=w).to_dict(),
+            lambda w: cw.count_lipschitz_violations(model(3, 8), [0.0, 1.0, 0.0], trials, 149, w),
+        ]
+        for run in checks:
+            assert canonical_dumps(run(1)) == canonical_dumps(run(workers))
+        assert shapes == {(), (2,), (6,), (3, 3)}
+
+    @pytest.mark.parametrize("draw", [
+        _scaled_normals((2,), 2.0**1022, 2.0**1023),
+        _scaled_normals((), 1.0, math.inf),
+        TestTrialsLastSummary.deviation_past_the_largest_float,
+    ], ids=["block-sum", "inf-value", "deviation-only"])
+    def test_overflow_raises_and_no_warning_escapes(self, draw):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
+                verify._run_blocks(_trials_last(getattr(draw, "__func__", draw)),
+                                   5 * BLOCK_TRIALS, 313, 2)
+        assert caught == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 10**4])
+    def test_blocks_run_in_order_in_the_calling_thread(self, workers):
+        # Each block's first draw names its stream, so the order of the blocks
+        # and the thread that ran each one are both recorded.
+        ran = []
+
+        def kernel(rng, k):
+            x = rng.standard_normal(k)
+            ran.append((threading.get_ident(), k, x[0]))
+            return x
+
+        trials = 4 * BLOCK_TRIALS + 9
+        verify._run_blocks(kernel, trials, 337, workers)
+        assert ran == [(threading.get_ident(), min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS),
+                        cw.generator(mix_seed(337, b)).standard_normal())
+                       for b in range(5)]
+
+    @pytest.mark.parametrize("workers,trials", [
+        (1, 4 * BLOCK_TRIALS), (2, 2 * BLOCK_TRIALS), (2, 4 * BLOCK_TRIALS),
+    ], ids=["one-worker", "two-blocks", "four-blocks"])
+    def test_no_block_reads_a_clock(self, monkeypatch, workers, trials):
+        # The merged summary cannot depend on how long a block took.
+        def no_clock():
+            raise AssertionError("a block was timed")
+
+        for name in ("perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "time"):
+            monkeypatch.setattr(time, name, no_clock)
+        got = verify._run_blocks(self.normals, trials, 347, workers)
+        monkeypatch.undo()
+        TestTrialsLastSummary.assert_bit_equal(
+            got, verify._run_blocks(self.normals, trials, 347))
+
+    @pytest.mark.parametrize("blocks", [40, 5, 3, 2, 1],
+                             ids=["forty-blocks", "five-blocks", "three-blocks", "two-blocks",
+                                  "one-block"])
+    def test_ten_thousand_workers_equal_one_worker(self, no_thread, blocks):
+        trials = blocks * BLOCK_TRIALS - 7
+        TestTrialsLastSummary.assert_bit_equal(
+            verify._run_blocks(self.normals, trials, 349, 10**4),
+            verify._run_blocks(self.normals, trials, 349))
+
+    def test_ten_thousand_workers_on_ten_million_trials(self, no_thread):
+        # 9766 blocks, each run in turn; the thread pool this engine once had
+        # asked for a thread per block here.
+        got = verify._run_blocks(lambda rng, k: np.zeros(k), 10**7, 353, 10**4)
+        assert got.trials == 10**7 and got.total == 0.0 and got.sq_dev == 0.0
+
+    def test_a_check_loads_no_pool_module(self):
+        # In a fresh interpreter: the package, the CLI and a check at two
+        # workers load neither concurrent.futures nor logging (which it
+        # imports), and the report bytes equal those at one worker.
+        script = textwrap.dedent("""\
+            import json, sys
+            import cwishart, cwishart.cli
+
+            def run(workers):
+                return cwishart.linalg.canonical_dumps(cwishart.check_linear_form_std(
+                    cwishart.SpdMatrix.diagonal([4.0, 1.0, 2.0]), [1.0, 0.5, -1.0], 4000, 11,
+                    workers).to_dict())
+
+            two = run(2)
+            loaded = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+            print(json.dumps([loaded, two == run(1)]))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[], True]
 
 
 def test_importing_the_package_loads_its_submodules():
