@@ -110,11 +110,12 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
 
     The one spectral-norm rule: each matrix is scaled by a power of two (exact)
     so that its largest entry lies in [0.5, 1) and its Gram matrix can neither
-    overflow nor underflow; the top eigenvalue of the smaller Gram matrix, from
-    LAPACK ``eigvalsh``, is its squared norm.  Exact to rounding for every
-    size and every gap between the top singular values.  A matrix with an inf
-    or NaN entry (an overflowed Monte Carlo draw) has norm inf, and never
-    reaches ``eigvalsh``.
+    overflow nor underflow; the top eigenvalue of the smaller Gram matrix G is
+    its squared norm: G itself if 1 x 1, (g00 + g11)/2 + hypot((g00 - g11)/2,
+    g10) if 2 x 2 (every term nonnegative, so nothing cancels), else from
+    LAPACK ``eigvalsh``.  Exact to rounding for every size and every gap
+    between the top singular values.  A matrix with an inf or NaN entry (an
+    overflowed Monte Carlo draw) has norm inf, and never reaches that step.
     """
     peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
     finite = np.isfinite(peak[..., 0, 0])
@@ -127,7 +128,11 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
     s = np.ldexp(a, -exp)
     st = s.swapaxes(-1, -2)
     gram = s @ st if s.shape[-2] <= s.shape[-1] else st @ s
-    top = np.linalg.eigvalsh(gram)[..., -1]
+    g00, g11 = gram[..., 0, 0], gram[..., -1, -1]
+    if gram.shape[-1] == 2:
+        top = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, gram[..., 1, 0])
+    else:
+        top = g00 if gram.shape[-1] == 1 else np.linalg.eigvalsh(gram)[..., -1]
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp[..., 0, 0])
 
 
@@ -189,6 +194,11 @@ class SpdMatrix:
     def _root(self) -> np.ndarray:
         """Symmetric square root (``spd_sqrt``), computed once per matrix."""
         return spd_sqrt(self)
+
+    @cached_property
+    def _root_is_identity(self) -> bool:
+        """Whether ``_root`` is exactly I, as ``identity(p)``'s is; decided once per matrix."""
+        return bool(np.array_equal(self._root, np.eye(self.p)))
 
     @classmethod
     def identity(cls, p: int) -> "SpdMatrix":

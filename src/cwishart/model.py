@@ -227,12 +227,16 @@ class WishartModel:
         _validate_shape(self.shape, self.n)
 
 
-def _whiten(w: np.ndarray, root: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) root w root for a (..., p, p) stack, as two GEMMs over all its rows (root symmetric).
+def _whiten(w: np.ndarray, theta: SpdMatrix, n: int) -> np.ndarray:
+    """(1/n) root w root for a (..., p, p) stack, root = theta^{1/2} (symmetric).
 
-    A broadcast matmul would run one tiny product per matrix.
+    Two GEMMs over all its rows (a broadcast matmul runs one tiny product per
+    matrix), or at an exact identity root only w / n: the GEMMs' bits for a
+    finite w with no -0 entry, as every matrix product is.
     """
-    p = root.shape[0]
+    if theta._root_is_identity:
+        return w / n
+    root, p = theta._root, theta.p
     v = (w.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2)
     return (v.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2) / n
 
@@ -258,7 +262,7 @@ def _gram_factor(rng: np.random.Generator, k: int, d: int, m: int) -> np.ndarray
 def sample_wishart(model: WishartModel, seed: int) -> np.ndarray:
     """Draw W = (1/n) theta^{1/2} Y B Y^T theta^{1/2} from the coupled stream."""
     y = generator(mix_seed(seed, STREAM_COUPLED_Y)).standard_normal((model.p, model.n))
-    return _whiten(apply_shape(y, model.shape, model.n) @ y.T, model.theta._root, model.n)
+    return _whiten(apply_shape(y, model.shape, model.n) @ y.T, model.theta, model.n)
 
 
 def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
@@ -270,7 +274,7 @@ def sample_decoupled(model: WishartModel, seed: int) -> np.ndarray:
     """
     y, y_prime = (generator(mix_seed(seed, tag)).standard_normal((model.p, model.n))
                   for tag in (STREAM_DECOUPLED_Y, STREAM_DECOUPLED_YPRIME))
-    return _whiten(apply_shape(y_prime, model.shape, model.n) @ y.T, model.theta._root, model.n)
+    return _whiten(apply_shape(y_prime, model.shape, model.n) @ y.T, model.theta, model.n)
 
 
 def expected_wishart(model: WishartModel) -> np.ndarray:

@@ -19,10 +19,12 @@ sums of 0/1 indicators, so they are exact.  Statistics of values scaled by
 2**j are scaled by 2**j, bit for bit; they overflow (ValueError) only when a
 per-trial value, or a sum over the trials, does not fit in a float.  Spectral
 norms of the per-trial matrices come from linalg's one exact rule, applied to
-a block's whole stack.  A concentration check takes at most MAX_T_GRID tail
-points.  Fixed costs (2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a
-2-trial chaos check takes about 60 us; a 1024-trial block spends 15-45 us in
-its summary and merge (scalar to (3, 3) results) and about 10 us building its
+a block's whole stack (both sides of a decoupling block in one call); at
+theta = I the draws are only divided by n (model._whiten).  A concentration
+check takes at most MAX_T_GRID tail points.  Fixed costs (timeit medians;
+2-core VM, Python 3.11, numpy 2.4, one BLAS thread): a 2-trial chaos check
+takes about 70 us; a 1024-trial block spends about 20 us (scalar results) to
+55 us ((3, 3) results) in its summary and merge, and 12-15 us building its
 generator.
 
 The law of (1/n) X B X^T depends on X only through a Gram matrix when B is
@@ -341,19 +343,17 @@ def _unwhitened_draws(model: WishartModel, rng: np.random.Generator, k: int) -> 
     return yb @ y.swapaxes(-1, -2)
 
 
-def _wishart_draws(
-    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
-) -> np.ndarray:
+def _wishart_draws(model: WishartModel, rng: np.random.Generator, k: int) -> np.ndarray:
     """k draws of W = (1/n) root (Y B Y^T) root as a (k, p, p) stack (model._whiten)."""
-    return _whiten(_unwhitened_draws(model, rng, k), root, model.n)
+    return _whiten(_unwhitened_draws(model, rng, k), model.theta, model.n)
 
 
 def estimate_mean_deviation(cfg: TrialConfig, workers: int = 1) -> DeviationStats:
     """Monte Carlo statistics of ||W - E(W)|| over blocks of trials."""
     model = cfg.model
-    root, w0 = model.theta._root, expected_wishart(model)
+    w0 = expected_wishart(model)
     return _run_blocks(
-        lambda rng, k: _spectral_norms(_wishart_draws(model, root, rng, k) - w0),
+        lambda rng, k: _spectral_norms(_wishart_draws(model, rng, k) - w0),
         cfg.trials, cfg.master_seed, workers,
     ).stats()
 
@@ -452,7 +452,7 @@ class DecouplingReport(Report):
 
 
 def _decoupled_pairs(
-    model: WishartModel, root: np.ndarray, rng: np.random.Generator, k: int
+    model: WishartModel, rng: np.random.Generator, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """k draws of the pair (W, W') = (1/n) root (Y B Y^T, Y' B Y^T) root, as two (k, p, p) stacks.
 
@@ -478,7 +478,7 @@ def _decoupled_pairs(
         ct = c.swapaxes(-1, -2)
         w, r = yb @ y.swapaxes(-1, -2), ct if ct.shape[-2] <= 4 * p else _triangular_factors(ct)
     w_prime = rng.standard_normal(r.swapaxes(-1, -2).shape) @ r
-    return _whiten(w, root, n), _whiten(w_prime, root, n)
+    return _whiten(w, model.theta, n), _whiten(w_prime, model.theta, n)
 
 
 def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingReport:
@@ -488,11 +488,11 @@ def check_wishart_decoupling(cfg: TrialConfig, workers: int = 1) -> DecouplingRe
     of mean lhs - 2 mean rhs is at most se_lhs + 2 se_rhs (Minkowski).
     """
     model = cfg.model
-    root, w0 = model.theta._root, expected_wishart(model)
+    w0 = expected_wishart(model)
 
     def kernel(rng: np.random.Generator, k: int) -> np.ndarray:
-        w, w_prime = _decoupled_pairs(model, root, rng, k)
-        return np.stack((_spectral_norms(w - w0), _spectral_norms(w_prime)))
+        w, w_prime = _decoupled_pairs(model, rng, k)
+        return _spectral_norms(np.stack((w - w0, w_prime)))
 
     return DecouplingReport.from_summary(_run_blocks(kernel, cfg.trials, cfg.master_seed, workers))
 

@@ -39,7 +39,30 @@ SVD_CASES = {
     "zero": np.zeros((4, 3)),
     "subnormal": 2.0**-1060 * cw.generator(322).standard_normal((5, 4)),
     "subnormal-and-normal": np.array([[5e-324, 0.0], [1e-310, 3.0]]),
+    # 2 x 2 Grams take the closed form: equal singular values, rank one, a zero
+    # row, both ends of the range, subnormal entries next to normal ones.
+    "2x2-orthogonal": 1.5 * np.linalg.qr(cw.generator(323).standard_normal((50, 2, 2)))[0],
+    "2x2-rank-one": (cw.generator(324).standard_normal((50, 2, 1))
+                     * cw.generator(325).standard_normal((50, 1, 2))),
+    "2x2-zero-row": np.concatenate(
+        (cw.generator(326).standard_normal((50, 1, 2)), np.zeros((50, 1, 2))), axis=1),
+    "2x2-scale-2^1000": 2.0**1000 * cw.generator(327).standard_normal((50, 2, 2)),
+    "2x2-scale-2^-1000": 2.0**-1000 * cw.generator(327).standard_normal((50, 2, 2)),
+    "2x2-subnormal-and-normal": np.array([[[1e-310, 1.0], [5e-324, 2.0]],
+                                          [[3.0, 2e-320], [-1e-308, 1e-300]],
+                                          [[4e-323, -5e-324], [1.0, 1e-310]]]),
+    "2x7-wide": cw.generator(328).standard_normal((50, 2, 7)),
+    "7x2-tall": cw.generator(328).standard_normal((50, 7, 2)),
 }
+
+
+def _eigvalsh_route(a):
+    """The spectral-norm rule with the top eigenvalue of every Gram matrix from eigvalsh."""
+    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))
+    s = np.ldexp(a, -exp)
+    st = s.swapaxes(-1, -2)
+    gram = s @ st if s.shape[-2] <= s.shape[-1] else st @ s
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exp[..., 0, 0])
 
 
 class TestSpectralNorm:
@@ -69,6 +92,38 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert _spectral_norms(np.array([bad_inf, bad_nan])).tolist() == [np.inf, np.inf]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 9), (3, 2), (9, 2)])
+    def test_closed_form_matches_the_eigvalsh_route(self, shape):
+        # 10^5 draws, half of them with rows and columns scaled by 2^-30 .. 2^30:
+        # the closed form reads within 2 ulps of eigvalsh on these, 8 allowed.
+        rng = cw.generator(331 + 10 * shape[0] + shape[1])
+        a = rng.standard_normal((10**5, *shape))
+        a[::2] *= (np.ldexp(1.0, rng.integers(-30, 31, (a.shape[0] // 2, shape[0], 1)))
+                   * np.ldexp(1.0, rng.integers(-30, 31, (a.shape[0] // 2, 1, shape[1]))))
+        want = _eigvalsh_route(a)
+        assert np.all(np.abs(_spectral_norms(a) - want) <= 8 * np.spacing(want))
+
+    @pytest.mark.parametrize("j", [-700, 700])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (1, 4), (4, 1)])
+    def test_small_grams_scale_by_powers_of_two_bit_for_bit(self, shape, j):
+        a = cw.generator(332).standard_normal((1000, *shape))
+        assert np.array_equal(_spectral_norms(np.ldexp(a, j)), np.ldexp(_spectral_norms(a), j))
+
+    def test_one_and_two_row_grams_never_call_eigvalsh(self, monkeypatch):
+        stacks = [cw.generator(333).standard_normal((100, *shape))
+                  for shape in [(1, 1), (1, 6), (6, 1), (2, 2), (2, 6), (6, 2)]]
+        want = [np.linalg.svd(a, compute_uv=False)[..., 0] for a in stacks]
+
+        def eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for a, exact in zip(stacks, want):
+            assert np.all(np.abs(_spectral_norms(a) - exact) <= 1e-13 * exact)
+        assert cw.spectral_norm([[3.0, 4.0], [0.0, 0.0]]) == 5.0
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            _spectral_norms(stacks[0][:, :1] * np.ones((1, 3, 3)))
 
     def test_identity(self):
         assert cw.spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
@@ -153,6 +208,14 @@ class TestSpdSqrt:
     def test_identity(self):
         root = cw.spd_sqrt(cw.SpdMatrix.identity(3))
         assert np.allclose(root, np.eye(3), atol=1e-14)
+
+    def test_identity_root_is_exactly_i(self):
+        # Whitening by an exact identity root only divides by n (model._whiten).
+        for p in range(1, 17):
+            theta = cw.SpdMatrix.identity(p)
+            assert np.array_equal(theta._root, np.eye(p)) and theta._root_is_identity
+        for theta in (cw.SpdMatrix.diagonal([1.0, 2.0]), cw.SpdMatrix(4 * np.eye(3))):
+            assert not theta._root_is_identity
 
     def test_diagonal(self):
         root = cw.spd_sqrt(cw.SpdMatrix.diagonal([4.0, 9.0]))

@@ -230,7 +230,7 @@ class TestExactMeanDeviation:
         # W scaled by n / (n - 1) at n = 16 on either path: |z| = 24.3 (Gram) and
         # 22.5 (X path) at p = 1, 42.3 and 40.6 at p = 2.
         exact = verify._whiten
-        monkeypatch.setattr(verify, "_whiten", lambda w, root, n: exact(w, root, n - 1))
+        monkeypatch.setattr(verify, "_whiten", lambda w, theta, n: exact(w, theta, n - 1))
         assert abs(self.z(p, 16, ones)) > EQUALITY_MARGIN
 
     @pytest.mark.parametrize("n,rel", [(1, 2e-4), (4, 1e-5), (16, 1e-9), (64, 1e-12)])
@@ -259,13 +259,14 @@ class TestExactMeanDeviation:
         assert round(limit) == 117 and limit < ratios[-1]
 
 
-def _x_path_pairs(m, root, rng, k):
+def _x_path_pairs(m, rng, k):
     """(W, W') of the paper: one (k, p, n) Gaussian Y for both, and a fresh Y' for W'."""
     y = rng.standard_normal((k, m.p, m.n))
     y_prime = rng.standard_normal((k, m.p, m.n))
     y_t = y.swapaxes(-1, -2)
-    return tuple(model_module._whiten(model_module.apply_shape(a, m.shape, m.n) @ y_t, root, m.n)
-                 for a in (y, y_prime))
+    return tuple(
+        model_module._whiten(model_module.apply_shape(a, m.shape, m.n) @ y_t, m.theta, m.n)
+        for a in (y, y_prime))
 
 
 def _pair_summary(pairs, m, trials, seed):
@@ -274,10 +275,10 @@ def _pair_summary(pairs, m, trials, seed):
     The third entry tells a pair drawn with the right marginals but the wrong
     joint law (independent W and W', say) from the paper's.
     """
-    root, w0 = m.theta._root, cw.expected_wishart(m)
+    w0 = cw.expected_wishart(m)
 
     def kernel(rng, k):
-        w, w_prime = pairs(m, root, rng, k)
+        w, w_prime = pairs(m, rng, k)
         return np.stack([_spectral_norms(a) for a in (w - w0, w_prime, w + w_prime)])
 
     return verify._run_blocks(kernel, trials, seed)
@@ -391,9 +392,9 @@ class TestStructuredDraws:
                       cw.ShapeSpec.diagonal([1.5, -0.5, 1e-300, 2.0]),
                       cw.ShapeSpec.custom(cw.generator(197).standard_normal((4, 4)))):
             m = model(2, 4, shape, cw.SpdMatrix.diagonal([2.0, 0.5]))
-            got = verify._wishart_draws(m, m.theta._root, cw.generator(199), 7)
-            want = _x_path_pairs(m, m.theta._root, cw.generator(199), 7)[0]
-            pair = verify._decoupled_pairs(m, m.theta._root, cw.generator(199), 7)[0]
+            got = verify._wishart_draws(m, cw.generator(199), 7)
+            want = _x_path_pairs(m, cw.generator(199), 7)[0]
+            pair = verify._decoupled_pairs(m, cw.generator(199), 7)[0]
             assert np.array_equal(got, want) and np.array_equal(pair, want)
 
 
@@ -456,6 +457,69 @@ class TestDecouplingLhsContract:
             lhs = cw.check_wishart_decoupling(cfg, workers).lhs
             stats = cw.estimate_mean_deviation(cfg, workers)
             assert canonical_dumps(lhs.to_dict()) == canonical_dumps(stats.to_dict())
+
+
+def _two_gemm_whiten(w, theta, n):
+    """(1/n) root w root as two GEMMs over the stack's rows, whatever the root."""
+    root, p = theta._root, theta.p
+    v = (w.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2)
+    return (v.reshape(-1, p) @ root).reshape(w.shape).swapaxes(-1, -2) / n
+
+
+def _two_call_decoupling(cfg):
+    """check_wishart_decoupling with the norms of each side taken in a call of their own."""
+    m, w0 = cfg.model, cw.expected_wishart(cfg.model)
+
+    def kernel(rng, k):
+        w, w_prime = verify._decoupled_pairs(m, rng, k)
+        return np.stack((_spectral_norms(w - w0), _spectral_norms(w_prime)))
+
+    return DecouplingReport.from_summary(verify._run_blocks(kernel, cfg.trials, cfg.master_seed))
+
+
+class TestIdentityThetaIsOnlyDividedByN:
+    """At theta = I the draws are only divided by n, and a decoupling block takes
+    both sides' norms in one call: the reports keep the bytes of two GEMMs and
+    two calls.  n is no power of two, so w / n and w * (1 / n) differ.
+    """
+
+    FAMILIES = {
+        "identity": cw.identity_family,
+        "skew-block": cw.skew_block_family,
+        "diagonal-one-zero": lambda n: cw.ShapeSpec.diagonal(
+            np.concatenate(([0.0], np.linspace(2.0, -0.5, n - 1)))),
+        "custom": lambda n: cw.ShapeSpec.custom(cw.generator(n).standard_normal((n, n))),
+    }
+    N_GRID = (6, 10, 14)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_reports_equal_the_two_gemm_reference(self, name, monkeypatch):
+        family, theta, trials = self.FAMILIES[name], cw.SpdMatrix.identity(3), BLOCK_TRIALS + 7
+        cfgs = [TrialConfig(model(3, n, family(n), theta), trials, mix_seed(347, n))
+                for n in self.N_GRID]
+
+        def reports(decoupling):
+            return [canonical_dumps(r.to_dict()) for r in (
+                *map(cw.check_bound_dominance, cfgs), *map(decoupling, cfgs),
+                sweep_scaling(3, self.N_GRID, family, theta, trials, 349))]
+
+        got = reports(cw.check_wishart_decoupling)
+        assert theta._root_is_identity
+        monkeypatch.setattr(verify, "_whiten", _two_gemm_whiten)
+        assert got == reports(_two_call_decoupling)
+
+    @pytest.mark.parametrize("check", [cw.check_bound_dominance, cw.check_wishart_decoupling],
+                             ids=["dominance", "decoupling"])
+    def test_an_overflowed_draw_still_raises(self, check):
+        # B near 2^1021: 33 of the block's 64 draws of W overflow (inf, or NaN
+        # from inf - inf), next to 31 finite draws.
+        b = cw.ShapeSpec.diagonal([math.ldexp(v, 1021) for v in (1.5, 0, 1, 1, 0.5, 1.5)])
+        m = model(3, 6, shape=b)
+        with np.errstate(over="ignore"):
+            w = verify._wishart_draws(m, cw.generator(mix_seed(5, 0)), 64)
+        assert np.isfinite(w).all(axis=(1, 2)).sum() == 31
+        with pytest.raises(ValueError, match="Monte Carlo statistics overflow"):
+            check(TrialConfig(m, 64, 5))
 
 
 class TestChaosDecoupling:
